@@ -4,14 +4,14 @@
 Measures what tracing costs at each class of instrumentation site, in
 both states that matter:
 
-* **null path** (tracing off, the default) — the dispatch helpers hit
-  the shared :data:`~repro.obs.trace.NULL_TRACER`, so every site must
-  stay in no-op territory; this is what keeps tracing-off campaigns
-  inside the perf-smoke budget.
-* **tracing on** — a collecting :class:`~repro.obs.trace.Tracer` with a
-  ring buffer; the interesting number is the slowdown factor per site
-  (span pairs, guarded instants) and end-to-end (lookup walks, crawl
-  tasks).
+* **null path** (tracing off, the default) — the observer hooks hit
+  :data:`~repro.obs.observer.NULL_OBSERVER`, whose tracer is the shared
+  null tracer, so every site must stay in no-op territory; this is what
+  keeps tracing-off campaigns inside the perf-smoke budget.
+* **tracing on** — an observer with a collecting
+  :class:`~repro.obs.trace.Tracer` and its ring buffer; the interesting
+  number is the slowdown factor per site (span pairs, guarded instants)
+  and end-to-end (lookup walks, crawl tasks).
 
 Usage::
 
@@ -41,17 +41,22 @@ if __package__ in (None, ""):
 
 from _bench_utils import BenchReport, best_of, compare_to_baseline
 
-from repro.core.crawler import DHTCrawler, execute_crawl_task, execute_crawl_task_traced
+from repro.core.crawler import DHTCrawler, collect_crawl, execute_crawl_task
 from repro.kademlia.lookup import iterative_find_node
 from repro.netsim.network import Overlay
-from repro.obs import trace
-from repro.obs.trace import Tracer, use_tracer
+from repro.obs import observer as obs
+from repro.obs.observer import Observer, use_observer
+from repro.obs.trace import Tracer
 from repro.world.population import build_world
 from repro.world.profiles import WorldProfile
 
 #: Overlay size for the walk/crawl measurements.
 SERVERS = 400
 SEED = 7
+
+
+def traced(**tracer_args) -> Observer:
+    return Observer(tracer=Tracer(origin="bench", **tracer_args))
 
 
 def build_overlay() -> Overlay:
@@ -72,30 +77,28 @@ def bench_instrumentation_sites(report: BenchReport, calls: int = 100_000) -> No
 
     def guarded_instants():
         for index in range(calls):
-            if trace.get_tracer().enabled:
-                trace.trace_event("bench.instant", index=index)
+            if obs.get_tracer().enabled:
+                obs.trace_event("bench.instant", index=index)
 
     def span_pairs():
         for _ in range(calls):
-            with trace.trace_span("bench.span"):
+            with obs.trace_span("bench.span"):
                 pass
 
-    trace.disable_tracing()
     report.record("guarded_instant_null", best_of(guarded_instants), calls)
     null_span_seconds = best_of(span_pairs)
     report.record("span_pair_null", null_span_seconds, calls)
 
     # Collecting tracer: ring buffer bounded far below `calls` so steady
     # state includes eviction (the worst case, not the warm-up).
-    with use_tracer(Tracer(origin="bench", capacity=8192)):
+    with use_observer(traced(capacity=8192)):
         report.record("guarded_instant_traced", best_of(guarded_instants), calls)
         traced_span_seconds = best_of(span_pairs)
         report.record("span_pair_traced", traced_span_seconds, calls)
     report.record_speedup("span_pair_null_vs_traced", traced_span_seconds, null_span_seconds)
 
-    with use_tracer(Tracer(origin="bench", capacity=8192, sample=16)):
+    with use_observer(traced(capacity=8192, sample=16)):
         report.record("span_pair_sampled_1_in_16", best_of(span_pairs), calls)
-    trace.disable_tracing()
 
 
 def bench_lookup_walks(report: BenchReport, overlay: Overlay, walks: int = 200) -> None:
@@ -114,26 +117,27 @@ def bench_lookup_walks(report: BenchReport, overlay: Overlay, walks: int = 200) 
         for target, start in jobs:
             iterative_find_node(target, start, query, k=overlay.k)
 
-    trace.disable_tracing()
     off_seconds = best_of(run_walks)
     report.record("lookup_walk_off", off_seconds, walks)
-    with use_tracer(Tracer(origin="bench", capacity=1 << 18)):
+    with use_observer(traced(capacity=1 << 18)):
         on_seconds = best_of(run_walks)
     report.record("lookup_walk_traced", on_seconds, walks)
     report.record_speedup("lookup_walk_off_vs_traced", on_seconds, off_seconds)
-    trace.disable_tracing()
 
 
 def bench_crawl_tasks(report: BenchReport, overlay: Overlay, crawls: int = 2) -> None:
-    """Whole crawl tasks: the plain pure function versus the traced
-    wrapper (per-task tracer + registry, the workers' configuration)."""
+    """Whole crawl tasks: the plain pure function versus the collector
+    with per-task tracer + registry (the workers' configuration)."""
     crawler = DHTCrawler(overlay)
     tasks = [crawler.task(crawl_id) for crawl_id in range(crawls)]
 
     off_seconds = best_of(lambda: [execute_crawl_task(task) for task in tasks])
     report.record("crawl_task_off", off_seconds, crawls)
     traced_seconds = best_of(
-        lambda: [execute_crawl_task_traced(task, 1, 1 << 18) for task in tasks]
+        lambda: [
+            collect_crawl(task, metrics=True, trace=True, trace_capacity=1 << 18)
+            for task in tasks
+        ]
     )
     report.record("crawl_task_traced", traced_seconds, crawls)
     report.record_speedup("crawl_task_off_vs_traced", traced_seconds, off_seconds)

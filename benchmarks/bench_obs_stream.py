@@ -40,9 +40,10 @@ if __package__ in (None, ""):
 
 from _bench_utils import BenchReport, best_of, compare_to_baseline
 
-from repro.obs import stream as obs_stream
+from repro.obs import observer as obs
+from repro.obs.observer import Observer, use_observer
 from repro.obs.sketch import LinearCounter, QuantileSketch, SpaceSaving
-from repro.obs.stream import StreamAnalytics, use_stream
+from repro.obs.stream import StreamAnalytics
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
 from repro.world.profiles import WorldProfile
@@ -101,17 +102,19 @@ def bench_hook_dispatch(report: BenchReport, result) -> float:
 
     def replay_hydra():
         for envelope in envelopes:
-            obs_stream.observe_hydra(envelope)
+            obs.observe_hydra(envelope)
 
     def replay_bitswap():
         for timestamp, node, cid in broadcasts:
-            obs_stream.observe_bitswap(timestamp, node, cid)
+            obs.observe_bitswap(timestamp, node, cid, True)
 
-    def live_analytics() -> StreamAnalytics:
-        return StreamAnalytics(
-            21_600.0,
-            provider_of=result.world.cloud_db.lookup,
-            is_gateway=gateway_peers.__contains__,
+    def live_analytics() -> Observer:
+        return Observer(
+            stream=StreamAnalytics(
+                21_600.0,
+                provider_of=result.world.cloud_db.lookup,
+                is_gateway=gateway_peers.__contains__,
+            )
         )
 
     # Null path: streaming off (the default), every hook must stay a
@@ -121,11 +124,11 @@ def bench_hook_dispatch(report: BenchReport, result) -> float:
     report.record("observe_bitswap_null", best_of(replay_bitswap), len(broadcasts))
 
     def streamed_hydra():
-        with use_stream(live_analytics()):
+        with use_observer(live_analytics()):
             replay_hydra()
 
     def streamed_bitswap():
-        with use_stream(live_analytics()):
+        with use_observer(live_analytics()):
             replay_bitswap()
 
     live_seconds = best_of(streamed_hydra)

@@ -45,7 +45,7 @@ from repro.monitors.hydra import HydraBooster
 from repro.netsim.clock import SECONDS_PER_HOUR
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
-from repro.obs import metrics as obs
+from repro.obs import observer as obs
 from repro.world.ipspace import format_ip
 from repro.world.population import NodeClass, NodeSpec
 from repro.world.profiles import BehaviorProfile

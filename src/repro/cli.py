@@ -423,7 +423,7 @@ def _config_from_args(args) -> ScenarioConfig:
 
         config = dataclasses.replace(
             config,
-            trace=True,
+            trace=getattr(args, "trace", False),
             trace_sample=max(1, getattr(args, "trace_sample", 1)),
             trace_out=getattr(args, "trace_out", None),
         )
@@ -440,7 +440,7 @@ def _config_from_args(args) -> ScenarioConfig:
 
         config = dataclasses.replace(
             config,
-            stream=True,
+            stream=getattr(args, "stream", False),
             sketches_out=getattr(args, "sketches_out", None),
             live=getattr(args, "live", None),
         )

@@ -5,9 +5,8 @@
 * :mod:`repro.content.catalog` — the population of content items, their
   publishers, lifetimes and request popularity.
 
-The traffic engine that used to live here is now the
-:mod:`repro.workload` package (``repro.content.workload`` remains as a
-deprecation shim); the re-exports below keep old call sites working.
+The traffic engine that requests this content lives in
+:mod:`repro.workload.engine`.
 """
 
 from repro.content.blocks import chunk_data, DagObject
@@ -17,17 +16,5 @@ __all__ = [
     "ContentCatalog",
     "ContentItem",
     "DagObject",
-    "TrafficEngine",
-    "WorkloadConfig",
     "chunk_data",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy: the engine imports the catalog, so an eager re-export here
-    # would be circular now that the engine lives in repro.workload.
-    if name in ("TrafficEngine", "WorkloadConfig"):
-        from repro.workload import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

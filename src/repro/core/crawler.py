@@ -29,17 +29,17 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.seeds import derive_seed
 from repro.ids.keys import KEY_BITS, random_key_in_bucket
 from repro.ids.peerid import PeerID
 from repro.netsim.network import Overlay
-from repro.obs import metrics as obs
-from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs import observer as obs
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer, use_observer
 from repro.obs.sketch import QuantileSketch
-from repro.obs.trace import DEFAULT_CAPACITY, Tracer, use_tracer
+from repro.obs.trace import DEFAULT_CAPACITY, Tracer
 
 #: The paper's crawl connection timeout (3 minutes).
 DEFAULT_TIMEOUT = 180.0
@@ -280,7 +280,7 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
     had_unresponsive = False
     depth = int(math.log2(max(task.oracle_size, 2))) + 6
 
-    tracer = trace.get_tracer()
+    tracer = obs.get_tracer()
     with tracer.span("crawl", crawl=task.crawl_id) as crawl_span:
         while queue:
             index = queue.popleft()
@@ -359,96 +359,75 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
     return snapshot
 
 
-def execute_crawl_task_observed(task: CrawlTask):
-    """Run one crawl, collecting its metrics into a private registry.
+@dataclass
+class CrawlOutcome:
+    """One crawl's snapshot plus what its private sinks collected.
 
-    Returns ``(snapshot, metrics_snapshot)``.  A fresh registry is
-    installed for the duration of the crawl, so metrics collected on a
-    worker process never mix with whatever registry the worker inherited
-    at fork; the parent merges the per-task snapshots in ``crawl_id``
-    order, which makes the totals independent of worker count and
-    completion order (the same contract as the sharded-log heap-merge).
+    ``metrics`` is a registry snapshot, ``trace`` a trace record list and
+    ``stream`` a sketch state; each is ``None`` when that sink was off.
+    The campaign folds outcomes in with
+    :meth:`repro.obs.observer.Observer.merge`, in crawl order.
     """
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        snapshot = execute_crawl_task(task)
-    return snapshot, registry.snapshot()
+
+    snapshot: CrawlSnapshot
+    metrics: Optional[Dict[str, object]] = None
+    trace: Optional[List[Dict[str, object]]] = None
+    stream: Optional[Dict[str, object]] = None
 
 
-def execute_crawl_task_traced(
-    task: CrawlTask, sample: int = 1, capacity: int = DEFAULT_CAPACITY
-):
-    """Run one crawl with both metrics and tracing collected privately.
-
-    Returns ``(snapshot, metrics_snapshot, trace_records)``.  The tracer
-    is per-task — origin ``crawl-<id>``, seed derived from the task's own
-    seed, sim clock frozen at the task's freeze instant — so its event
-    stream is a pure function of the task, independent of which worker
-    runs it; the parent concatenates the per-task record lists in
-    ``crawl_id`` order, exactly like the metric snapshots.
-    """
-    registry = MetricsRegistry()
-    tracer = Tracer(
-        origin=f"crawl-{task.crawl_id}",
-        seed=derive_seed(task.seed, "trace"),
-        sample=sample,
-        capacity=capacity,
-        clock=lambda: task.started_at,
-    )
-    with use_registry(registry), use_tracer(tracer):
-        snapshot = execute_crawl_task(task)
-    return snapshot, registry.snapshot(), tracer.records()
-
-
-def crawl_stream_state(
-    snapshot: CrawlSnapshot, quantile_k: int = 256
-) -> Dict[str, object]:
-    """One crawl's contribution to the streaming sketches, as plain state.
-
-    The out-degree sketch (Fig. 7's CCDF quantity) is built in BFS
-    discovery order — the iteration order of ``snapshot.edges`` — so the
-    state is a pure function of the snapshot; the campaign merges the
-    per-crawl states in crawl order
-    (:meth:`repro.obs.stream.StreamAnalytics.merge_crawl_state`), making
-    the merged sketch bit-identical at any worker count.
-    """
-    degree = QuantileSketch(quantile_k)
-    for neighbors in snapshot.edges.values():
-        degree.update(float(len(neighbors)))
-    return {
-        "degree": degree.to_state(),
-        "crawls": 1,
-        "discovered": snapshot.num_discovered,
-        "crawlable": len(snapshot.edges),
-    }
-
-
-def execute_crawl_task_streamed(
+def collect_crawl(
     task: CrawlTask,
-    with_metrics: bool = False,
-    with_trace: bool = False,
-    sample: int = 1,
-    capacity: int = DEFAULT_CAPACITY,
-):
-    """Run one crawl and additionally return its streaming sketch state.
+    crawl_fn: Callable[[CrawlTask], CrawlSnapshot] = execute_crawl_task,
+    metrics: bool = False,
+    trace: bool = False,
+    stream: bool = False,
+    trace_sample: int = 1,
+    trace_capacity: int = DEFAULT_CAPACITY,
+) -> CrawlOutcome:
+    """Run one crawl, collecting the requested sinks privately.
 
-    Returns ``(snapshot, metrics_snapshot | None, trace_records | None,
-    stream_state)``.  The sketch state is derived from the finished
-    snapshot *after* the crawl — no extra randomness, no change to the
-    crawl itself — so streaming-on campaigns keep bit-identical crawl
-    datasets.
+    Metrics and trace go into a fresh registry and tracer installed for
+    the crawl alone, so nothing mixes with whatever observer a worker
+    inherited at fork.  The tracer is per-task — origin ``crawl-<id>``,
+    seed derived from the task's own seed, sim clock frozen at the
+    task's freeze instant — so its records are a pure function of the
+    task.  The stream state is derived from the finished snapshot: the
+    out-degree sketch (Fig. 7's CCDF quantity) in BFS discovery order,
+    with no extra randomness.  With every sink off the crawl runs under
+    the installed observer unchanged.
     """
-    metrics_snapshot = None
-    trace_records = None
-    if with_trace:
-        snapshot, metrics_snapshot, trace_records = execute_crawl_task_traced(
-            task, sample, capacity
+    registry = MetricsRegistry() if metrics else None
+    tracer = None
+    if trace:
+        tracer = Tracer(
+            origin=f"crawl-{task.crawl_id}",
+            seed=derive_seed(task.seed, "trace"),
+            sample=trace_sample,
+            capacity=trace_capacity,
+            clock=lambda: task.started_at,
         )
-    elif with_metrics:
-        snapshot, metrics_snapshot = execute_crawl_task_observed(task)
+    if registry is None and tracer is None:
+        snapshot = crawl_fn(task)
     else:
-        snapshot = execute_crawl_task(task)
-    return snapshot, metrics_snapshot, trace_records, crawl_stream_state(snapshot)
+        with use_observer(Observer(registry, tracer)):
+            snapshot = crawl_fn(task)
+    state = None
+    if stream:
+        degree = QuantileSketch()
+        for neighbors in snapshot.edges.values():
+            degree.update(float(len(neighbors)))
+        state = {
+            "degree": degree.to_state(),
+            "crawls": 1,
+            "discovered": snapshot.num_discovered,
+            "crawlable": len(snapshot.edges),
+        }
+    return CrawlOutcome(
+        snapshot,
+        metrics=registry.snapshot() if registry is not None else None,
+        trace=tracer.records() if tracer is not None else None,
+        stream=state,
+    )
 
 
 class DHTCrawler:

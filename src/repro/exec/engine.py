@@ -29,9 +29,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.obs import metrics as obs
-from repro.obs import stream as obs_stream
-from repro.obs import trace
+from repro.obs import observer as obs
 from repro.obs.metrics import TIME_BUCKETS
 
 # Task lifecycle is traced with *instant* events only (exec.submit /
@@ -138,9 +136,9 @@ class ParallelExecutor:
         # Runtime notes feed the live /status endpoint only (see
         # repro.obs.stream): completion order and retry counts are
         # environment-dependent, so they never enter a deterministic view.
-        obs_stream.note("exec.submitted")
-        if trace.get_tracer().enabled:
-            trace.trace_event("exec.submit", task=str(task_id))
+        obs.note("exec.submitted")
+        if obs.get_tracer().enabled:
+            obs.trace_event("exec.submit", task=str(task_id))
         if self.workers == 1:
             self._run_inline(task_id, fn, args)
         else:
@@ -154,9 +152,9 @@ class ParallelExecutor:
         for attempt in range(self.retries + 1):
             if attempt:
                 obs.inc("exec.retries")
-                obs_stream.note("exec.retries")
-                if trace.get_tracer().enabled:
-                    trace.trace_event("exec.retry", task=str(task_id))
+                obs.note("exec.retries")
+                if obs.get_tracer().enabled:
+                    obs.trace_event("exec.retry", task=str(task_id))
             started = time.perf_counter()
             try:
                 self._results[task_id] = fn(*args)
@@ -164,13 +162,13 @@ class ParallelExecutor:
                 last = exc
             else:
                 obs.observe("exec.task_seconds", time.perf_counter() - started, TIME_BUCKETS)
-                obs_stream.note("exec.completed")
-                if trace.get_tracer().enabled:
-                    trace.trace_event("exec.done", task=str(task_id), attempts=attempt + 1)
+                obs.note("exec.completed")
+                if obs.get_tracer().enabled:
+                    obs.trace_event("exec.done", task=str(task_id), attempts=attempt + 1)
                 return
         obs.inc("exec.failures")
-        if trace.get_tracer().enabled:
-            trace.trace_event(
+        if obs.get_tracer().enabled:
+            obs.trace_event(
                 "exec.failed", task=str(task_id), attempts=self.retries + 1, stage="task"
             )
         self._errors.append(
@@ -179,9 +177,9 @@ class ParallelExecutor:
 
     def _resubmit(self, task_id: Hashable, fn: Callable, args: tuple, attempt: int) -> None:
         obs.inc("exec.retries")
-        obs_stream.note("exec.retries")
-        if trace.get_tracer().enabled:
-            trace.trace_event("exec.retry", task=str(task_id))
+        obs.note("exec.retries")
+        if obs.get_tracer().enabled:
+            obs.trace_event("exec.retry", task=str(task_id))
         future = self._ensure_pool().submit(fn, *args)
         self._pending[future] = (
             task_id, fn, args, attempt, self._generation, time.perf_counter()
@@ -204,9 +202,9 @@ class ParallelExecutor:
                     obs.observe(
                         "exec.task_seconds", time.perf_counter() - submitted, TIME_BUCKETS
                     )
-                    obs_stream.note("exec.completed")
-                    if trace.get_tracer().enabled:
-                        trace.trace_event(
+                    obs.note("exec.completed")
+                    if obs.get_tracer().enabled:
+                        obs.trace_event(
                             "exec.done", task=str(task_id), attempts=attempt
                         )
                 except (BrokenProcessPool, CancelledError) as exc:
@@ -220,8 +218,8 @@ class ParallelExecutor:
                         self._resubmit(task_id, fn, args, attempt + 1)
                     else:
                         obs.inc("exec.failures")
-                        if trace.get_tracer().enabled:
-                            trace.trace_event(
+                        if obs.get_tracer().enabled:
+                            obs.trace_event(
                                 "exec.failed",
                                 task=str(task_id),
                                 attempts=attempt,
@@ -235,8 +233,8 @@ class ParallelExecutor:
                         self._resubmit(task_id, fn, args, attempt + 1)
                     else:
                         obs.inc("exec.failures")
-                        if trace.get_tracer().enabled:
-                            trace.trace_event(
+                        if obs.get_tracer().enabled:
+                            obs.trace_event(
                                 "exec.failed",
                                 task=str(task_id),
                                 attempts=attempt,

@@ -27,8 +27,7 @@ from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
 from repro.kademlia.messages import PeerInfo
 from repro.kademlia.providers import ProviderRecord
-from repro.obs import metrics as obs
-from repro.obs import trace
+from repro.obs import observer as obs
 
 #: Kademlia replication parameter: number of closest peers returned,
 #: and number of resolvers holding each provider record.
@@ -186,7 +185,7 @@ def iterative_find_node(
     :param max_queries: safety valve against pathological topologies.
     """
     walk = _Walk(target_key, start, k, alpha)
-    tracer = trace.get_tracer()
+    tracer = obs.get_tracer()
     rounds = 0
     with tracer.span("lookup.find_node") as lookup_span:
         while walk.messages < max_queries:
@@ -254,7 +253,7 @@ def iterative_find_providers(
     target_key = cid.dht_key
     walk = _Walk(target_key, start, k, alpha)
     providers: Dict[PeerID, ProviderRecord] = {}
-    tracer = trace.get_tracer()
+    tracer = obs.get_tracer()
     rounds = 0
     with tracer.span("lookup.find_providers") as lookup_span:
         while walk.messages < max_queries:

@@ -20,9 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
 from repro.netsim.node import Node
-from repro.obs import metrics as obs
-from repro.obs import stream as obs_stream
-from repro.obs import trace
+from repro.obs import observer as obs
 from repro.world.population import NodeClass
 
 if TYPE_CHECKING:  # pragma: no cover - the store imports us for the codec
@@ -83,24 +81,18 @@ class BitswapMonitor:
 
     def observe_broadcast(self, timestamp: float, node: Node, cid: CID) -> bool:
         """Log the broadcast if the sender is connected to us."""
-        obs.inc("bitswap.broadcasts_seen")
-        if not self.is_connected(node) or node.peer is None or not node.ips:
-            if trace.get_tracer().enabled:
-                trace.trace_event("bitswap.request", logged=False)
-            return False
-        obs.inc("bitswap.broadcasts_logged")
-        if trace.get_tracer().enabled:
-            trace.trace_event("bitswap.request", logged=True)
-        self.log.append(
-            BitswapLogEntry(
-                timestamp=timestamp,
-                sender=node.peer,
-                sender_ip=node.primary_ip_str,
-                cid=cid,
+        logged = self.is_connected(node) and node.peer is not None and bool(node.ips)
+        if logged:
+            self.log.append(
+                BitswapLogEntry(
+                    timestamp=timestamp,
+                    sender=node.peer,
+                    sender_ip=node.primary_ip_str,
+                    cid=cid,
+                )
             )
-        )
-        obs_stream.observe_bitswap(timestamp, node, cid)
-        return True
+        obs.observe_bitswap(timestamp, node, cid, logged)
+        return logged
 
     # -- derived datasets -------------------------------------------------------
 

@@ -21,9 +21,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
 from repro.kademlia.messages import MessageEnvelope, MessageType, TrafficClass
-from repro.obs import metrics as obs
-from repro.obs import stream as obs_stream
-from repro.obs import trace
+from repro.obs import observer as obs
 
 if TYPE_CHECKING:  # pragma: no cover - the store imports us for the codec
     from repro.store.backend import StorageBackend
@@ -120,14 +118,7 @@ class HydraBooster:
             via_relay=via_relay,
         )
         self.log.append(envelope)
-        obs.inc("hydra.messages_logged")
-        obs_stream.observe_hydra(envelope)
-        if trace.get_tracer().enabled:
-            trace.trace_event(
-                "hydra.request",
-                mtype=message_type.value,
-                relayed=via_relay is not None,
-            )
+        obs.observe_hydra(envelope)
         return envelope
 
     # -- hydra cache behaviour ---------------------------------------------------

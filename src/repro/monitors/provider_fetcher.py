@@ -17,8 +17,7 @@ from repro.ids.cid import CID
 from repro.kademlia.lookup import iterative_find_providers
 from repro.kademlia.providers import ProviderRecord
 from repro.netsim.network import Overlay
-from repro.obs import metrics as obs
-from repro.obs import trace
+from repro.obs import observer as obs
 
 
 @dataclass
@@ -64,7 +63,7 @@ class ProviderRecordFetcher:
 
     def fetch(self, cid: CID) -> ProviderObservation:
         """Collect all provider records for ``cid`` and verify reachability."""
-        tracer = trace.get_tracer()
+        tracer = obs.get_tracer()
         # The fetch span wraps the lookup, so the walk's span (and its
         # per-round/message events) nests under it as one causal tree.
         with tracer.span("providers.fetch") as fetch_span:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -35,8 +34,7 @@ from repro.netsim.clock import EventScheduler, SECONDS_PER_HOUR
 from repro.netsim.node import Node
 from repro.netsim.oracle import MIRROR_BITS, KeyspaceOracle
 from repro.netsim.soa import HAVE_NUMPY, SoAState
-from repro.obs import metrics as obs
-from repro.obs import trace
+from repro.obs import observer as obs
 from repro.world.population import NodeClass, NodeSpec, World
 
 
@@ -328,7 +326,7 @@ class Overlay:
         if not node.is_dht_server:
             self._online_clients[node.peer] = node
             node.relay = self.pick_relay(exclude=node)
-            if node.relay is not None and trace.get_tracer().enabled:
+            if node.relay is not None and obs.get_tracer().enabled:
                 self._trace_relay(node, node.relay)
         else:
             self._register_server(node)
@@ -774,7 +772,7 @@ class Overlay:
         connectivity only exists between a NAT'd client and a
         relay-capable DHT server (paper §4).
         """
-        trace.trace_event(
+        obs.trace_event(
             "relay.assign",
             client_nat=not node.is_dht_server,
             relay_server=relay.is_dht_server,
@@ -787,7 +785,7 @@ class Overlay:
             node.relay = self.pick_relay(exclude=node)
             if node.peer is not None and node.relay is not None:
                 self._last_infos[node.peer] = node.peer_info()
-                if trace.get_tracer().enabled:
+                if obs.get_tracer().enabled:
                     self._trace_relay(node, node.relay)
         return node.relay
 
@@ -828,9 +826,9 @@ class Overlay:
         """
         now = self.now
         if node is None:
-            trace.trace_event("msg.query", kind=kind, ok=False, sent=now, recv=now)
+            obs.trace_event("msg.query", kind=kind, ok=False, sent=now, recv=now)
         else:
-            trace.trace_event(
+            obs.trace_event(
                 "msg.query", kind=kind, ok=True, sent=now, recv=now + node.response_latency
             )
 
@@ -839,7 +837,7 @@ class Overlay:
 
         def query(peer: PeerID, target_key: int):
             node = self.dial(peer, timeout)
-            if trace.get_tracer().enabled:
+            if obs.get_tracer().enabled:
                 self._trace_message("find_node", node)
             if node is None:
                 return None
@@ -850,7 +848,7 @@ class Overlay:
     def get_providers_query(self, timeout: float = 180.0):
         def query(peer: PeerID, cid: CID):
             node = self.dial(peer, timeout)
-            if trace.get_tracer().enabled:
+            if obs.get_tracer().enabled:
                 self._trace_message("get_providers", node)
             if node is None:
                 return None
@@ -873,12 +871,12 @@ class Overlay:
         generation = self.oracle.generation
         if cache is not None and cache[0] == generation and cache[1] == cid:
             obs.inc("netsim.resolver_cache_hits")
-            if trace.get_tracer().enabled:
-                trace.trace_event("resolver.cache", hit=True)
+            if obs.get_tracer().enabled:
+                obs.trace_event("resolver.cache", hit=True)
             return cache[2]
         obs.inc("netsim.resolver_cache_misses")
-        if trace.get_tracer().enabled:
-            trace.trace_event("resolver.cache", hit=False)
+        if obs.get_tracer().enabled:
+            obs.trace_event("resolver.cache", hit=False)
         resolvers = self.oracle.closest(cid.dht_key, self.k)
         self._resolver_cache = (generation, cid, resolvers)
         return resolvers
@@ -958,18 +956,3 @@ class Overlay:
             if not node.is_dht_server:
                 self.bring_online(node)
         self.refresh_all()
-
-
-def in_degree_counts(overlay: Overlay) -> Dict[PeerID, int]:
-    """How often each peer appears in other peers' buckets (the estimate
-    of in-degree the paper uses, §4).
-
-    .. deprecated::
-        Use :meth:`Overlay.in_degrees` instead.
-    """
-    warnings.warn(
-        "in_degree_counts() is deprecated; use Overlay.in_degrees() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return overlay.in_degrees()

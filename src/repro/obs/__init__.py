@@ -1,51 +1,50 @@
-"""Campaign observability: metrics, spans and phase timings.
+"""Campaign observability: one observation bus with three sinks.
 
 The paper's measurement pipelines are long-running campaigns (38 days,
 101 crawls, 200 k daily CID samples at paper scale); operating — and
 optimising — them requires telemetry, just like the Nebula crawler's
 per-crawl metrics and the Hydra operators' dashboards the paper itself
 relies on (§3, §5.1).  This package provides the zero-dependency
-substrate:
+substrate.
 
-* :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms;
-* :func:`span` — lightweight wall-time trace contexts with hierarchical
-  phase attribution (``campaign/simulate/provider-fetch``);
-* exporters — a record stream through any :mod:`repro.store` backend, a
-  flat JSON snapshot, and the human-readable table behind
-  ``repro obs report``.
+Instrumented code reports through the hooks of
+:mod:`repro.obs.observer` to the one installed :class:`Observer`, which
+holds up to three sinks:
 
-Metrics are **off by default**: the active registry is a null object
-whose operations are bare no-op calls, so instrumented hot paths cost
-nothing measurable and campaign outputs stay bit-identical.  Enable them
-per campaign with ``ScenarioConfig(metrics=True)`` (the result then
-carries ``CampaignResult.metrics``), globally with :func:`enable`, or
-scoped with :func:`use_registry`::
+* ``metrics`` — a :class:`MetricsRegistry`: counters, gauges,
+  fixed-bucket histograms and hierarchical wall-time spans
+  (``campaign/simulate/provider-fetch``), exported as a record stream,
+  a flat JSON snapshot or the ``repro obs report`` table;
+* ``tracer`` — a :class:`Tracer`: causal per-lookup/per-crawl event
+  trees in a bounded ring buffer, with a Chrome trace-event / Perfetto
+  exporter (:func:`chrome_trace`) and a trace-replaying invariant
+  auditor (:func:`audit_trace`, ``repro obs audit``);
+* ``stream`` — a :class:`StreamAnalytics` engine: mergeable sketches
+  that keep the §4-§6 headline estimates live, served by the
+  :class:`ControlServer` (``--live``).
+
+A missing sink is its null object, and :data:`NULL_OBSERVER` — every
+sink null — is installed by default, so each hook costs one global read
+and one no-op call and campaign outputs stay bit-identical.
+:func:`use_observer` is the one install point::
 
     import repro.obs as obs
 
-    registry = obs.enable()
-    with obs.span("my-phase"):
+    observer = obs.Observer(metrics=obs.MetricsRegistry())
+    with obs.use_observer(observer), obs.span("my-phase"):
         ...
-    print(obs.render_report(registry.snapshot()))
+    print(obs.render_report(observer.metrics.snapshot()))
 
-Per-worker registries (one per crawl task) are merged deterministically
-in the parent via :meth:`MetricsRegistry.merge_snapshot`, mirroring the
-sharded-log heap-merge; :func:`deterministic_view` is the cross-worker
-bit-identical portion of a snapshot.
-
-Since PR 5 the package also carries the *event* layer,
-:mod:`repro.obs.trace`: causal per-lookup/per-crawl traces behind the
-same null-object dispatch (:func:`trace_span` / :func:`trace_event`),
-a Chrome trace-event / Perfetto exporter (:func:`chrome_trace`), a
-trace-replaying invariant auditor (:func:`audit_trace`, surfaced as
-``repro obs audit``) and the live campaign heartbeat
-(:class:`ProgressReporter`, surfaced as ``repro campaign --progress``).
+Campaigns build and install their own observer from
+``ScenarioConfig(metrics=..., trace=..., stream=...)``.  Each crawl task
+collects into private sinks (:func:`repro.core.crawler.collect_crawl`)
+and :meth:`Observer.merge` folds them in crawl order, so
+:func:`deterministic_view`, :func:`deterministic_trace_view` and
+:func:`deterministic_sketches_view` are bit-identical at any worker
+count.  :class:`ProgressReporter` renders the ``--progress`` heartbeat
+from the same observer.
 """
 
-# NOTE: metrics must be imported before trace — repro.obs.trace pulls in
-# repro.exec.seeds, whose package __init__ loads the engine, which needs
-# repro.obs.metrics to already be bound on this (partially initialised)
-# package.
 from repro.obs.export import (
     metrics_to_records,
     read_metrics,
@@ -64,18 +63,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
     deterministic_view,
-    disable,
-    enable,
-    get_registry,
-    inc,
-    observe,
-    set_gauge,
-    set_registry,
-    span,
-    use_registry,
 )
-# stream (and its sketch substrate) is stdlib-only like metrics, so it is
-# safe to bind before trace pulls in repro.exec.
 from repro.obs.sketch import (
     LinearCounter,
     QuantileSketch,
@@ -89,10 +77,7 @@ from repro.obs.stream import (
     SKETCHES_SCHEMA,
     StreamAnalytics,
     deterministic_sketches_view,
-    get_stream,
     render_stream_report,
-    set_stream,
-    use_stream,
 )
 from repro.obs.trace import (
     DEFAULT_CAPACITY,
@@ -102,15 +87,21 @@ from repro.obs.trace import (
     TraceEvent,
     Tracer,
     deterministic_trace_view,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
     read_trace,
-    set_tracer,
+    write_trace,
+)
+from repro.obs.observer import (
+    NULL_OBSERVER,
+    Observer,
+    get_observer,
+    get_tracer,
+    inc,
+    observe,
+    set_gauge,
+    span,
     trace_event,
     trace_span,
-    use_tracer,
-    write_trace,
+    use_observer,
 )
 from repro.obs.audit import AuditReport, audit_trace
 from repro.obs.perfetto import chrome_trace, write_chrome_trace
@@ -130,12 +121,14 @@ __all__ = [
     "MetricsRegistry",
     "NONDETERMINISTIC_COUNTERS",
     "NONDETERMINISTIC_EVENT_PREFIXES",
+    "NULL_OBSERVER",
     "NULL_REGISTRY",
     "NULL_STREAM",
     "NULL_TRACER",
     "NullRegistry",
     "NullStream",
     "NullTracer",
+    "Observer",
     "ProgressReporter",
     "QuantileSketch",
     "SKETCHES_SCHEMA",
@@ -151,12 +144,7 @@ __all__ = [
     "deterministic_sketches_view",
     "deterministic_trace_view",
     "deterministic_view",
-    "disable",
-    "disable_tracing",
-    "enable",
-    "enable_tracing",
-    "get_registry",
-    "get_stream",
+    "get_observer",
     "get_tracer",
     "inc",
     "metrics_to_records",
@@ -167,15 +155,10 @@ __all__ = [
     "render_report",
     "render_stream_report",
     "set_gauge",
-    "set_registry",
-    "set_stream",
-    "set_tracer",
     "span",
     "trace_event",
     "trace_span",
-    "use_registry",
-    "use_stream",
-    "use_tracer",
+    "use_observer",
     "write_chrome_trace",
     "write_metrics",
     "write_trace",

@@ -2,14 +2,13 @@
 
 A :class:`MetricsRegistry` is a plain in-process container — no threads,
 no sockets, no dependencies — that instrumented code reports into through
-the module-level helpers (:func:`inc`, :func:`observe`, :func:`span`,
-...).  The helpers dispatch to the *active* registry, which defaults to
-:data:`NULL_REGISTRY`, a null object whose operations are single no-op
-method calls — cheap enough to leave the instrumentation permanently
-compiled into the hot paths.  Campaigns install a real registry with
-:func:`use_registry` only when :attr:`ScenarioConfig.metrics` asks for
-one, so the default simulation path is observationally (and
-bit-)identical to the uninstrumented code.
+the hooks of :mod:`repro.obs.observer` (``inc``, ``observe``, ``span``,
+...).  An observer without a registry holds :data:`NULL_REGISTRY`, a null
+object whose operations are single no-op method calls — cheap enough to
+leave the instrumentation permanently compiled into the hot paths.
+Campaigns collect into a real registry only when
+:attr:`ScenarioConfig.metrics` asks for one, so the default simulation
+path is observationally (and bit-)identical to the uninstrumented code.
 
 Snapshots are flat JSON-compatible dicts (see :meth:`MetricsRegistry.
 snapshot`) and merge deterministically: merging per-task snapshots in
@@ -24,8 +23,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -38,15 +36,6 @@ __all__ = [
     "NullRegistry",
     "TIME_BUCKETS",
     "deterministic_view",
-    "disable",
-    "enable",
-    "get_registry",
-    "inc",
-    "observe",
-    "set_gauge",
-    "set_registry",
-    "span",
-    "use_registry",
 ]
 
 #: Default histogram buckets for count-like quantities (upper bounds;
@@ -328,67 +317,6 @@ class NullRegistry:
 
 #: The process-wide disabled registry (shared, stateless).
 NULL_REGISTRY = NullRegistry()
-
-_ACTIVE = NULL_REGISTRY
-
-
-# -- active-registry management --------------------------------------------
-
-
-def get_registry():
-    """The currently active registry (:data:`NULL_REGISTRY` when disabled)."""
-    return _ACTIVE
-
-
-def set_registry(registry) -> object:
-    """Install ``registry`` as the active one; returns the previous."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry if registry is not None else NULL_REGISTRY
-    return previous
-
-
-@contextmanager
-def use_registry(registry) -> Iterator[object]:
-    """Install ``registry`` for the duration of the ``with`` block."""
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)
-
-
-def enable() -> MetricsRegistry:
-    """Install (and return) a fresh collecting registry."""
-    registry = MetricsRegistry()
-    set_registry(registry)
-    return registry
-
-
-def disable() -> None:
-    """Restore the no-op null registry."""
-    set_registry(NULL_REGISTRY)
-
-
-# -- module-level instrumentation helpers ----------------------------------
-# These are what the instrumented hot paths call.  With the null registry
-# active each is one global read plus one no-op method call.
-
-
-def inc(name: str, amount: float = 1) -> None:
-    _ACTIVE.inc(name, amount)
-
-
-def set_gauge(name: str, value: float) -> None:
-    _ACTIVE.set_gauge(name, value)
-
-
-def observe(name: str, value: float, buckets: Optional[Sequence[float]] = None) -> None:
-    _ACTIVE.observe(name, value, buckets)
-
-
-def span(name: str):
-    return _ACTIVE.span(name)
 
 
 # -- determinism helpers ----------------------------------------------------

@@ -9,7 +9,7 @@ update in the common (suppressed) case::
 
     [simulate] day 3/8 · tick 98/288 · crawl 29/81 | 12,410 ev/s · buf 37% · eta 1m42s
 
-The events/s rate and ring-buffer occupancy come from the campaign's
+The events/s rate and ring-buffer occupancy come from the observer's
 tracer when tracing is enabled; with streaming analytics on
 (``--stream`` / ``--live``, see :mod:`repro.obs.stream`) the line grows
 sketch-derived headline fields (running cloud share and top provider)::
@@ -28,6 +28,8 @@ import sys
 import time
 from typing import Optional, Tuple
 
+from repro.obs.observer import NULL_OBSERVER, Observer
+
 __all__ = ["ProgressReporter", "format_duration"]
 
 
@@ -44,8 +46,9 @@ def format_duration(seconds: float) -> str:
 class ProgressReporter:
     """Render campaign progress as one overwritten stderr line.
 
-    ``interval`` is the minimum wall-clock gap between renders;
-    ``clock`` and ``stream`` are injectable for tests.
+    ``observer`` supplies the tracer and streaming sinks the line reads
+    (see module docs); ``interval`` is the minimum wall-clock gap between
+    renders; ``clock`` and ``stream`` are injectable for tests.
     """
 
     def __init__(
@@ -53,7 +56,9 @@ class ProgressReporter:
         stream=None,
         interval: float = 0.5,
         clock=time.monotonic,
+        observer: Observer = NULL_OBSERVER,
     ) -> None:
+        self._observer = observer
         self._stream = stream if stream is not None else sys.stderr
         self._interval = interval
         self._clock = clock
@@ -68,7 +73,7 @@ class ProgressReporter:
     # -- internals ---------------------------------------------------------
 
     def _events_per_second(self, tracer, now: float) -> Optional[float]:
-        if tracer is None or not getattr(tracer, "enabled", False):
+        if not tracer.enabled:
             return None
         emitted = tracer.emitted + tracer.muted
         if self._last_emitted_at is not None:
@@ -119,18 +124,15 @@ class ProgressReporter:
         total: int,
         day: Optional[Tuple[int, int]] = None,
         crawls: Optional[Tuple[int, int]] = None,
-        tracer=None,
-        analytics=None,
         force: bool = False,
     ) -> None:
         """Report progress; renders at most once per ``interval`` seconds.
 
         ``step``/``total`` drive the ETA (elapsed time scaled by the
         remaining fraction); ``day`` and ``crawls`` are optional
-        ``(current, total)`` pairs for the phase-specific detail;
-        ``analytics`` is an optional :class:`repro.obs.stream.StreamAnalytics`
-        whose headline estimates (event count, running cloud share, top
-        provider) are appended when streaming is enabled.
+        ``(current, total)`` pairs for the phase-specific detail.  With
+        streaming enabled the stream's headline estimates (event count,
+        running cloud share, top provider) are appended.
         """
         now = self._clock()
         if self._started is None:
@@ -150,14 +152,14 @@ class ProgressReporter:
             parts.append(f"crawl {crawls[0]}/{crawls[1]}")
         detail = " · ".join(parts[1:])
         line = f"{parts[0]} {detail}" if detail else parts[0]
+        tracer = self._observer.tracer
         rate = self._events_per_second(tracer, now)
         extras = []
         if rate is not None:
             extras.append(f"{rate:,.0f} ev/s")
-            capacity = getattr(tracer, "capacity", 0)
-            if capacity:
-                extras.append(f"buf {len(tracer) / capacity:3.0%}")
-        extras.extend(self._stream_extras(analytics))
+            if tracer.capacity:
+                extras.append(f"buf {len(tracer) / tracer.capacity:3.0%}")
+        extras.extend(self._stream_extras(self._observer.stream))
         if step and total > step:
             eta = (now - self._started) * (total - step) / step
             extras.append(f"eta {format_duration(eta)}")

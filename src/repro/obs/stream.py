@@ -16,13 +16,13 @@ quantities (§4-§6):
 * exact running estimates of the headline shares: cloud % by volume,
   per-provider split, gateway share, top-1 % concentration.
 
-Dispatch follows the PR-4 null-object pattern exactly: the module-level
-hooks (:func:`observe_hydra`, :func:`observe_bitswap`, :func:`note`)
-forward to the *active* engine, which defaults to :data:`NULL_STREAM`
-whose operations are bare no-op calls — streaming-off campaigns stay
-bit-identical and inside the perf gate.  Campaigns install a real engine
-with :func:`use_stream` when :attr:`ScenarioConfig.stream` (or
-``--live``) asks for one.
+The monitors reach the engine through the ``observe_hydra`` /
+``observe_bitswap`` / ``note`` hooks of :mod:`repro.obs.observer`; an
+observer without an engine holds :data:`NULL_STREAM`, whose operations
+are bare no-op calls — streaming-off campaigns stay bit-identical and
+inside the perf gate.  Campaigns build a real engine when
+:attr:`ScenarioConfig.stream` (or ``--sketches-out`` / ``--live``) asks
+for one.
 
 Sketches are approximate *by design*; the exact batch analyses remain
 the source of truth for final figures.  Their accuracy contracts —
@@ -33,8 +33,8 @@ figures — are pinned by ``tests/test_stream.py`` and gated by the CI
 
 Cross-worker determinism: the monitor-side stream runs in the campaign
 process, and crawl workers return compact sketch states
-(:func:`repro.core.crawler.crawl_stream_state`) that the campaign merges
-in crawl order via :meth:`StreamAnalytics.merge_crawl_state` — so the
+(collected by :func:`repro.core.crawler.collect_crawl`) that the campaign
+merges in crawl order via :meth:`StreamAnalytics.merge_crawl_state` — so the
 merged state is bit-identical at any worker count, mirroring the metric
 snapshot and trace-record merges.
 """
@@ -42,8 +42,7 @@ snapshot and trace-record merges.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.sketch import (
     LinearCounter,
@@ -59,13 +58,7 @@ __all__ = [
     "SKETCHES_SCHEMA",
     "StreamAnalytics",
     "deterministic_sketches_view",
-    "get_stream",
-    "note",
-    "observe_bitswap",
-    "observe_hydra",
     "render_stream_report",
-    "set_stream",
-    "use_stream",
 ]
 
 #: Default aggregation window: one campaign tick at 4 ticks/day, the
@@ -396,51 +389,6 @@ class NullStream:
 
 #: The process-wide disabled engine (shared, stateless).
 NULL_STREAM = NullStream()
-
-_ACTIVE = NULL_STREAM
-
-
-# -- active-engine management ------------------------------------------------
-
-
-def get_stream():
-    """The currently active engine (:data:`NULL_STREAM` when disabled)."""
-    return _ACTIVE
-
-
-def set_stream(stream) -> object:
-    """Install ``stream`` as the active engine; returns the previous."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = stream if stream is not None else NULL_STREAM
-    return previous
-
-
-@contextmanager
-def use_stream(stream) -> Iterator[object]:
-    """Install ``stream`` for the duration of the ``with`` block."""
-    previous = set_stream(stream)
-    try:
-        yield stream
-    finally:
-        set_stream(previous)
-
-
-# -- module-level hooks ------------------------------------------------------
-# What the instrumented paths call.  With the null engine active each is
-# one global read plus one no-op method call.
-
-
-def observe_hydra(envelope) -> None:
-    _ACTIVE.observe_hydra(envelope)
-
-
-def observe_bitswap(timestamp, node, cid) -> None:
-    _ACTIVE.observe_bitswap(timestamp, node, cid)
-
-
-def note(name: str, amount: int = 1) -> None:
-    _ACTIVE.note(name, amount)
 
 
 # -- snapshot views and rendering -------------------------------------------

@@ -10,8 +10,8 @@ dashboards): enough to explain *why* a single lookup resolved the way it
 did, to open a campaign in ``ui.perfetto.dev``, and to mechanically
 audit protocol invariants after the fact (``repro obs audit``).
 
-The design repeats the PR-4 dispatch pattern: instrumented code calls
-:func:`trace_span` / :func:`trace_event`, which dispatch to the active
+Instrumented code calls the ``trace_span`` / ``trace_event`` hooks of
+:mod:`repro.obs.observer`, which dispatch to the installed observer's
 tracer — by default :data:`NULL_TRACER`, a null object whose operations
 are bare no-op calls, so tracing-off runs stay bit-identical and inside
 the perf-smoke gate.  Three properties keep tracing-on runs usable at
@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "BEGIN",
@@ -52,16 +51,9 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "deterministic_trace_view",
-    "disable_tracing",
-    "enable_tracing",
     "event_to_record",
-    "get_tracer",
     "read_trace",
     "record_to_event",
-    "set_tracer",
-    "trace_event",
-    "trace_span",
-    "use_tracer",
     "write_trace",
 ]
 
@@ -420,60 +412,6 @@ class NullTracer:
 
 #: The process-wide disabled tracer (shared, stateless).
 NULL_TRACER = NullTracer()
-
-_ACTIVE_TRACER = NULL_TRACER
-
-
-# -- active-tracer management ------------------------------------------------
-
-
-def get_tracer():
-    """The currently active tracer (:data:`NULL_TRACER` when disabled)."""
-    return _ACTIVE_TRACER
-
-
-def set_tracer(tracer) -> object:
-    """Install ``tracer`` as the active one; returns the previous."""
-    global _ACTIVE_TRACER
-    previous = _ACTIVE_TRACER
-    _ACTIVE_TRACER = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer) -> Iterator[object]:
-    """Install ``tracer`` for the duration of the ``with`` block."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-
-
-def enable_tracing(**kwargs) -> Tracer:
-    """Install (and return) a fresh collecting tracer."""
-    tracer = Tracer(**kwargs)
-    set_tracer(tracer)
-    return tracer
-
-
-def disable_tracing() -> None:
-    """Restore the no-op null tracer."""
-    set_tracer(NULL_TRACER)
-
-
-# -- module-level instrumentation helpers ------------------------------------
-# What the instrumented hot paths call.  With the null tracer active each
-# is one global read plus one no-op method call; sites that build attrs
-# dicts per event additionally guard on ``get_tracer().enabled``.
-
-
-def trace_span(name: str, **attrs: object):
-    return _ACTIVE_TRACER.span(name, **attrs)
-
-
-def trace_event(name: str, **attrs: object) -> None:
-    _ACTIVE_TRACER.event(name, **attrs)
 
 
 # -- determinism helpers -----------------------------------------------------

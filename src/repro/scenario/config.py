@@ -79,7 +79,7 @@ class ScenarioConfig:
     trace_buffer: int = 65536
     #: optional path the merged trace records are written to at the end
     #: of the run (``.trace``/``.jsonl`` → JSONL, ``.sqlite`` → SQLite);
-    #: the path lands in ``CampaignResult.trace_path``.
+    #: the path lands in ``CampaignResult.trace_path``.  Implies ``trace``.
     trace_out: Optional[str] = None
     #: render a live single-line progress heartbeat to stderr (wall-clock
     #: throttled; never feeds back into the simulation).

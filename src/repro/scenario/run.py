@@ -13,8 +13,9 @@ import json
 import random
 import sys
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -22,14 +23,7 @@ from repro.attack.orchestrator import AttackOrchestrator
 from repro.content.catalog import ContentCatalog
 from repro.workload.engine import TrafficEngine, VectorizedTrafficEngine
 from repro.workload.spec import build_workload
-from repro.core.crawler import (
-    CrawlDataset,
-    DHTCrawler,
-    execute_crawl_task,
-    execute_crawl_task_observed,
-    execute_crawl_task_streamed,
-    execute_crawl_task_traced,
-)
+from repro.core.crawler import CrawlDataset, DHTCrawler, collect_crawl, execute_crawl_task
 from repro.exec.engine import ExecError, ParallelExecutor
 from repro.exec.seeds import derive_seed
 from repro.dns.scanner import ActiveScanner, DNSLinkScanResult
@@ -49,12 +43,13 @@ from repro.netsim.clock import SECONDS_PER_DAY
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
 from repro.netsim.soa import resolve_engine
-from repro.obs import metrics as obs
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, use_registry
+from repro.obs import observer as obs
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.observer import Observer, use_observer
 from repro.obs.progress import ProgressReporter
 from repro.obs.serve import ControlServer
-from repro.obs.stream import NULL_STREAM, StreamAnalytics, use_stream
-from repro.obs.trace import NULL_TRACER, Tracer, use_tracer, write_trace
+from repro.obs.stream import StreamAnalytics
+from repro.obs.trace import Tracer, write_trace
 from repro.scenario.config import ScenarioConfig
 from repro.store import campaign_stores
 from repro.world.population import NodeClass, NodeSpec, PopulationBuilder, World
@@ -88,9 +83,9 @@ class CampaignResult:
     #: with ``ScenarioConfig.metrics`` enabled, else ``None``.
     metrics: Optional[Dict[str, object]] = None
     #: merged trace record stream (see :mod:`repro.obs.trace`) when the
-    #: campaign ran with ``ScenarioConfig.trace`` enabled, else ``None``:
-    #: the campaign tracer's records followed by each crawl task's, in
-    #: crawl order.
+    #: campaign ran with ``ScenarioConfig.trace`` or ``trace_out`` set,
+    #: else ``None``: the campaign tracer's records followed by each crawl
+    #: task's, in crawl order.
     trace: Optional[List[Dict[str, object]]] = None
     #: where the trace was persisted when ``ScenarioConfig.trace_out``
     #: was set, else ``None``.
@@ -129,53 +124,66 @@ class MeasurementCampaign:
     def __init__(self, config: Optional[ScenarioConfig] = None) -> None:
         self.config = config or ScenarioConfig()
         self.rng = random.Random(self.config.seed + 100)
-        #: the campaign's metrics registry: a collecting one when
-        #: ``config.metrics`` is set, else the shared no-op null object.
-        self.obs = MetricsRegistry() if self.config.metrics else NULL_REGISTRY
-        #: the campaign's tracer: collecting when ``config.trace`` is
-        #: set, else the shared no-op null tracer.  Crawl tasks get their
-        #: own per-task tracers (see execute_crawl_task_traced).
-        if self.config.trace:
-            self.tracer = Tracer(
-                origin="main",
-                seed=derive_seed(self.config.seed, "trace", "main"),
-                sample=self.config.trace_sample,
-                capacity=self.config.trace_buffer,
-                clock=self._sim_now,
-            )
-        else:
-            self.tracer = NULL_TRACER
-        #: the campaign's streaming-analytics engine: collecting when
-        #: ``config.stream_enabled`` (built with the world's classifiers
-        #: during :meth:`build`), else the shared no-op null stream.
-        self.stream = NULL_STREAM
+        #: the campaign's sinks (see :meth:`_make_observer`).
+        self.observer = self._make_observer()
         #: the live control plane (see :mod:`repro.obs.serve`) when
         #: ``config.live`` is set; bound during :meth:`build` so the URL
         #: is known before the run starts.
         self.control_server: Optional[ControlServer] = None
         self._last_publish: Optional[float] = None
-        self._crawl_trace_records: List[Dict[str, object]] = []
         self._built = False
+
+    def _make_observer(self) -> Observer:
+        """The campaign's sinks; every "implies" rule is decided here.
+
+        ``metrics`` collects metrics, ``trace`` or ``trace_out`` traces,
+        and ``stream``, ``sketches_out`` or ``live`` streams.  Crawl tasks
+        collect into their own private sinks (see
+        :func:`repro.core.crawler.collect_crawl`).
+        """
+        config = self.config
+        metrics = MetricsRegistry() if config.metrics else None
+        tracer = None
+        if config.trace or config.trace_out:
+            tracer = Tracer(
+                origin="main",
+                seed=derive_seed(config.seed, "trace", "main"),
+                sample=config.trace_sample,
+                capacity=config.trace_buffer,
+                clock=self._sim_now,
+            )
+        stream = None
+        if config.stream_enabled:
+            # The streaming classifiers mirror the exact batch analyses:
+            # cloud attribution is the same memoized CloudIPDatabase
+            # lookup the traffic reports use, and gateway-ness is decided
+            # at observe time (senders are online when they send) against
+            # the same node-class the batch gateway_peers set reflects.
+            stream = StreamAnalytics(
+                config.stream_window,
+                provider_of=self._cloud_provider,
+                is_gateway=self._is_gateway,
+            )
+        return Observer(metrics, tracer, stream)
 
     def _sim_now(self) -> float:
         overlay = getattr(self, "overlay", None)
         return overlay.now if overlay is not None else 0.0
 
-    def _observed(self):
-        """Install the campaign registry/tracer while they are enabled.
+    def _cloud_provider(self, ip: str) -> Optional[str]:
+        return self.world.cloud_db.lookup(ip)
 
-        When they are not, the surroundings are left alone, so a
-        user-installed global registry (``repro.obs.enable()``) or tracer
-        still sees the instrumentation.
+    def _is_gateway(self, peer: PeerID) -> bool:
+        node = self.overlay.online_by_peer.get(peer)
+        return node is not None and node.spec.node_class is NodeClass.GATEWAY
+
+    def _observed(self):
+        """Install the campaign observer while it collects anything.
+
+        When it does not, the surroundings are left alone, so a
+        user-installed observer still sees the instrumentation.
         """
-        stack = ExitStack()
-        if self.config.metrics:
-            stack.enter_context(use_registry(self.obs))
-        if self.config.trace:
-            stack.enter_context(use_tracer(self.tracer))
-        if self.stream.enabled:
-            stack.enter_context(use_stream(self.stream))
-        return stack
+        return use_observer(self.observer) if self.observer.enabled else nullcontext()
 
     @contextmanager
     def _phase(self, name: str):
@@ -187,11 +195,11 @@ class MeasurementCampaign:
         stays its own tree — the granularity the sampler keys on — while
         the phase boundaries (and the ETA heartbeat) remain visible.
         """
-        self.tracer.event("phase.begin", phase=name)
+        self.observer.trace_event("phase.begin", phase=name)
         try:
             yield
         finally:
-            self.tracer.event("phase.end", phase=name)
+            self.observer.trace_event("phase.end", phase=name)
 
     # ------------------------------------------------------------------
     # the live control plane
@@ -221,11 +229,12 @@ class MeasurementCampaign:
         if not force and self._last_publish is not None and now - self._last_publish < 1.0:
             return
         self._last_publish = now
+        stream = self.observer.stream
         status: Dict[str, object] = {
             "state": state,
             "phase": phase,
-            "events": self.stream.events,
-            "runtime": dict(sorted(self.stream.notes.items())),
+            "events": stream.events,
+            "runtime": dict(sorted(stream.notes.items())),
         }
         if day is not None:
             status["day"] = f"{day[0]}/{day[1]}"
@@ -234,9 +243,9 @@ class MeasurementCampaign:
         if crawls is not None:
             status["crawls"] = f"{crawls[0]}/{crawls[1]}"
         server.publisher.publish("status", status)
-        server.publisher.publish("sketches", self.stream.snapshot())
-        if self.config.metrics:
-            server.publisher.publish("metrics", self.obs.snapshot())
+        server.publisher.publish("sketches", stream.snapshot())
+        if self.observer.metrics.enabled:
+            server.publisher.publish("metrics", self.observer.metrics.snapshot())
 
     def _stop_requested(self) -> bool:
         return (
@@ -343,29 +352,12 @@ class MeasurementCampaign:
                 operator, nodes, self.overlay, self.monitor
             )
         self.dns_world = seed_dns_world(self.world, self.operators, config.dns)
-        if config.stream_enabled:
-            # The streaming classifiers mirror the exact batch analyses:
-            # cloud attribution is the same memoized CloudIPDatabase
-            # lookup the traffic reports use, and gateway-ness is decided
-            # at observe time (senders are online when they send) against
-            # the same node-class the batch gateway_peers set reflects.
-            online_by_peer = self.overlay.online_by_peer
-
-            def _is_gateway(peer: PeerID) -> bool:
-                node = online_by_peer.get(peer)
-                return node is not None and node.spec.node_class is NodeClass.GATEWAY
-
-            self.stream = StreamAnalytics(
-                config.stream_window,
-                provider_of=self.world.cloud_db.lookup,
-                is_gateway=_is_gateway,
+        if config.live is not None:
+            self.control_server = ControlServer(config.live).start()
+            print(
+                f"live campaign analytics at {self.control_server.url}",
+                file=sys.stderr,
             )
-            if config.live is not None:
-                self.control_server = ControlServer(config.live).start()
-                print(
-                    f"live campaign analytics at {self.control_server.url}",
-                    file=sys.stderr,
-                )
         self._built = True
 
     def _add_monitor_spec(self) -> NodeSpec:
@@ -399,13 +391,22 @@ class MeasurementCampaign:
             self.build()
         with self._observed(), obs.span("campaign"):
             result = self._run()
-        if self.config.metrics:
-            self.obs.set_gauge("campaign.workers", self.config.workers)
-            self.obs.set_gauge("campaign.num_crawls", len(result.crawls))
-            self.obs.set_gauge("campaign.hydra_log_entries", len(self.hydra.log))
-            self.obs.set_gauge("campaign.bitswap_log_entries", len(self.monitor.log))
+        self._export(result)
+        return result
+
+    def _export(self, result: CampaignResult) -> None:
+        """Hand every sink's output to ``result``, its files and the
+        control plane."""
+        config = self.config
+        observer = self.observer
+        if observer.metrics.enabled:
+            set_gauge = observer.set_gauge
+            set_gauge("campaign.workers", config.workers)
+            set_gauge("campaign.num_crawls", len(result.crawls))
+            set_gauge("campaign.hydra_log_entries", len(self.hydra.log))
+            set_gauge("campaign.bitswap_log_entries", len(self.monitor.log))
             for name, value in self.engine.stats.items():
-                self.obs.set_gauge(f"workload.{name}", value)
+                set_gauge(f"workload.{name}", value)
             driver = self.engine.open_loop
             if driver is not None:
                 # The session driver's stream statistics ride the same
@@ -413,49 +414,25 @@ class MeasurementCampaign:
                 # engine counters and the open-loop session/popularity
                 # stats side by side.
                 for name, value in driver.stats.items():
-                    self.obs.set_gauge(f"workload.{name}", value)
+                    set_gauge(f"workload.{name}", value)
                 for cls_name, value in driver.requests_by_class.items():
-                    self.obs.set_gauge(
-                        f"workload.requests_class.{cls_name.lower()}", value
-                    )
+                    set_gauge(f"workload.requests_class.{cls_name.lower()}", value)
                 for name, value in driver.headline_shares().items():
-                    self.obs.set_gauge(f"workload.{name}", value)
-            result.metrics = self.obs.snapshot()
-        if self.config.trace:
-            # Main tracer first (meta + campaign-process events), then
-            # each crawl task's records in crawl order — deterministic
-            # regardless of which worker produced which crawl.
-            trace_records = self.tracer.records()
-            trace_records.extend(self._crawl_trace_records)
-            result.trace = trace_records
-            if self.config.trace_out:
-                write_trace(trace_records, self.config.trace_out)
-                result.trace_path = str(self.config.trace_out)
-        if self.stream.enabled:
-            result.sketches = self.stream.snapshot()
-            if self.config.sketches_out:
-                path = Path(self.config.sketches_out)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(
-                    json.dumps(result.sketches, indent=2, sort_keys=True) + "\n"
-                )
-                result.sketches_path = str(path)
+                    set_gauge(f"workload.{name}", value)
+        result.metrics, result.trace, result.sketches = observer.collected()
+        if config.trace_out:
+            write_trace(result.trace, config.trace_out)
+            result.trace_path = str(config.trace_out)
+        if config.sketches_out:
+            path = Path(config.sketches_out)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(result.sketches, indent=2, sort_keys=True) + "\n")
+            result.sketches_path = str(path)
         if self.control_server is not None:
             result.live_url = self.control_server.url
-            publisher = self.control_server.publisher
-            publisher.publish(
-                "status",
-                {
-                    "state": "stopped" if result.stopped_early else "done",
-                    "phase": "done",
-                    "events": self.stream.events,
-                    "runtime": dict(sorted(self.stream.notes.items())),
-                },
+            self._publish_live(
+                "stopped" if result.stopped_early else "done", "done", force=True
             )
-            publisher.publish("sketches", result.sketches)
-            if result.metrics is not None:
-                publisher.publish("metrics", result.metrics)
-        return result
 
     def _run(self) -> CampaignResult:
         config = self.config
@@ -488,31 +465,22 @@ class MeasurementCampaign:
         # identical pure function inline, so the dataset is bit-identical
         # either way (each crawl's randomness is derived, never shared).
         crawl_engine = ParallelExecutor(workers=config.workers, retries=1)
-        # With metrics on, each crawl collects into its own registry (so
-        # nothing is lost on worker processes) and the parent merges the
-        # per-task snapshots in crawl order below — identical totals at
-        # any worker count.  With tracing on, each crawl additionally
-        # carries a per-task tracer whose record stream rides back the
-        # same way.
-        if self.stream.enabled:
-            # The streamed variant wraps the traced/observed/plain ones
-            # and additionally ships each crawl's sketch state back for
-            # the crawl-ordered merge below.
-            crawl_fn = execute_crawl_task_streamed
-            crawl_args = (
-                config.metrics, config.trace, config.trace_sample, config.trace_buffer
-            )
-        elif config.trace:
-            crawl_fn = execute_crawl_task_traced
-            crawl_args = (config.trace_sample, config.trace_buffer)
-        elif config.metrics:
-            crawl_fn = execute_crawl_task_observed
-            crawl_args = ()
-        else:
-            crawl_fn = execute_crawl_task
-            crawl_args = ()
+        # Each crawl collects the campaign's sinks privately (so nothing
+        # is lost on worker processes) and the outcomes are merged in
+        # crawl order below — identical at any worker count.  The crawl
+        # itself is this module's ``execute_crawl_task`` binding.
+        observer = self.observer
+        collect = partial(
+            collect_crawl,
+            crawl_fn=execute_crawl_task,
+            metrics=observer.metrics.enabled,
+            trace=observer.tracer.enabled,
+            stream=observer.stream.enabled,
+            trace_sample=config.trace_sample,
+            trace_capacity=config.trace_buffer,
+        )
 
-        progress = ProgressReporter() if config.progress else None
+        progress = ProgressReporter(observer=observer) if config.progress else None
         total_ticks = total_days * config.ticks_per_day
         done_ticks = 0
         stopped_early = False
@@ -531,9 +499,7 @@ class MeasurementCampaign:
                         and overlay.now >= next_crawl
                         and crawl_id < config.num_crawls
                     ):
-                        crawl_engine.submit(
-                            crawl_id, crawl_fn, self.crawler.task(crawl_id), *crawl_args
-                        )
+                        crawl_engine.submit(crawl_id, collect, self.crawler.task(crawl_id))
                         crawl_id += 1
                         next_crawl += crawl_interval
                     tick_start = overlay.now
@@ -564,8 +530,6 @@ class MeasurementCampaign:
                             total_ticks,
                             day=(day + 1, total_days),
                             crawls=(crawl_id, config.num_crawls),
-                            tracer=self.tracer,
-                            analytics=self.stream,
                         )
                     self._publish_live(
                         "running",
@@ -583,7 +547,7 @@ class MeasurementCampaign:
                         break
                 if stopped_early:
                     break
-        self.stream.finalize(overlay.now)
+        observer.stream.finalize(overlay.now)
 
         if self.attack_orchestrator is not None:
             self.attack_orchestrator.finish()
@@ -594,7 +558,6 @@ class MeasurementCampaign:
                 total_ticks,
                 total_ticks,
                 crawls=(crawl_id, config.num_crawls),
-                tracer=self.tracer,
                 force=True,
             )
         with obs.span("crawl-drain"), self._phase("crawl-drain"):
@@ -605,28 +568,11 @@ class MeasurementCampaign:
             crawl_results, exec_errors = crawl_engine.drain()
             crawl_engine.close()
             snapshots = []
-            crawl_trace_records: List[Dict[str, object]] = []
             for i in sorted(crawl_results):
                 outcome = crawl_results[i]
-                if self.stream.enabled:
-                    snapshot, crawl_metrics, trace_records, stream_state = outcome
-                    if config.trace:
-                        crawl_trace_records.extend(trace_records)
-                    # Crawl-ordered merge: bit-identical at any worker
-                    # count, like the metric snapshots and trace records.
-                    self.stream.merge_crawl_state(stream_state)
-                elif config.trace:
-                    snapshot, crawl_metrics, trace_records = outcome
-                    crawl_trace_records.extend(trace_records)
-                elif config.metrics:
-                    snapshot, crawl_metrics = outcome
-                else:
-                    snapshot, crawl_metrics = outcome, None
-                snapshots.append(snapshot)
-                if config.metrics and crawl_metrics is not None:
-                    self.obs.merge_snapshot(crawl_metrics)
+                observer.merge(outcome)
+                snapshots.append(outcome.snapshot)
             crawl_dataset = CrawlDataset(snapshots=snapshots)
-            self._crawl_trace_records = crawl_trace_records
 
         # Provider records expire after 24 h; refresh them so the one-shot
         # entry-point measurements below resolve live content.

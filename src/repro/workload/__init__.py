@@ -13,8 +13,8 @@
 * :mod:`repro.workload.sessions` — heavy-tailed session/train samplers,
 * :mod:`repro.workload.diurnal` — the day/night rate curve.
 
-This package is the former ``repro.content.workload`` module grown into
-a subsystem; the old import path remains as a deprecation shim.
+This package grew out of a single traffic-engine module into a
+subsystem; :mod:`repro.workload.engine` holds the engines.
 """
 
 from repro.workload.diurnal import diurnal_factor

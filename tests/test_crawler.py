@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core.crawler import CrawlDataset, DHTCrawler
+from repro.core.crawler import CrawlDataset, DHTCrawler, collect_crawl, execute_crawl_task
+from repro.obs import MetricsRegistry, Observer, StreamAnalytics, Tracer
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +94,26 @@ class TestDataset:
         dataset = CrawlDataset()
         assert dataset.avg_discovered() == 0.0
         assert dataset.avg_ips_per_peer() == 0.0
+
+
+class TestCollector:
+    @pytest.fixture(scope="class")
+    def task(self, small_overlay):
+        return DHTCrawler(small_overlay, rng=random.Random(71)).task(3)
+
+    def test_null_sinks_return_the_plain_snapshot(self, task):
+        outcome = collect_crawl(task)
+        assert outcome.snapshot == execute_crawl_task(task)
+        assert (outcome.metrics, outcome.trace, outcome.stream) == (None, None, None)
+
+    def test_all_sinks_leave_the_snapshot_unchanged(self, task):
+        outcome = collect_crawl(task, metrics=True, trace=True, stream=True)
+        assert outcome.snapshot == execute_crawl_task(task)
+        assert outcome.metrics["counters"]["crawl.crawls"] == 1
+        assert outcome.trace[0]["origin"] == f"crawl-{task.crawl_id}"
+        assert outcome.stream["crawlable"] == outcome.snapshot.num_crawlable
+        observer = Observer(MetricsRegistry(), Tracer(), StreamAnalytics())
+        observer.merge(outcome)
+        assert observer.metrics.snapshot()["counters"] == outcome.metrics["counters"]
+        assert observer.crawl_trace == outcome.trace
+        assert observer.stream.crawls == 1

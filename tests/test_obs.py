@@ -7,33 +7,25 @@ import pytest
 
 import repro
 from repro.obs import (
+    NULL_OBSERVER,
     NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
     NullRegistry,
+    Observer,
     deterministic_view,
-    disable,
-    enable,
-    get_registry,
+    get_observer,
     metrics_to_records,
     read_metrics,
     records_to_snapshot,
     render_report,
-    set_registry,
-    use_registry,
+    use_observer,
     write_metrics,
 )
-from repro.obs import metrics as obs_metrics
+from repro.obs import observer as obs_hooks
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
 from repro.world.profiles import WorldProfile
-
-
-@pytest.fixture(autouse=True)
-def _clean_global_registry():
-    """Tests must not leak an installed registry into each other."""
-    yield
-    disable()
 
 
 class TestRegistry:
@@ -158,29 +150,30 @@ class TestRegistry:
 
 class TestActiveRegistry:
     def test_defaults_to_null_registry(self):
-        assert isinstance(get_registry(), NullRegistry)
-        assert get_registry() is NULL_REGISTRY
+        assert get_observer() is NULL_OBSERVER
+        assert isinstance(get_observer().metrics, NullRegistry)
+        assert get_observer().metrics is NULL_REGISTRY
 
     def test_module_helpers_hit_installed_registry(self):
-        registry = enable()
-        obs_metrics.inc("x")
-        obs_metrics.set_gauge("g", 2)
-        obs_metrics.observe("h", 1)
-        with obs_metrics.span("s"):
-            pass
-        disable()
-        obs_metrics.inc("x")  # after disable: swallowed by the null object
+        registry = MetricsRegistry()
+        with use_observer(Observer(metrics=registry)):
+            obs_hooks.inc("x")
+            obs_hooks.set_gauge("g", 2)
+            obs_hooks.observe("h", 1)
+            with obs_hooks.span("s"):
+                pass
+        obs_hooks.inc("x")  # after uninstall: swallowed by the null observer
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"x": 1}
         assert "s" in snapshot["spans"]
 
     def test_use_registry_restores_previous(self):
         outer = MetricsRegistry()
-        set_registry(outer)
         inner = MetricsRegistry()
-        with use_registry(inner):
-            obs_metrics.inc("inside")
-        obs_metrics.inc("outside")
+        with use_observer(Observer(metrics=outer)):
+            with use_observer(Observer(metrics=inner)):
+                obs_hooks.inc("inside")
+            obs_hooks.inc("outside")
         assert inner.snapshot()["counters"] == {"inside": 1}
         assert outer.snapshot()["counters"] == {"outside": 1}
 
@@ -196,7 +189,7 @@ class TestActiveRegistry:
         # territory (generous absolute bound to stay CI-proof).
         started = time.perf_counter()
         for _ in range(100_000):
-            obs_metrics.inc("hot.counter")
+            obs_hooks.inc("hot.counter")
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0
 
@@ -346,7 +339,7 @@ class TestCampaignMetrics:
         )
 
     def test_campaign_does_not_install_global_registry(self, metric_campaigns):
-        assert get_registry() is NULL_REGISTRY
+        assert get_observer() is NULL_OBSERVER
 
     def test_report_renders_from_campaign(self, metric_campaigns):
         serial, _ = metric_campaigns

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ids.cid import CID
-from repro.netsim.network import Overlay, ProviderRegistry, in_degree_counts  # noqa: F401 - shim tested below
+from repro.netsim.network import Overlay, ProviderRegistry
 from repro.netsim.node import Node
 from repro.world.population import NodeClass, build_world
 from repro.world.profiles import WorldProfile
@@ -281,11 +281,6 @@ class TestInDegree:
         before = overlay.in_degree(peer)
         overlay.take_offline(holder)
         assert overlay.in_degree(peer) == before - 1
-
-    def test_module_level_counts_delegate_with_deprecation(self, overlay):
-        with pytest.warns(DeprecationWarning, match="in_degrees"):
-            counts = in_degree_counts(overlay)
-        assert counts == overlay.in_degrees()
 
 
 class TestRelayIndex:

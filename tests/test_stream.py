@@ -19,6 +19,8 @@ import pytest
 
 from repro.core import traffic
 from repro.core.pareto import top_share
+from repro.obs import deterministic_trace_view, deterministic_view
+from repro.obs.observer import Observer, get_observer, use_observer
 from repro.obs.progress import ProgressReporter
 from repro.obs.stream import (
     NULL_STREAM,
@@ -26,10 +28,7 @@ from repro.obs.stream import (
     NullStream,
     StreamAnalytics,
     deterministic_sketches_view,
-    get_stream,
     render_stream_report,
-    set_stream,
-    use_stream,
 )
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
@@ -57,6 +56,18 @@ def streamed_parallel():
     return run_campaign(stream_config(4))
 
 
+@pytest.fixture(scope="module")
+def all_sinks_campaigns():
+    """Metrics, trace and stream on together, serial and parallel.  The
+    trace buffer is large enough that nothing is evicted (the trace view
+    is only defined for whole streams)."""
+
+    def config(workers):
+        return stream_config(workers, metrics=True, trace=True, trace_buffer=1 << 20)
+
+    return run_campaign(config(1)), run_campaign(config(4))
+
+
 class TestConfig:
     def test_stream_enabled_property(self):
         assert not ScenarioConfig().stream_enabled
@@ -67,7 +78,7 @@ class TestConfig:
 
 class TestNullDispatch:
     def test_default_stream_is_null(self):
-        stream = get_stream()
+        stream = get_observer().stream
         assert stream is NULL_STREAM
         assert not stream.enabled
         # Hooks are safe no-ops on the null object.
@@ -80,19 +91,9 @@ class TestNullDispatch:
 
     def test_use_stream_restores_on_exit(self):
         analytics = StreamAnalytics(3600.0)
-        with use_stream(analytics):
-            assert get_stream() is analytics
-        assert get_stream() is NULL_STREAM
-
-    def test_set_stream_returns_previous(self):
-        analytics = StreamAnalytics(3600.0)
-        previous = set_stream(analytics)
-        try:
-            assert previous is NULL_STREAM
-            assert get_stream() is analytics
-        finally:
-            set_stream(previous)
-        assert get_stream() is NULL_STREAM
+        with use_observer(Observer(stream=analytics)):
+            assert get_observer().stream is analytics
+        assert get_observer().stream is NULL_STREAM
 
     def test_null_result_has_no_sketches(self, plain_result):
         assert plain_result.sketches is None
@@ -243,6 +244,23 @@ class TestParallelParity:
         ]
         assert serial == parallel
 
+    def test_all_sinks_on_identical_across_workers(self, all_sinks_campaigns):
+        serial, parallel = all_sinks_campaigns
+        assert not serial.exec_errors and not parallel.exec_errors
+        assert [snapshot_fingerprint(s) for s in serial.crawls.snapshots] == [
+            snapshot_fingerprint(s) for s in parallel.crawls.snapshots
+        ]
+        assert deterministic_view(serial.metrics) == deterministic_view(parallel.metrics)
+        for result in (serial, parallel):
+            metas = [r for r in result.trace if r.get("type") == "meta"]
+            assert all(meta["dropped"] == 0 for meta in metas)
+        assert deterministic_trace_view(serial.trace) == deterministic_trace_view(
+            parallel.trace
+        )
+        assert deterministic_sketches_view(serial.sketches) == deterministic_sketches_view(
+            parallel.sketches
+        )
+
 
 class TestRendering:
     def test_render_stream_report(self, streamed_result):
@@ -296,8 +314,13 @@ class TestHeartbeat:
         for entry in streamed_result.hydra.log[:300]:
             analytics.observe_hydra(entry)
         out = FakeStream()
-        reporter = ProgressReporter(stream=out, interval=0.0, clock=lambda: 0.0)
-        reporter.update("simulate", 1, 10, analytics=analytics)
+        reporter = ProgressReporter(
+            stream=out,
+            interval=0.0,
+            clock=lambda: 0.0,
+            observer=Observer(stream=analytics),
+        )
+        reporter.update("simulate", 1, 10)
         line = out.lines[-1]
         assert "300 ev" in line
         assert "cloud" in line

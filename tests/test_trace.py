@@ -10,31 +10,23 @@ from repro.obs import (
     AuditReport,
     NULL_TRACER,
     NullTracer,
+    Observer,
     ProgressReporter,
     Tracer,
     audit_trace,
     chrome_trace,
     deterministic_trace_view,
-    disable_tracing,
-    enable_tracing,
     get_tracer,
     read_trace,
-    use_tracer,
+    use_observer,
     write_chrome_trace,
     write_trace,
 )
-from repro.obs import trace as obs_trace
+from repro.obs import observer as obs_hooks
 from repro.obs.trace import BEGIN, END, INSTANT, event_to_record, record_to_event
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
 from repro.world.profiles import WorldProfile
-
-
-@pytest.fixture(autouse=True)
-def _clean_global_tracer():
-    """Tests must not leak an installed tracer into each other."""
-    yield
-    disable_tracing()
 
 
 class TestTracer:
@@ -202,20 +194,20 @@ class TestActiveTracer:
         assert not NULL_TRACER.enabled
 
     def test_module_helpers_hit_installed_tracer(self):
-        tracer = enable_tracing(origin="helpers")
-        with obs_trace.trace_span("s"):
-            obs_trace.trace_event("i")
-        disable_tracing()
-        obs_trace.trace_event("swallowed")
+        tracer = Tracer(origin="helpers")
+        with use_observer(Observer(tracer=tracer)):
+            with obs_hooks.trace_span("s"):
+                obs_hooks.trace_event("i")
+        obs_hooks.trace_event("swallowed")
         assert [event.name for event in tracer.events()] == ["s", "i", "s"]
 
     def test_use_tracer_restores_previous(self):
         outer = Tracer(origin="outer")
-        obs_trace.set_tracer(outer)
         inner = Tracer(origin="inner")
-        with use_tracer(inner):
-            obs_trace.trace_event("in")
-        obs_trace.trace_event("out")
+        with use_observer(Observer(tracer=outer)):
+            with use_observer(Observer(tracer=inner)):
+                obs_hooks.trace_event("in")
+            obs_hooks.trace_event("out")
         assert [event.name for event in inner.events()] == ["in"]
         assert [event.name for event in outer.events()] == ["out"]
 
@@ -446,13 +438,18 @@ class TestProgressReporter:
     def test_shows_tracer_occupancy(self):
         stream = self._FakeStream()
         now = [0.0]
-        reporter = ProgressReporter(stream=stream, interval=0.5, clock=lambda: now[0])
         tracer = Tracer(capacity=10)
+        reporter = ProgressReporter(
+            stream=stream,
+            interval=0.5,
+            clock=lambda: now[0],
+            observer=Observer(tracer=tracer),
+        )
         for _ in range(5):
             tracer.event("e")
-        reporter.update("simulate", 1, 2, tracer=tracer)
+        reporter.update("simulate", 1, 2)
         now[0] = 1.0
-        reporter.update("simulate", 2, 2, tracer=tracer)
+        reporter.update("simulate", 2, 2)
         text = "".join(stream.chunks)
         assert "buf 50%" in text
 
@@ -534,6 +531,17 @@ class TestCampaignTracing:
         assert records == result.trace
         metas = [record for record in records if record.get("type") == "meta"]
         assert any(meta["muted"] > 0 for meta in metas)  # sampling engaged
+
+    def test_trace_out_alone_implies_tracing(self, tmp_path):
+        import dataclasses
+
+        path = str(tmp_path / "smoke.trace")
+        config = dataclasses.replace(ScenarioConfig.smoke(), trace_out=path)
+        assert not config.trace
+        result = run_campaign(config)
+        assert result.trace
+        assert result.trace_path == path
+        assert read_trace(path) == result.trace
 
     def test_trace_sample_parity(self):
         """Sampling keys on (seed, tree index), so workers=1 and

@@ -142,33 +142,6 @@ class TestReExports:
         assert repro.build_workload is build_workload
 
 
-class TestDeprecationShim:
-    def test_legacy_module_warns_and_aliases(self):
-        import repro.content.workload as legacy
-        import repro.workload as current
-
-        with pytest.warns(DeprecationWarning, match="moved to repro.workload"):
-            engine_cls = legacy.TrafficEngine
-        assert engine_cls is current.TrafficEngine
-        with pytest.warns(DeprecationWarning):
-            assert legacy.WorkloadConfig is current.WorkloadConfig
-        with pytest.warns(DeprecationWarning):
-            assert legacy._poisson is current._poisson
-
-    def test_legacy_module_unknown_attribute(self):
-        import repro.content.workload as legacy
-
-        with pytest.raises(AttributeError):
-            legacy.NoSuchThing
-
-    def test_content_package_reexport_still_works(self):
-        from repro.content import TrafficEngine, WorkloadConfig
-        from repro.workload import engine
-
-        assert TrafficEngine is engine.TrafficEngine
-        assert WorkloadConfig is engine.WorkloadConfig
-
-
 class TestCLI:
     def test_describe_text(self, capsys):
         from repro.cli import main
