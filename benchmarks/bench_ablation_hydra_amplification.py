@@ -11,7 +11,6 @@ import dataclasses
 import pytest
 
 from repro.workload import WorkloadConfig
-from repro.core import traffic
 from repro.kademlia.messages import TrafficClass
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
@@ -45,11 +44,8 @@ def silenced():
 
 
 def _hydra_download_share(campaign):
-    shares = traffic.platform_traffic_shares(
-        campaign.hydra.log,
-        campaign.world.rdns,
-        campaign.hydra_peers,
-        TrafficClass.DOWNLOAD,
+    shares = campaign.hydra_summary.platform_shares(
+        campaign.world.rdns, campaign.hydra_peers, TrafficClass.DOWNLOAD
     )
     return shares.get("hydra", 0.0)
 

@@ -18,7 +18,7 @@ from repro import ScenarioConfig, run_campaign
 from repro.core import datasets
 from repro.core.cloud import cloud_status_shares
 from repro.core.counting import CountingMethod
-from repro.core.traffic import traffic_class_shares
+from repro.core.traffic import summarize
 from repro.core.providers_analysis import classify_providers
 
 
@@ -52,7 +52,7 @@ def main() -> None:
     print(f"  A-N cloud status from CSV: {reloaded_shares} ✓ identical")
 
     hydra_log = datasets.read_hydra_jsonl(out_dir / "hydra.jsonl")
-    assert traffic_class_shares(hydra_log) == traffic_class_shares(result.hydra.log)
+    assert summarize(hydra_log).class_shares == result.hydra_summary.class_shares
     print(f"  traffic split from JSONL: {len(hydra_log)} messages ✓ identical")
 
     observations = datasets.read_provider_observations_jsonl(out_dir / "providers.jsonl")

@@ -815,29 +815,18 @@ def _run_store_command(args) -> int:
 
     log = EventLog(codec, open_file_backend(args.path))
     print(f"{args.kind} log at {args.path}: {len(log)} records")
-    if args.kind == "hydra":
-        from repro.core.traffic import summarize_traffic
+    from repro.core.traffic import summarize
 
-        summary = summarize_traffic(log)
-        print(f"  unique peer IDs: {len(summary.peerid_volumes)}")
-        print(f"  unique IPs: {len(summary.ip_volumes)}")
-        print(f"  unique CIDs: {summary.unique_cids}")
-        if summary.first_timestamp is not None:
-            span = (summary.last_timestamp - summary.first_timestamp) / 86400.0
-            print(f"  time span: {span:.2f} days")
-        for label, share in sorted(summary.class_shares.items()):
-            print(f"  {label}: {share:.3f}")
-    else:
-        senders = set()
-        ips = set()
-        cids = set()
-        for entry in log:
-            senders.add(entry.sender)
-            ips.add(entry.sender_ip)
-            cids.add(entry.cid)
-        print(f"  unique peer IDs: {len(senders)}")
-        print(f"  unique IPs: {len(ips)}")
-        print(f"  unique CIDs: {len(cids)}")
+    summary = summarize(log)
+    print(f"  unique peer IDs: {len(summary.days_by_peer)}")
+    print(f"  unique IPs: {len(summary.days_by_ip)}")
+    print(f"  unique CIDs: {summary.unique_cids}")
+    if summary.first_timestamp is not None:
+        span = (summary.last_timestamp - summary.first_timestamp) / 86400.0
+        print(f"  time span: {span:.2f} days")
+    # Bitswap entries carry no traffic class, so this prints nothing for them.
+    for label, share in sorted(summary.class_shares.items()):
+        print(f"  {label}: {share:.3f}")
     return 0
 
 

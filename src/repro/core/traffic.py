@@ -4,15 +4,20 @@ Operates on the Hydra-booster DHT log and the Bitswap monitor log:
 traffic classification, identifier lifetimes, centralization Pareto
 charts, cloud shares by count and by volume, and platform attribution
 through reverse DNS.
+
+:func:`summarize` is the only pass over a log.  Every aggregate is
+derived from the :class:`LogSummary` it returns, so a disk-backed
+:class:`~repro.store.eventlog.EventLog` is decoded from storage once.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.pareto import pareto_curve, top_share
+from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
 from repro.kademlia.messages import MessageEnvelope, TrafficClass
 from repro.monitors.bitswap_monitor import BitswapLogEntry
@@ -20,83 +25,169 @@ from repro.netsim.clock import SECONDS_PER_DAY
 from repro.world.clouddb import CloudIPDatabase
 from repro.world.rdns import ReverseDNS
 
-# ---------------------------------------------------------------------------
-# §5 headline: message-class split
-# ---------------------------------------------------------------------------
+#: (traffic class, sender, sender IP); the class is ``None`` for Bitswap
+#: entries, which carry none.
+SenderKey = Tuple[Optional[TrafficClass], PeerID, str]
 
 
-def traffic_class_shares(log: Iterable[MessageEnvelope]) -> Dict[str, float]:
-    """Download / advertisement / other shares of the DHT log."""
-    tallies = Counter(entry.traffic_class.value for entry in log)
-    total = sum(tallies.values())
-    if not total:
-        return {}
-    return {label: count / total for label, count in tallies.items()}
+def _day_of(timestamp: float) -> int:
+    return int(timestamp // SECONDS_PER_DAY)
+
+
+# ---------------------------------------------------------------------------
+# The single pass
+# ---------------------------------------------------------------------------
 
 
 @dataclass
-class TrafficSummary:
-    """Every per-entry aggregate of the DHT log, computed in one pass.
+class LogSummary:
+    """What the §5 figures need from one DHT or Bitswap log.
 
-    The figure reports each re-scan the log; with a disk-backed
-    :class:`~repro.store.eventlog.EventLog` every scan streams from
-    storage, so computing the shared aggregates together matters.
+    Every dict keeps the log's first-seen order, and so does every
+    aggregate derived from it: the Pareto curves and the reports' top-N
+    lists break ties in that order.
     """
 
+    #: message count per (class, sender, IP), in first-seen order.
+    counts: Dict[SenderKey, int] = field(default_factory=dict)
+    #: the sim-time days each identifier was seen on (Fig. 9), as a bit
+    #: set: bit ``d`` is set when it was seen on day ``d``.  An int costs
+    #: a fraction of a ``set`` per identifier, and a campaign keeps its
+    #: summaries for as long as it keeps its result.
+    days_by_cid: Dict[CID, int] = field(default_factory=dict)
+    days_by_ip: Dict[str, int] = field(default_factory=dict)
+    days_by_peer: Dict[PeerID, int] = field(default_factory=dict)
     total: int = 0
-    class_counts: Counter = field(default_factory=Counter)
-    peerid_volumes: Counter = field(default_factory=Counter)
-    ip_volumes: Counter = field(default_factory=Counter)
-    unique_cids: int = 0
     first_timestamp: Optional[float] = None
     last_timestamp: Optional[float] = None
 
     @property
+    def unique_cids(self) -> int:
+        return len(self.days_by_cid)
+
+    # -- §5 headline: message-class split -------------------------------
+
+    @property
     def class_shares(self) -> Dict[str, float]:
-        if not self.total:
-            return {}
-        return {label: count / self.total for label, count in self.class_counts.items()}
+        """Download / advertisement / other shares of a DHT log."""
+        tallies = self._tally(lambda traffic_class, sender, ip: traffic_class)
+        tallies.pop(None, None)
+        return {
+            traffic_class.value: count / self.total
+            for traffic_class, count in tallies.items()
+        }
+
+    # -- Figs. 10-11: volumes behind the Pareto charts ------------------
+
+    def _tally(
+        self,
+        key: Callable[[Optional[TrafficClass], PeerID, str], Hashable],
+        traffic_class: Optional[TrafficClass] = None,
+    ) -> Dict[Hashable, int]:
+        """Message counts regrouped by ``key``, in first-seen order,
+        optionally for one traffic class only."""
+        tallies: Dict[Hashable, int] = {}
+        for (entry_class, sender, ip), count in self.counts.items():
+            if traffic_class is None or entry_class is traffic_class:
+                label = key(entry_class, sender, ip)
+                tallies[label] = tallies.get(label, 0) + count
+        return tallies
+
+    def peer_volumes(
+        self, traffic_class: Optional[TrafficClass] = None
+    ) -> Dict[PeerID, int]:
+        return self._tally(lambda _, sender, ip: sender, traffic_class)
+
+    def ip_volumes(self, traffic_class: Optional[TrafficClass] = None) -> Dict[str, int]:
+        return self._tally(lambda _, sender, ip: ip, traffic_class)
+
+    # -- Fig. 9: identifier lifetimes -----------------------------------
+
+    def days_seen_histogram(self, identifier: str) -> Dict[int, int]:
+        """days-seen → number of identifiers (x-axis of Fig. 9).
+
+        ``identifier`` is one of ``"cid"``, ``"ip"``, ``"peerid"``.
+        """
+        days_by_id = {
+            "cid": self.days_by_cid,
+            "ip": self.days_by_ip,
+            "peerid": self.days_by_peer,
+        }.get(identifier)
+        if days_by_id is None:
+            raise ValueError(f"unknown identifier kind: {identifier}")
+        return dict(Counter(days.bit_count() for days in days_by_id.values()))
+
+    def ip_days_cloud_share(self, cloud_db: CloudIPDatabase) -> Dict[int, float]:
+        """Cloud share among IPs seen exactly N days — the Fig. 9 overlay
+        showing that long-lived IPs skew cloud."""
+        totals: Counter = Counter()
+        cloud: Counter = Counter()
+        for ip, days in self.days_by_ip.items():
+            bucket = days.bit_count()
+            totals[bucket] += 1
+            if cloud_db.is_cloud(ip):
+                cloud[bucket] += 1
+        return {bucket: cloud[bucket] / totals[bucket] for bucket in totals}
+
+    # -- Fig. 12: cloud per traffic type --------------------------------
+
+    def cloud_report(
+        self, cloud_db: CloudIPDatabase, traffic_class: Optional[TrafficClass] = None
+    ) -> CloudTrafficReport:
+        """Cloud and per-provider shares of the (optionally filtered) log."""
+        volume_by_ip = self.ip_volumes(traffic_class)
+        provider_by_ip = {ip: cloud_db.lookup(ip) or "non-cloud" for ip in volume_by_ip}
+        return _report_from_ip_volumes(volume_by_ip, provider_by_ip)
+
+    # -- Fig. 13: platform attribution ----------------------------------
+
+    def platform_shares(
+        self,
+        rdns: ReverseDNS,
+        hydra_peers: Set[PeerID],
+        traffic_class: Optional[TrafficClass] = None,
+    ) -> Dict[str, float]:
+        """Share of (class-filtered) traffic per platform."""
+        pairs = self._tally(lambda _, sender, ip: (sender, ip), traffic_class)
+        tallies: Counter = Counter()
+        for (sender, ip), count in pairs.items():
+            tallies[attribute_platform(ip, sender, rdns, hydra_peers)] += count
+        total = sum(tallies.values())
+        return {label: count / total for label, count in tallies.items()}
 
 
-def summarize_traffic(log: Iterable[MessageEnvelope]) -> TrafficSummary:
-    """Single-pass streaming summary of a (possibly disk-backed) log."""
-    summary = TrafficSummary()
-    cids: Set = set()
+def summarize(log: Iterable[Union[MessageEnvelope, BitswapLogEntry]]) -> LogSummary:
+    """The one pass over a (possibly disk-backed) Hydra or Bitswap log."""
+    counts: Dict[SenderKey, int] = {}
+    days_by_cid: Dict[CID, int] = {}
+    days_by_ip: Dict[str, int] = {}
+    days_by_peer: Dict[PeerID, int] = {}
+    total = 0
+    first_timestamp = last_timestamp = None
     for entry in log:
-        summary.total += 1
-        summary.class_counts[entry.traffic_class.value] += 1
-        summary.peerid_volumes[entry.sender] += 1
-        summary.ip_volumes[entry.sender_ip] += 1
-        if entry.target_cid is not None:
-            cids.add(entry.target_cid)
-        if summary.first_timestamp is None:
-            summary.first_timestamp = entry.timestamp
-        summary.last_timestamp = entry.timestamp
-    summary.unique_cids = len(cids)
-    return summary
+        if isinstance(entry, MessageEnvelope):
+            traffic_class, cid = entry.traffic_class, entry.target_cid
+        else:
+            traffic_class, cid = None, entry.cid
+        key = (traffic_class, entry.sender, entry.sender_ip)
+        counts[key] = counts.get(key, 0) + 1
+        day_bit = 1 << _day_of(entry.timestamp)
+        if cid is not None:
+            days_by_cid[cid] = days_by_cid.get(cid, 0) | day_bit
+        days_by_ip[entry.sender_ip] = days_by_ip.get(entry.sender_ip, 0) | day_bit
+        days_by_peer[entry.sender] = days_by_peer.get(entry.sender, 0) | day_bit
+        total += 1
+        if first_timestamp is None:
+            first_timestamp = entry.timestamp
+        last_timestamp = entry.timestamp
+    return LogSummary(
+        counts, days_by_cid, days_by_ip, days_by_peer, total, first_timestamp, last_timestamp
+    )
 
 
 # ---------------------------------------------------------------------------
 # Figs. 10-11: centralization Pareto charts
 # ---------------------------------------------------------------------------
-
-
-def peerid_volumes(log: Sequence[MessageEnvelope]) -> Dict[PeerID, float]:
-    volumes: Counter = Counter(entry.sender for entry in log)
-    return dict(volumes)
-
-
-def ip_volumes(log: Sequence[MessageEnvelope]) -> Dict[str, float]:
-    volumes: Counter = Counter(entry.sender_ip for entry in log)
-    return dict(volumes)
-
-
-def bitswap_peerid_volumes(log: Sequence[BitswapLogEntry]) -> Dict[PeerID, float]:
-    return dict(Counter(entry.sender for entry in log))
-
-
-def bitswap_ip_volumes(log: Sequence[BitswapLogEntry]) -> Dict[str, float]:
-    return dict(Counter(entry.sender_ip for entry in log))
 
 
 @dataclass
@@ -130,57 +221,6 @@ def ip_pareto(volumes: Dict[str, float], cloud_db: CloudIPDatabase) -> ParetoRep
         top5_share=top_share(volumes, 0.05),
         subgroup_share=cloud_volume / total if total else 0.0,
     )
-
-
-# ---------------------------------------------------------------------------
-# Fig. 9: identifier lifetimes (days seen)
-# ---------------------------------------------------------------------------
-
-
-def _day_of(timestamp: float) -> int:
-    return int(timestamp // SECONDS_PER_DAY)
-
-
-def days_seen_histogram(
-    log: Sequence[MessageEnvelope], identifier: str
-) -> Dict[int, int]:
-    """days-seen → number of identifiers (x-axis of Fig. 9).
-
-    ``identifier`` is one of ``"cid"``, ``"ip"``, ``"peerid"``.
-    """
-    days_by_id: Dict[object, Set[int]] = defaultdict(set)
-    for entry in log:
-        if identifier == "cid":
-            if entry.target_cid is None:
-                continue
-            key = entry.target_cid
-        elif identifier == "ip":
-            key = entry.sender_ip
-        elif identifier == "peerid":
-            key = entry.sender
-        else:
-            raise ValueError(f"unknown identifier kind: {identifier}")
-        days_by_id[key].add(_day_of(entry.timestamp))
-    histogram: Counter = Counter(len(days) for days in days_by_id.values())
-    return dict(histogram)
-
-
-def ip_days_seen_cloud_share(
-    log: Sequence[MessageEnvelope], cloud_db: CloudIPDatabase
-) -> Dict[int, float]:
-    """Cloud share among IPs seen exactly N days — the Fig. 9 overlay
-    showing that long-lived IPs skew cloud."""
-    days_by_ip: Dict[str, Set[int]] = defaultdict(set)
-    for entry in log:
-        days_by_ip[entry.sender_ip].add(_day_of(entry.timestamp))
-    totals: Counter = Counter()
-    cloud: Counter = Counter()
-    for ip, days in days_by_ip.items():
-        bucket = len(days)
-        totals[bucket] += 1
-        if cloud_db.is_cloud(ip):
-            cloud[bucket] += 1
-    return {bucket: cloud[bucket] / totals[bucket] for bucket in totals}
 
 
 # ---------------------------------------------------------------------------
@@ -221,46 +261,6 @@ def _report_from_ip_volumes(
     )
 
 
-def cloud_traffic_report(
-    log: Iterable[MessageEnvelope],
-    cloud_db: CloudIPDatabase,
-    traffic_class: Optional[TrafficClass] = None,
-) -> CloudTrafficReport:
-    """Cloud and per-provider shares of the (optionally filtered) log."""
-    provider_by_ip: Dict[str, str] = {}
-    volume_by_ip: Counter = Counter()
-    for entry in log:
-        if traffic_class is not None and entry.traffic_class is not traffic_class:
-            continue
-        volume_by_ip[entry.sender_ip] += 1
-        if entry.sender_ip not in provider_by_ip:
-            provider_by_ip[entry.sender_ip] = cloud_db.lookup(entry.sender_ip) or "non-cloud"
-    return _report_from_ip_volumes(volume_by_ip, provider_by_ip)
-
-
-def cloud_traffic_reports_by_class(
-    log: Iterable[MessageEnvelope], cloud_db: CloudIPDatabase
-) -> Dict[Optional[TrafficClass], CloudTrafficReport]:
-    """The overall report plus one per traffic class, in a single pass.
-
-    Equivalent to calling :func:`cloud_traffic_report` once per class
-    (keyed ``None`` for the unfiltered report) but scanning the log —
-    and resolving each IP against the cloud database — only once, which
-    is what Fig. 12 wants from a disk-backed log.
-    """
-    provider_by_ip: Dict[str, str] = {}
-    volumes: Dict[Optional[TrafficClass], Counter] = defaultdict(Counter)
-    for entry in log:
-        if entry.sender_ip not in provider_by_ip:
-            provider_by_ip[entry.sender_ip] = cloud_db.lookup(entry.sender_ip) or "non-cloud"
-        volumes[None][entry.sender_ip] += 1
-        volumes[entry.traffic_class][entry.sender_ip] += 1
-    return {
-        key: _report_from_ip_volumes(volume_by_ip, provider_by_ip)
-        for key, volume_by_ip in volumes.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Fig. 13: platform attribution via reverse DNS
 # ---------------------------------------------------------------------------
@@ -292,35 +292,3 @@ def attribute_platform(
         if hostname.endswith(suffix):
             return label
     return "other"
-
-
-def platform_traffic_shares(
-    log: Sequence[MessageEnvelope],
-    rdns: ReverseDNS,
-    hydra_peers: Set[PeerID],
-    traffic_class: Optional[TrafficClass] = None,
-) -> Dict[str, float]:
-    """Share of (class-filtered) DHT traffic per platform."""
-    entries = [e for e in log if traffic_class is None or e.traffic_class is traffic_class]
-    if not entries:
-        return {}
-    tallies: Counter = Counter(
-        attribute_platform(entry.sender_ip, entry.sender, rdns, hydra_peers)
-        for entry in entries
-    )
-    total = sum(tallies.values())
-    return {label: count / total for label, count in tallies.items()}
-
-
-def bitswap_platform_shares(
-    log: Sequence[BitswapLogEntry], rdns: ReverseDNS, hydra_peers: Set[PeerID]
-) -> Dict[str, float]:
-    """Platform shares of the Bitswap monitor traffic."""
-    if not log:
-        return {}
-    tallies: Counter = Counter(
-        attribute_platform(entry.sender_ip, entry.sender, rdns, hydra_peers)
-        for entry in log
-    )
-    total = sum(tallies.values())
-    return {label: count / total for label, count in tallies.items()}

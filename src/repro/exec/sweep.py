@@ -28,7 +28,6 @@ def summarize_campaign(result) -> Dict[str, object]:
     §4/§5 comparisons are built from — and JSON-serialisable.
     """
     from repro.core import cloud as cloud_analysis
-    from repro.core import traffic
     from repro.scenario.report import crawl_stats_report
 
     rows = result.crawl_rows
@@ -45,7 +44,7 @@ def summarize_campaign(result) -> Dict[str, object]:
         "an_shares": an,
         "gip_shares": gip,
         "dht_messages": len(result.hydra.log),
-        "traffic_class_shares": traffic.traffic_class_shares(result.hydra.log),
+        "traffic_class_shares": result.hydra_summary.class_shares,
         "exec_errors": [str(error) for error in result.exec_errors],
     }
     return summary

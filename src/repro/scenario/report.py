@@ -25,7 +25,8 @@ from repro.world.profiles import PAPER
 
 
 def _top(shares: Dict[str, float], n: int = 5) -> List[Tuple[str, float]]:
-    return sorted(shares.items(), key=lambda item: item[1], reverse=True)[:n]
+    """The ``n`` largest shares; equal shares rank by label."""
+    return sorted(shares.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +138,10 @@ def fig8_report(
 
 
 def sec5_report(result: CampaignResult) -> Dict[str, float]:
-    shares = traffic.traffic_class_shares(result.hydra.log)
+    summary = result.hydra_summary
+    shares = summary.class_shares
     return {
-        "total_messages": float(len(result.hydra.log)),
+        "total_messages": float(summary.total),
         "download_share": shares.get("download", 0.0),
         "advertisement_share": shares.get("advertisement", 0.0),
         "other_share": shares.get("other", 0.0),
@@ -150,23 +152,19 @@ def sec5_report(result: CampaignResult) -> Dict[str, float]:
 
 
 def fig9_report(result: CampaignResult) -> Dict[str, object]:
-    log = result.hydra.log
+    summary = result.hydra_summary
     return {
-        "cid_days": traffic.days_seen_histogram(log, "cid"),
-        "ip_days": traffic.days_seen_histogram(log, "ip"),
-        "peerid_days": traffic.days_seen_histogram(log, "peerid"),
-        "ip_cloud_share_by_days": traffic.ip_days_seen_cloud_share(
-            log, result.world.cloud_db
-        ),
+        "cid_days": summary.days_seen_histogram("cid"),
+        "ip_days": summary.days_seen_histogram("ip"),
+        "peerid_days": summary.days_seen_histogram("peerid"),
+        "ip_cloud_share_by_days": summary.ip_days_cloud_share(result.world.cloud_db),
     }
 
 
 def fig10_report(result: CampaignResult) -> Dict[str, object]:
-    dht = traffic.peerid_pareto(
-        traffic.peerid_volumes(result.hydra.log), result.gateway_peers
-    )
+    dht = traffic.peerid_pareto(result.hydra_summary.peer_volumes(), result.gateway_peers)
     bitswap = traffic.peerid_pareto(
-        traffic.bitswap_peerid_volumes(result.bitswap_monitor.log), result.gateway_peers
+        result.bitswap_summary.peer_volumes(), result.gateway_peers
     )
     return {
         "dht_top5pct_share": dht.top5_share,
@@ -180,10 +178,8 @@ def fig10_report(result: CampaignResult) -> Dict[str, object]:
 
 def fig11_report(result: CampaignResult) -> Dict[str, object]:
     cloud_db = result.world.cloud_db
-    dht = traffic.ip_pareto(traffic.ip_volumes(result.hydra.log), cloud_db)
-    bitswap = traffic.ip_pareto(
-        traffic.bitswap_ip_volumes(result.bitswap_monitor.log), cloud_db
-    )
+    dht = traffic.ip_pareto(result.hydra_summary.ip_volumes(), cloud_db)
+    bitswap = traffic.ip_pareto(result.bitswap_summary.ip_volumes(), cloud_db)
     return {
         "dht_top5pct_share": dht.top5_share,
         "dht_cloud_share": dht.subgroup_share,
@@ -195,12 +191,11 @@ def fig11_report(result: CampaignResult) -> Dict[str, object]:
 
 
 def fig12_report(result: CampaignResult) -> Dict[str, object]:
+    summary = result.hydra_summary
     cloud_db = result.world.cloud_db
-    reports = traffic.cloud_traffic_reports_by_class(result.hydra.log, cloud_db)
-    empty = traffic.CloudTrafficReport(0.0, 0.0)
-    overall = reports.get(None, empty)
-    downloads = reports.get(TrafficClass.DOWNLOAD, empty)
-    adverts = reports.get(TrafficClass.ADVERTISEMENT, empty)
+    overall = summary.cloud_report(cloud_db)
+    downloads = summary.cloud_report(cloud_db, TrafficClass.DOWNLOAD)
+    adverts = summary.cloud_report(cloud_db, TrafficClass.ADVERTISEMENT)
     return {
         "overall_cloud_by_ip_count": overall.cloud_share_by_ip_count,
         "download_cloud_by_ip_count": downloads.cloud_share_by_ip_count,
@@ -215,18 +210,14 @@ def fig12_report(result: CampaignResult) -> Dict[str, object]:
 def fig13_report(result: CampaignResult) -> Dict[str, object]:
     rdns = result.world.rdns
     hydra_peers = result.hydra_peers
-    log = result.hydra.log
+    summary = result.hydra_summary
     return {
-        "dht_all": traffic.platform_traffic_shares(log, rdns, hydra_peers),
-        "dht_download": traffic.platform_traffic_shares(
-            log, rdns, hydra_peers, TrafficClass.DOWNLOAD
+        "dht_all": summary.platform_shares(rdns, hydra_peers),
+        "dht_download": summary.platform_shares(rdns, hydra_peers, TrafficClass.DOWNLOAD),
+        "dht_advertisement": summary.platform_shares(
+            rdns, hydra_peers, TrafficClass.ADVERTISEMENT
         ),
-        "dht_advertisement": traffic.platform_traffic_shares(
-            log, rdns, hydra_peers, TrafficClass.ADVERTISEMENT
-        ),
-        "bitswap": traffic.bitswap_platform_shares(
-            result.bitswap_monitor.log, rdns, hydra_peers
-        ),
+        "bitswap": result.bitswap_summary.platform_shares(rdns, hydra_peers),
     }
 
 

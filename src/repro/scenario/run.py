@@ -15,7 +15,7 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -23,7 +23,9 @@ from repro.attack.orchestrator import AttackOrchestrator
 from repro.content.catalog import ContentCatalog
 from repro.workload.engine import TrafficEngine, VectorizedTrafficEngine
 from repro.workload.spec import build_workload
+from repro.core.counting import CrawlRow, make_rows
 from repro.core.crawler import CrawlDataset, DHTCrawler, collect_crawl, execute_crawl_task
+from repro.core.traffic import LogSummary, summarize
 from repro.exec.engine import ExecError, ParallelExecutor
 from repro.exec.seeds import derive_seed
 from repro.dns.scanner import ActiveScanner, DNSLinkScanResult
@@ -111,11 +113,20 @@ class CampaignResult:
     #: early (the datasets cover the completed ticks only).
     stopped_early: bool = False
 
-    @property
-    def crawl_rows(self):
-        from repro.core.counting import make_rows
+    # A returned result's datasets are final (the logs are flushed), so
+    # the derived views below are computed once, on first use.
 
+    @cached_property
+    def crawl_rows(self) -> List[CrawlRow]:
         return make_rows(self.crawls.rows())
+
+    @cached_property
+    def hydra_summary(self) -> LogSummary:
+        return summarize(self.hydra.log)
+
+    @cached_property
+    def bitswap_summary(self) -> LogSummary:
+        return summarize(self.bitswap_monitor.log)
 
 
 class MeasurementCampaign:
@@ -242,10 +253,12 @@ class MeasurementCampaign:
             status["tick"] = f"{tick[0]}/{tick[1]}"
         if crawls is not None:
             status["crawls"] = f"{crawls[0]}/{crawls[1]}"
-        server.publisher.publish("status", status)
+        # Status goes last: a client that has seen a status can then read
+        # the snapshots published with it.
         server.publisher.publish("sketches", stream.snapshot())
         if self.observer.metrics.enabled:
             server.publisher.publish("metrics", self.observer.metrics.snapshot())
+        server.publisher.publish("status", status)
 
     def _stop_requested(self) -> bool:
         return (

@@ -7,7 +7,7 @@ import pytest
 from repro.core import datasets
 from repro.core.counting import CountingMethod, counts
 from repro.core.crawler import CrawlDataset, DHTCrawler
-from repro.core.traffic import traffic_class_shares
+from repro.core.traffic import summarize
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
 
@@ -76,7 +76,7 @@ class TestLogExport:
         datasets.write_hydra_jsonl(sample, path)
         reloaded = datasets.read_hydra_jsonl(path)
         assert len(reloaded) == len(sample)
-        assert traffic_class_shares(reloaded) == traffic_class_shares(sample)
+        assert summarize(reloaded).counts == summarize(sample).counts
         assert reloaded[0].sender == sample[0].sender
         assert reloaded[0].sender_ip == sample[0].sender_ip
 

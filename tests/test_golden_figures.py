@@ -84,9 +84,7 @@ class TestProviderGoldens:
 
 class TestTrafficGoldens:
     def test_traffic_class_shares(self, smoke_campaign):
-        from repro.core import traffic
-
-        shares = traffic.traffic_class_shares(smoke_campaign.hydra.log)
+        shares = smoke_campaign.hydra_summary.class_shares
         assert shares["advertisement"] == pytest.approx(0.448, abs=0.06)
         assert shares["download"] == pytest.approx(0.498, abs=0.06)
         assert sum(shares.values()) == pytest.approx(1.0)

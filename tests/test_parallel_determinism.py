@@ -94,13 +94,9 @@ class TestCampaignParity:
             )
 
     def test_traffic_summaries_identical(self, serial_and_parallel):
-        from repro.core import traffic
-
         serial, parallel = serial_and_parallel
         assert len(serial.hydra.log) == len(parallel.hydra.log)
-        assert traffic.traffic_class_shares(serial.hydra.log) == (
-            traffic.traffic_class_shares(parallel.hydra.log)
-        )
+        assert serial.hydra_summary.class_shares == parallel.hydra_summary.class_shares
         assert [e.sender for e in serial.hydra.log[:200]] == [
             e.sender for e in parallel.hydra.log[:200]
         ]

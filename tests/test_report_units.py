@@ -63,3 +63,11 @@ class TestShareConsistency:
     def test_sec5_class_shares_sum_to_one(self, smoke_campaign):
         s5 = R.sec5_report(smoke_campaign)
         assert s5["download_share"] + s5["advertisement_share"] + s5["other_share"] == pytest.approx(1.0)
+
+
+class TestTop:
+    def test_ties_rank_by_label_in_any_insertion_order(self):
+        shares = {"IN": 0.2, "US": 0.4, "CN": 0.2, "DE": 0.1}
+        reordered = dict(reversed(list(shares.items())))
+        expected = [("US", 0.4), ("CN", 0.2), ("IN", 0.2), ("DE", 0.1)]
+        assert R._top(shares) == R._top(reordered) == expected

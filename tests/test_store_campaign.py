@@ -1,12 +1,19 @@
 """End-to-end: a campaign with disk-backed monitor logs is equivalent
 to the in-memory default."""
 
+import dataclasses
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.core import datasets
-from repro.core.traffic import summarize_traffic, traffic_class_shares
+from repro.core import traffic
+from repro.kademlia.messages import TrafficClass
 from repro.scenario.config import ScenarioConfig
+from repro.scenario.report import full_report
 from repro.scenario.run import run_campaign
+from repro.store import EventLog
 from repro.world.profiles import WorldProfile
 
 
@@ -49,34 +56,84 @@ class TestStorageParity:
         )
 
     def test_same_traffic_analysis(self, memory_result, sqlite_result):
-        assert traffic_class_shares(memory_result.hydra.log) == traffic_class_shares(
-            sqlite_result.hydra.log
-        )
+        memory, sqlite = memory_result.hydra_summary, sqlite_result.hydra_summary
+        assert memory.class_shares == sqlite.class_shares
+        assert memory.counts == sqlite.counts
+        assert memory_result.bitswap_summary.counts == sqlite_result.bitswap_summary.counts
 
     def test_summary_matches_multi_pass_analysis(self, memory_result):
-        from repro.core import traffic
-
+        """Each aggregate equals a direct count over the log, in the
+        log's first-seen order."""
         log = memory_result.hydra.log
-        summary = summarize_traffic(log)
+        summary = memory_result.hydra_summary
         assert summary.total == len(log)
-        assert summary.class_shares == traffic.traffic_class_shares(log)
-        assert dict(summary.peerid_volumes) == traffic.peerid_volumes(log)
-        assert dict(summary.ip_volumes) == traffic.ip_volumes(log)
+        classes = Counter(entry.traffic_class.value for entry in log)
+        assert summary.class_shares == {
+            label: count / len(log) for label, count in classes.items()
+        }
+        peers = Counter(entry.sender for entry in log)
+        ips = Counter(entry.sender_ip for entry in log)
+        assert list(summary.peer_volumes().items()) == list(peers.items())
+        assert list(summary.ip_volumes().items()) == list(ips.items())
+        assert summary.unique_cids == len(
+            {entry.target_cid for entry in log if entry.target_cid is not None}
+        )
 
     def test_single_pass_cloud_reports_match(self, memory_result):
-        from repro.core import traffic
-        from repro.kademlia.messages import TrafficClass
-
+        """The summary's per-class cloud reports equal reports built
+        from a direct scan of the class-filtered log."""
         log = memory_result.hydra.log
         cloud_db = memory_result.world.cloud_db
-        combined = traffic.cloud_traffic_reports_by_class(log, cloud_db)
         for traffic_class in (None, TrafficClass.DOWNLOAD, TrafficClass.ADVERTISEMENT):
-            if traffic_class not in combined:
-                continue
-            separate = traffic.cloud_traffic_report(log, cloud_db, traffic_class)
-            assert combined[traffic_class] == separate
+            volume_by_ip = Counter(
+                entry.sender_ip
+                for entry in log
+                if traffic_class is None or entry.traffic_class is traffic_class
+            )
+            provider_by_ip = {ip: cloud_db.lookup(ip) or "non-cloud" for ip in volume_by_ip}
+            expected = traffic._report_from_ip_volumes(volume_by_ip, provider_by_ip)
+            assert memory_result.hydra_summary.cloud_report(cloud_db, traffic_class) == (
+                expected
+            )
 
     def test_export_works_from_disk_backed_logs(self, sqlite_result, tmp_path):
         counts = datasets.export_campaign(sqlite_result, tmp_path / "out")
         assert counts["hydra_messages"] == len(sqlite_result.hydra.log)
         assert counts["bitswap_messages"] == len(sqlite_result.bitswap_monitor.log)
+
+
+class TestOnePassPerLog:
+    def test_full_report_scans_each_log_once(self, sqlite_result, monkeypatch):
+        # A fresh result object: nothing derived from the logs is cached yet.
+        result = dataclasses.replace(sqlite_result)
+        scans = Counter()
+        original_iter = EventLog.__iter__
+
+        def counting_iter(log):
+            scans[id(log)] += 1
+            return original_iter(log)
+
+        monkeypatch.setattr(EventLog, "__iter__", counting_iter)
+        full_report(result, resilience_reps=1)
+        assert scans[id(result.hydra.log)] == 1
+        assert scans[id(result.bitswap_monitor.log)] == 1
+
+    def test_store_stats_prints_both_log_kinds(self, sqlite_result, capsys):
+        from repro.cli import main
+
+        directory = Path(sqlite_result.config.storage.split(":", 1)[1])
+        for kind, summary in (
+            ("hydra", sqlite_result.hydra_summary),
+            ("bitswap", sqlite_result.bitswap_summary),
+        ):
+            assert main(["store", "stats", str(directory / f"{kind}.sqlite"), "--kind", kind]) == 0
+            out = capsys.readouterr().out
+            assert f"unique peer IDs: {len(summary.peer_volumes())}" in out
+            assert f"unique IPs: {len(summary.ip_volumes())}" in out
+            assert f"unique CIDs: {summary.unique_cids}" in out
+            assert ("download: " in out) == (kind == "hydra")
+
+    def test_summaries_are_cached(self, sqlite_result):
+        assert sqlite_result.hydra_summary is sqlite_result.hydra_summary
+        assert sqlite_result.bitswap_summary is sqlite_result.bitswap_summary
+        assert sqlite_result.crawl_rows is sqlite_result.crawl_rows

@@ -17,7 +17,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import traffic
 from repro.core.pareto import top_share
 from repro.obs import deterministic_trace_view, deterministic_view
 from repro.obs.observer import Observer, get_observer, use_observer
@@ -119,14 +118,14 @@ class TestStreamingAccuracy:
         assert sketches["events"] == len(log) + bitswap
         assert sketches["headline"]["events"] == sketches["events"]
 
-    def test_cloud_share_matches_batch(self, streamed_result, headline, log):
-        report = traffic.cloud_traffic_report(log, streamed_result.world.cloud_db)
+    def test_cloud_share_matches_batch(self, streamed_result, headline):
+        report = streamed_result.hydra_summary.cloud_report(streamed_result.world.cloud_db)
         assert headline["cloud_share_by_volume"] == pytest.approx(
             report.cloud_share_by_volume, abs=1e-9
         )
 
-    def test_provider_shares_match_batch(self, streamed_result, headline, log):
-        report = traffic.cloud_traffic_report(log, streamed_result.world.cloud_db)
+    def test_provider_shares_match_batch(self, streamed_result, headline):
+        report = streamed_result.hydra_summary.cloud_report(streamed_result.world.cloud_db)
         batch = {
             provider: share
             for provider, share in report.provider_shares_by_volume.items()
@@ -140,8 +139,8 @@ class TestStreamingAccuracy:
         expected_top = min(batch, key=lambda p: (-batch[p], p)) if batch else None
         assert headline["top_provider"] == expected_top
 
-    def test_class_shares_match_batch(self, headline, log):
-        batch = traffic.traffic_class_shares(log)
+    def test_class_shares_match_batch(self, streamed_result, headline):
+        batch = streamed_result.hydra_summary.class_shares
         live = headline["class_shares"]
         assert set(live) == set(batch)
         for label, share in batch.items():
@@ -152,9 +151,9 @@ class TestStreamingAccuracy:
         expected = sum(1 for entry in log if entry.sender in gateways) / len(log)
         assert headline["gateway_share_by_volume"] == pytest.approx(expected, abs=1e-9)
 
-    def test_top1pct_concentration_matches_batch(self, headline, log):
-        peer_volumes = traffic.peerid_volumes(log)
-        ip_volumes = traffic.ip_volumes(log)
+    def test_top1pct_concentration_matches_batch(self, streamed_result, headline):
+        peer_volumes = streamed_result.hydra_summary.peer_volumes()
+        ip_volumes = streamed_result.hydra_summary.ip_volumes()
         assert headline["top1pct_peer_share"] == pytest.approx(
             top_share(peer_volumes, 0.01), abs=0.01
         )
@@ -162,8 +161,8 @@ class TestStreamingAccuracy:
             top_share(ip_volumes, 0.01), abs=0.01
         )
 
-    def test_top10_peer_recall_is_perfect(self, streamed_result, log):
-        volumes = traffic.peerid_volumes(log)
+    def test_top10_peer_recall_is_perfect(self, streamed_result):
+        volumes = streamed_result.hydra_summary.peer_volumes()
         truth = sorted(volumes.items(), key=lambda kv: (-kv[1], str(kv[0])))[:10]
         live = streamed_result.sketches["top"]["peers"]
         assert {key for key, _count, _err in live} == {str(p) for p, _v in truth}
@@ -172,10 +171,10 @@ class TestStreamingAccuracy:
         for peer, volume in truth:
             assert live_counts[str(peer)] == volume
 
-    def test_distinct_estimates_are_close(self, streamed_result, headline, log):
-        true_peers = len(traffic.peerid_volumes(log))
-        true_ips = len(traffic.ip_volumes(log))
-        true_cids = len({e.cid for e in streamed_result.bitswap_monitor.log})
+    def test_distinct_estimates_are_close(self, streamed_result, headline):
+        true_peers = len(streamed_result.hydra_summary.peer_volumes())
+        true_ips = len(streamed_result.hydra_summary.ip_volumes())
+        true_cids = streamed_result.bitswap_summary.unique_cids
         assert headline["distinct_peers_est"] == pytest.approx(true_peers, rel=0.05)
         assert headline["distinct_ips_est"] == pytest.approx(true_ips, rel=0.05)
         assert headline["distinct_cids_est"] == pytest.approx(true_cids, rel=0.05)
@@ -216,9 +215,7 @@ class TestStreamingOffIsBitIdentical:
     def test_hydra_log_identical(self, plain_result, streamed_result):
         assert len(plain_result.hydra.log) == len(streamed_result.hydra.log)
         assert plain_result.hydra.log[:200] == streamed_result.hydra.log[:200]
-        assert traffic.traffic_class_shares(
-            plain_result.hydra.log
-        ) == traffic.traffic_class_shares(streamed_result.hydra.log)
+        assert plain_result.hydra_summary.counts == streamed_result.hydra_summary.counts
 
     def test_gateway_probes_identical(self, plain_result, streamed_result):
         assert (
