@@ -36,7 +36,9 @@ def test_ablation_directed_vs_undirected(benchmark, campaign):
         return {
             "scc_share": _directed_core_share(digraph),
             "undirected_lcc": undirected_lcc,
-            "partition_point": targeted_removal(undirected).partition_point(),
+            "partition_point": targeted_removal(
+                topology.undirected_adjacency(snapshot)
+            ).partition_point(),
         }
 
     results = benchmark.pedantic(compare, rounds=1, iterations=1)

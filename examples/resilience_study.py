@@ -53,11 +53,11 @@ def main() -> None:
     )
 
     print("\n-- Fig. 8: resilience to node removals --")
-    graph = topology.build_undirected(snapshot)
+    adjacency = topology.undirected_adjacency(snapshot)
     fractions, means, halfwidths = resilience.random_removal_with_ci(
-        graph, repetitions=10, rng=random.Random(0)
+        adjacency, repetitions=10, rng=random.Random(0)
     )
-    targeted = resilience.targeted_removal(graph)
+    targeted = resilience.targeted_removal(adjacency)
     print(
         line_chart(
             list(zip(fractions, means)),

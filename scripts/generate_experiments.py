@@ -199,6 +199,14 @@ The partition point lands later than the paper's ≈0.60 **(scale)**: at
 {BENCH_SERVERS} nodes the k=20 mesh is relatively ~17× denser (degree/n), so
 hub removal must dig deeper before the graph shatters.
 
+Method: each curve is one removal order (uniform random draws, or
+highest current degree first via a lazy max-heap) plus one reverse
+union-find pass that adds the nodes back and tracks the largest
+component, O((V+E)·α) per curve instead of O(V² + 100·(V+E)) for
+per-step victim scans and a component scan at each of ~100 recorded
+steps.  The curves are identical to the networkx implementation's
+(`tests/test_resilience_parity.py`).
+
 ## S5 — §5 traffic headline (Hydra log)
 
 {table([

@@ -6,15 +6,25 @@ removal the share of remaining nodes inside the largest connected
 component is recorded.  Random removal barely dents the network (scale-
 free robustness); targeted removal fully partitions it after ≈60 % of
 nodes are gone.
+
+Graphs are int adjacencies: ``adjacency[i]`` is the set of neighbours of
+node ``i`` (``i`` itself for a self-loop), as built by
+:func:`repro.core.topology.undirected_adjacency` or :func:`adjacency`.
+Each curve is one removal order plus one reverse union-find pass
+(:func:`removal_curve`): nodes are added back last-removed first and the
+largest component is tracked, so a curve costs O((V + E)·α) instead of a
+component scan per recorded step.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
+#: ``adjacency[i]``: the neighbours of node ``i``.
+Adjacency = Sequence[Set[int]]
 
 
 @dataclass
@@ -30,7 +40,8 @@ class RemovalTrace:
     lcc_share: List[float] = field(default_factory=list)
 
     def share_at(self, fraction: float) -> float:
-        """LCC share at the removal fraction closest below ``fraction``."""
+        """LCC share at the last recorded removal fraction at or below
+        ``fraction`` (1.0 before the first record)."""
         best = 1.0
         for x, y in zip(self.removed_fraction, self.lcc_share):
             if x <= fraction:
@@ -48,64 +59,137 @@ class RemovalTrace:
         return 1.0
 
 
-def _lcc_share(graph: nx.Graph) -> float:
-    remaining = graph.number_of_nodes()
-    if remaining == 0:
-        return 0.0
-    largest = max((len(c) for c in nx.connected_components(graph)), default=0)
-    return largest / remaining
+def adjacency(graph) -> List[Set[int]]:
+    """The int adjacency of an undirected graph, nodes numbered in
+    ``graph.nodes`` order (e.g. an ``nx.Graph``: anything with ``nodes``
+    and ``adj``)."""
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    return [{index[neighbor] for neighbor in graph.adj[node]} for node in graph.nodes]
 
 
-def _run_removal(
-    graph: nx.Graph, order_fn, record_every: int
+def _record_step(adjacency: Adjacency, record_every: Optional[int]) -> int:
+    if record_every is None:
+        return max(1, len(adjacency) // 100)
+    if record_every < 1:
+        raise ValueError(f"record_every must be a positive integer, got {record_every}")
+    return record_every
+
+
+def removal_curve(
+    adjacency: Adjacency, order: Sequence[int], record_every: int
 ) -> RemovalTrace:
-    total = graph.number_of_nodes()
-    trace = RemovalTrace()
-    removed = 0
-    trace.removed_fraction.append(0.0)
-    trace.lcc_share.append(_lcc_share(graph))
-    while graph.number_of_nodes() > 1:
-        victim = order_fn(graph)
-        if victim is None:
-            break
-        graph.remove_node(victim)
-        removed += 1
-        if removed % record_every == 0 or graph.number_of_nodes() <= 1:
-            trace.removed_fraction.append(removed / total)
-            trace.lcc_share.append(_lcc_share(graph))
-    return trace
+    """The LCC share as the nodes of ``order`` are removed one by one;
+    ``order`` lists distinct nodes and leaves at least one.
+
+    Records after 0 removals, after every multiple of ``record_every``
+    and after the step that leaves one node.  The pass runs backwards:
+    the nodes never removed come first, then ``order`` is added back in
+    reverse, each node unioned with its neighbours already present.
+    """
+    total = len(adjacency)
+    if total == 0:
+        return RemovalTrace([0.0], [0.0])
+    steps = len(order)
+    parent = list(range(total))
+    size = [1] * total
+    present = bytearray(total)
+    largest = 0
+
+    def add(node: int) -> None:
+        nonlocal largest
+        present[node] = 1
+        root = node
+        for neighbor in adjacency[node]:
+            if not present[neighbor]:
+                continue
+            while parent[neighbor] != neighbor:
+                parent[neighbor] = parent[parent[neighbor]]
+                neighbor = parent[neighbor]
+            if neighbor == root:
+                continue
+            if size[neighbor] > size[root]:
+                root, neighbor = neighbor, root
+            parent[neighbor] = root
+            size[root] += size[neighbor]
+        if size[root] > largest:
+            largest = size[root]
+
+    removed = bytearray(total)
+    for node in order:
+        removed[node] = 1
+    for node in range(total):
+        if not removed[node]:
+            add(node)
+    fractions: List[float] = []
+    shares: List[float] = []
+    for k in range(steps, -1, -1):
+        if k < steps:
+            add(order[k])
+        remaining = total - k
+        if k % record_every == 0 or remaining <= 1:
+            fractions.append(k / total)
+            shares.append(largest / remaining)
+    fractions.reverse()
+    shares.reverse()
+    return RemovalTrace(fractions, shares)
+
+
+def random_order(num_nodes: int, rng: random.Random) -> List[int]:
+    """A uniform removal order of all but one node: each step draws one
+    index into the remaining nodes, kept in original order."""
+    remaining = list(range(num_nodes))
+    return [remaining.pop(rng.randrange(len(remaining))) for _ in range(num_nodes - 1)]
+
+
+def targeted_order(adjacency: Adjacency) -> List[int]:
+    """Highest-current-degree-first removal of all but one node; ties go
+    to the lowest node index.  A self-loop counts 2 towards a degree.
+
+    The heap holds one ``(-degree, node)`` entry per remaining node.
+    Degrees only fall, so an entry's degree is never below the node's
+    current one: an outdated entry at the top is re-keyed, and an
+    up-to-date one at the top is the maximum.
+    """
+    degree = [len(nbrs) + (node in nbrs) for node, nbrs in enumerate(adjacency)]
+    heap = [(-d, node) for node, d in enumerate(degree)]
+    heapq.heapify(heap)
+    removed = bytearray(len(adjacency))
+    order: List[int] = []
+    for _ in range(len(adjacency) - 1):
+        neg, node = heap[0]
+        while -neg != degree[node]:
+            heapq.heapreplace(heap, (-degree[node], node))
+            neg, node = heap[0]
+        heapq.heappop(heap)
+        removed[node] = 1
+        order.append(node)
+        for neighbor in adjacency[node]:
+            if not removed[neighbor]:
+                degree[neighbor] -= 1
+    return order
 
 
 def random_removal(
-    graph: nx.Graph, rng: Optional[random.Random] = None, record_every: Optional[int] = None
+    adjacency: Adjacency,
+    rng: Optional[random.Random] = None,
+    record_every: Optional[int] = None,
 ) -> RemovalTrace:
-    """Remove uniformly random nodes until the graph is exhausted."""
-    rng = rng or random.Random(0)
-    work = graph.copy()
-    step = record_every or max(1, work.number_of_nodes() // 100)
-
-    def pick(current: nx.Graph):
-        nodes = list(current.nodes)
-        return rng.choice(nodes) if nodes else None
-
-    return _run_removal(work, pick, step)
+    """Remove uniformly random nodes until one is left."""
+    step = _record_step(adjacency, record_every)
+    order = random_order(len(adjacency), rng or random.Random(0))
+    return removal_curve(adjacency, order, step)
 
 
-def targeted_removal(graph: nx.Graph, record_every: Optional[int] = None) -> RemovalTrace:
+def targeted_removal(
+    adjacency: Adjacency, record_every: Optional[int] = None
+) -> RemovalTrace:
     """Repeatedly remove the node with the highest current degree."""
-    work = graph.copy()
-    step = record_every or max(1, work.number_of_nodes() // 100)
-
-    def pick(current: nx.Graph):
-        if current.number_of_nodes() == 0:
-            return None
-        return max(current.degree, key=lambda item: item[1])[0]
-
-    return _run_removal(work, pick, step)
+    step = _record_step(adjacency, record_every)
+    return removal_curve(adjacency, targeted_order(adjacency), step)
 
 
 def random_removal_with_ci(
-    graph: nx.Graph,
+    adjacency: Adjacency,
     repetitions: int = 10,
     rng: Optional[random.Random] = None,
     record_every: Optional[int] = None,
@@ -115,9 +199,11 @@ def random_removal_with_ci(
 
     Returns ``(fractions, mean_share, halfwidth_95)`` aligned per step.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be a positive integer, got {repetitions}")
     rng = rng or random.Random(0)
     traces = [
-        random_removal(graph, random.Random(rng.randrange(2**32)), record_every)
+        random_removal(adjacency, random.Random(rng.randrange(2**32)), record_every)
         for _ in range(repetitions)
     ]
     length = min(len(trace.lcc_share) for trace in traces)

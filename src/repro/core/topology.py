@@ -9,7 +9,7 @@ node is crawlable.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -36,6 +36,35 @@ def build_undirected(snapshot: CrawlSnapshot) -> nx.Graph:
     """The undirected interpretation used by the resilience experiment
     (all observable connections usable for communication, §4)."""
     return build_digraph(snapshot).to_undirected()
+
+
+def undirected_adjacency(snapshot: CrawlSnapshot) -> List[Set[int]]:
+    """:func:`build_undirected` as an int adjacency (the input of
+    :mod:`repro.core.resilience`), without building a graph.
+
+    Node ``i`` is the ``i``-th node of :func:`build_undirected`: the
+    observed peers in order, then any other peer in order of first
+    appearance in the edges.
+    """
+    index = {peer: i for i, peer in enumerate(snapshot.observations)}
+    adjacency: List[Set[int]] = [set() for _ in index]
+
+    def node(peer: PeerID) -> int:
+        i = index.get(peer)
+        if i is None:
+            i = index[peer] = len(adjacency)
+            adjacency.append(set())
+        return i
+
+    for peer, neighbors in snapshot.edges.items():
+        if not neighbors:
+            continue  # build_digraph adds peers through their edges only
+        source = node(peer)
+        for neighbor in neighbors:
+            target = node(neighbor)
+            adjacency[source].add(target)
+            adjacency[target].add(source)
+    return adjacency
 
 
 def out_degrees(snapshot: CrawlSnapshot) -> Dict[PeerID, int]:

@@ -115,12 +115,12 @@ def fig8_report(
     result: CampaignResult, snapshot_index: int = -1, repetitions: int = 10
 ) -> Dict[str, object]:
     snapshot = result.crawls.snapshots[snapshot_index]
-    graph = topology.build_undirected(snapshot)
+    adjacency = topology.undirected_adjacency(snapshot)
     fractions, means, halfwidths = resilience.random_removal_with_ci(
-        graph, repetitions=repetitions
+        adjacency, repetitions=repetitions
     )
     random_trace = resilience.RemovalTrace(list(fractions), list(means))
-    targeted_trace = resilience.targeted_removal(graph)
+    targeted_trace = resilience.targeted_removal(adjacency)
     return {
         "random_fractions": fractions,
         "random_mean_lcc": means,

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.core import resilience, topology
-from repro.core.crawler import DHTCrawler
+from repro.core.crawler import CrawlSnapshot, DHTCrawler
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,28 @@ class TestGraphs:
     def test_in_degree_skewed(self, snapshot):
         ins = list(topology.estimated_in_degrees(snapshot).values())
         assert max(ins) > 2 * topology.percentile(ins, 0.5)
+
+    def test_adjacency_matches_undirected_graph(self, snapshot):
+        adjacency = topology.undirected_adjacency(snapshot)
+        assert adjacency == resilience.adjacency(topology.build_undirected(snapshot))
+
+    def test_adjacency_appends_unobserved_peers_in_edge_order(self, snapshot):
+        observed = list(snapshot.observations)[:3]
+        late, early = list(snapshot.observations)[3:5]
+        partial = CrawlSnapshot(
+            crawl_id=0,
+            started_at=0.0,
+            observations={peer: snapshot.observations[peer] for peer in observed},
+            edges={
+                observed[0]: (early, observed[1]),
+                early: (late, observed[0]),
+                observed[2]: (),
+            },
+        )
+        adjacency = topology.undirected_adjacency(partial)
+        assert adjacency == resilience.adjacency(topology.build_undirected(partial))
+        # observed peers 0..2, then `early` (3) and `late` (4) as first met.
+        assert adjacency == [{1, 3}, {0}, set(), {0, 4}, {3}]
 
     def test_summary_keys(self, snapshot):
         summary = topology.degree_summary(snapshot)
@@ -69,23 +91,24 @@ class TestCDFHelpers:
 
 class TestRemoval:
     def test_random_removal_robust(self, snapshot):
-        graph = topology.build_undirected(snapshot)
+        graph = resilience.adjacency(topology.build_undirected(snapshot))
         trace = resilience.random_removal(graph, random.Random(0))
         # Robust to random failure: high LCC share deep into the removal.
         assert trace.share_at(0.5) > 0.9
 
     def test_targeted_removal_more_effective(self, snapshot):
-        graph = topology.build_undirected(snapshot)
+        graph = resilience.adjacency(topology.build_undirected(snapshot))
         random_trace = resilience.random_removal(graph, random.Random(1))
         targeted_trace = resilience.targeted_removal(graph)
         assert targeted_trace.partition_point() < random_trace.partition_point()
         assert targeted_trace.share_at(0.6) <= random_trace.share_at(0.6)
 
     def test_original_graph_untouched(self, snapshot):
-        graph = topology.build_undirected(snapshot)
-        nodes_before = graph.number_of_nodes()
-        resilience.targeted_removal(graph)
-        assert graph.number_of_nodes() == nodes_before
+        adjacency = topology.undirected_adjacency(snapshot)
+        before = [set(neighbors) for neighbors in adjacency]
+        resilience.targeted_removal(adjacency)
+        resilience.random_removal(adjacency, random.Random(0))
+        assert adjacency == before
 
     def test_trace_share_at_before_first_step(self):
         trace = resilience.RemovalTrace([0.0, 0.5], [1.0, 0.2])
@@ -97,7 +120,7 @@ class TestRemoval:
         assert trace.partition_point() == 1.0
 
     def test_confidence_interval_protocol(self):
-        graph = nx.barabasi_albert_graph(200, 3, seed=5)
+        graph = resilience.adjacency(nx.barabasi_albert_graph(200, 3, seed=5))
         fractions, means, halfwidths = resilience.random_removal_with_ci(
             graph, repetitions=5, rng=random.Random(2)
         )
@@ -107,6 +130,6 @@ class TestRemoval:
 
     def test_star_graph_partition(self):
         """A star fully partitions after one targeted removal."""
-        graph = nx.star_graph(50)
+        graph = resilience.adjacency(nx.star_graph(50))
         trace = resilience.targeted_removal(graph, record_every=1)
         assert trace.lcc_share[1] < 0.05
