@@ -221,13 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="which log type the file holds",
     )
     convert = store_commands.add_parser(
-        "convert", help="convert a log between storage formats"
+        "convert", help="convert a record file between storage formats"
     )
-    convert.add_argument("source", help="existing log file")
-    convert.add_argument("destination", help="target log file (format by suffix)")
+    convert.add_argument("source", help="existing record file")
     convert.add_argument(
-        "--kind", choices=("hydra", "bitswap"), default="hydra",
-        help="which log type the files hold",
+        "destination", help="target record file (format by suffix; replaced)"
     )
 
     crawl = commands.add_parser(
@@ -797,27 +795,26 @@ def _top_snapshot(snapshot, top):
 
 
 def _run_store_command(args) -> int:
-    from repro.store import BITSWAP_CODEC, HYDRA_CODEC, EventLog, open_file_backend
+    from repro.store import BITSWAP_CODEC, HYDRA_CODEC, read_records, write_records
 
-    codec = HYDRA_CODEC if args.kind == "hydra" else BITSWAP_CODEC
-    # Opening a sqlite/jsonl backend creates the file, so a typo'd path
-    # would silently report an empty log; reject missing inputs first.
     source = args.source if args.store_command == "convert" else args.path
     if not Path(source).exists():
         print(f"error: no such log file: {source}", file=sys.stderr)
         return 2
     if args.store_command == "convert":
-        from repro.core.datasets import convert_log
-
-        copied = convert_log(args.source, args.destination, codec)
-        print(f"converted {copied} {args.kind} records -> {args.destination}")
+        if Path(args.source).resolve() == Path(args.destination).resolve():
+            # Replacing the destination would delete the input first.
+            print("error: source and destination are the same file", file=sys.stderr)
+            return 2
+        copied = write_records(read_records(args.source), args.destination)
+        print(f"converted {copied} records -> {args.destination}")
         return 0
 
-    log = EventLog(codec, open_file_backend(args.path))
-    print(f"{args.kind} log at {args.path}: {len(log)} records")
     from repro.core.traffic import summarize
 
-    summary = summarize(log)
+    codec = HYDRA_CODEC if args.kind == "hydra" else BITSWAP_CODEC
+    summary = summarize(map(codec.decode, read_records(args.path)))
+    print(f"{args.kind} log at {args.path}: {summary.total} records")
     print(f"  unique peer IDs: {len(summary.days_by_peer)}")
     print(f"  unique IPs: {len(summary.days_by_ip)}")
     print(f"  unique CIDs: {summary.unique_cids}")

@@ -4,15 +4,17 @@ The paper publishes its processing code and datasets; this module gives
 the reproduction the same property.  Crawl datasets, monitor logs and
 provider observations serialize to line-oriented formats (CSV for the
 tabular crawl rows — the Table 1 shape — and JSONL for the richer
-records) and round-trip back into the analysis-facing types.
+records) and round-trip back into the analysis-facing types.  Every
+JSONL file is written and read through :func:`repro.store.write_records`
+/ :func:`repro.store.read_records`; this module only encodes and
+decodes the records.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, List
 
 from repro.core.counting import CrawlRow
 from repro.core.crawler import CrawlDataset, CrawlObservation, CrawlSnapshot
@@ -23,7 +25,7 @@ from repro.kademlia.messages import MessageEnvelope
 from repro.kademlia.providers import ProviderRecord
 from repro.monitors.bitswap_monitor import BitswapLogEntry
 from repro.monitors.provider_fetcher import ProviderObservation
-from repro.store.codecs import BITSWAP_CODEC, HYDRA_CODEC
+from repro.store import BITSWAP_CODEC, HYDRA_CODEC, read_records, write_records
 
 # ---------------------------------------------------------------------------
 # Crawl datasets (CSV rows + JSONL edges)
@@ -64,53 +66,55 @@ def read_crawl_rows(path) -> List[CrawlRow]:
     return rows
 
 
+def _snapshot_to_json(snapshot: CrawlSnapshot) -> Dict:
+    return {
+        "crawl_id": snapshot.crawl_id,
+        "started_at": snapshot.started_at,
+        "duration": snapshot.duration,
+        "requests_sent": snapshot.requests_sent,
+        "observations": [
+            {
+                "peer": obs.peer.to_base58(),
+                "ips": list(obs.ips),
+                "crawlable": obs.crawlable,
+            }
+            for obs in snapshot.observations.values()
+        ],
+        "edges": {
+            peer.to_base58(): [n.to_base58() for n in neighbors]
+            for peer, neighbors in snapshot.edges.items()
+        },
+    }
+
+
+def _snapshot_from_json(payload: Dict) -> CrawlSnapshot:
+    snapshot = CrawlSnapshot(
+        crawl_id=payload["crawl_id"],
+        started_at=payload["started_at"],
+        duration=payload["duration"],
+        requests_sent=payload["requests_sent"],
+    )
+    for obs in payload["observations"]:
+        peer = PeerID.from_base58(obs["peer"])
+        snapshot.observations[peer] = CrawlObservation(
+            peer=peer, ips=tuple(obs["ips"]), crawlable=obs["crawlable"]
+        )
+    for peer_text, neighbors in payload["edges"].items():
+        snapshot.edges[PeerID.from_base58(peer_text)] = tuple(
+            PeerID.from_base58(n) for n in neighbors
+        )
+    return snapshot
+
+
 def write_crawl_jsonl(dataset: CrawlDataset, path) -> int:
     """Full snapshots (observations + edges) as one JSON object per crawl."""
-    with open(path, "w") as handle:
-        for snapshot in dataset.snapshots:
-            payload = {
-                "crawl_id": snapshot.crawl_id,
-                "started_at": snapshot.started_at,
-                "duration": snapshot.duration,
-                "requests_sent": snapshot.requests_sent,
-                "observations": [
-                    {
-                        "peer": obs.peer.to_base58(),
-                        "ips": list(obs.ips),
-                        "crawlable": obs.crawlable,
-                    }
-                    for obs in snapshot.observations.values()
-                ],
-                "edges": {
-                    peer.to_base58(): [n.to_base58() for n in neighbors]
-                    for peer, neighbors in snapshot.edges.items()
-                },
-            }
-            handle.write(json.dumps(payload) + "\n")
-    return len(dataset.snapshots)
+    return write_records(map(_snapshot_to_json, dataset.snapshots), path)
 
 
 def read_crawl_jsonl(path) -> CrawlDataset:
     dataset = CrawlDataset()
-    with open(path) as handle:
-        for line in handle:
-            payload = json.loads(line)
-            snapshot = CrawlSnapshot(
-                crawl_id=payload["crawl_id"],
-                started_at=payload["started_at"],
-                duration=payload["duration"],
-                requests_sent=payload["requests_sent"],
-            )
-            for obs in payload["observations"]:
-                peer = PeerID.from_base58(obs["peer"])
-                snapshot.observations[peer] = CrawlObservation(
-                    peer=peer, ips=tuple(obs["ips"]), crawlable=obs["crawlable"]
-                )
-            for peer_text, neighbors in payload["edges"].items():
-                snapshot.edges[PeerID.from_base58(peer_text)] = tuple(
-                    PeerID.from_base58(n) for n in neighbors
-                )
-            dataset.add(snapshot)
+    for payload in read_records(path):
+        dataset.add(_snapshot_from_json(payload))
     return dataset
 
 
@@ -119,54 +123,20 @@ def read_crawl_jsonl(path) -> CrawlDataset:
 # ---------------------------------------------------------------------------
 
 
-def _write_log_jsonl(log: Iterable, codec, path) -> int:
-    count = 0
-    with open(path, "w") as handle:
-        for entry in log:
-            handle.write(json.dumps(codec.encode(entry)) + "\n")
-            count += 1
-    return count
-
-
-def _read_log_jsonl(path, codec) -> List:
-    with open(path) as handle:
-        return [codec.decode(json.loads(line)) for line in handle if line.strip()]
-
-
 def write_hydra_jsonl(log: Iterable[MessageEnvelope], path) -> int:
-    return _write_log_jsonl(log, HYDRA_CODEC, path)
+    return write_records(map(HYDRA_CODEC.encode, log), path)
 
 
 def read_hydra_jsonl(path) -> List[MessageEnvelope]:
-    return _read_log_jsonl(path, HYDRA_CODEC)
+    return [HYDRA_CODEC.decode(record) for record in read_records(path)]
 
 
 def write_bitswap_jsonl(log: Iterable[BitswapLogEntry], path) -> int:
-    return _write_log_jsonl(log, BITSWAP_CODEC, path)
+    return write_records(map(BITSWAP_CODEC.encode, log), path)
 
 
 def read_bitswap_jsonl(path) -> List[BitswapLogEntry]:
-    return _read_log_jsonl(path, BITSWAP_CODEC)
-
-
-def convert_log(source_path, destination_path, codec) -> int:
-    """Convert a stored log between backends (by file suffix).
-
-    Streams through the codec, so e.g. a published ``hydra.jsonl`` can be
-    loaded into an indexed ``hydra.sqlite`` (or back) without ever
-    materialising the log in memory.  Returns the records copied.
-    """
-    from repro.store import EventLog, open_file_backend
-
-    source = EventLog(codec, open_file_backend(source_path))
-    destination = EventLog(codec, open_file_backend(destination_path))
-    count = 0
-    for entry in source:
-        destination.append(entry)
-        count += 1
-    destination.close()
-    source.close()
-    return count
+    return [BITSWAP_CODEC.decode(record) for record in read_records(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,51 +161,40 @@ def _record_from_json(cid: CID, payload: Dict) -> ProviderRecord:
     )
 
 
+def _observation_to_json(observation: ProviderObservation) -> Dict:
+    reachable = {record.provider.to_base58() for record in observation.reachable}
+    return {
+        "cid": observation.cid.to_base32(),
+        "collected_at": observation.collected_at,
+        "resolvers_queried": observation.resolvers_queried,
+        "walk_messages": observation.walk_messages,
+        "records": [_record_to_json(r) for r in observation.records],
+        "reachable": sorted(reachable),
+    }
+
+
+def _observation_from_json(payload: Dict) -> ProviderObservation:
+    cid = CID.from_base32(payload["cid"])
+    records = tuple(_record_from_json(cid, r) for r in payload["records"])
+    reachable_set = set(payload["reachable"])
+    return ProviderObservation(
+        cid=cid,
+        collected_at=payload["collected_at"],
+        records=records,
+        reachable=tuple(r for r in records if r.provider.to_base58() in reachable_set),
+        resolvers_queried=payload["resolvers_queried"],
+        walk_messages=payload["walk_messages"],
+    )
+
+
 def write_provider_observations_jsonl(
     observations: Iterable[ProviderObservation], path
 ) -> int:
-    count = 0
-    with open(path, "w") as handle:
-        for observation in observations:
-            reachable = {record.provider.to_base58() for record in observation.reachable}
-            handle.write(
-                json.dumps(
-                    {
-                        "cid": observation.cid.to_base32(),
-                        "collected_at": observation.collected_at,
-                        "resolvers_queried": observation.resolvers_queried,
-                        "walk_messages": observation.walk_messages,
-                        "records": [_record_to_json(r) for r in observation.records],
-                        "reachable": sorted(reachable),
-                    }
-                )
-                + "\n"
-            )
-            count += 1
-    return count
+    return write_records(map(_observation_to_json, observations), path)
 
 
 def read_provider_observations_jsonl(path) -> List[ProviderObservation]:
-    observations: List[ProviderObservation] = []
-    with open(path) as handle:
-        for line in handle:
-            payload = json.loads(line)
-            cid = CID.from_base32(payload["cid"])
-            records = tuple(_record_from_json(cid, r) for r in payload["records"])
-            reachable_set = set(payload["reachable"])
-            observations.append(
-                ProviderObservation(
-                    cid=cid,
-                    collected_at=payload["collected_at"],
-                    records=records,
-                    reachable=tuple(
-                        r for r in records if r.provider.to_base58() in reachable_set
-                    ),
-                    resolvers_queried=payload["resolvers_queried"],
-                    walk_messages=payload["walk_messages"],
-                )
-            )
-    return observations
+    return [_observation_from_json(payload) for payload in read_records(path)]
 
 
 def export_campaign(result, directory) -> Dict[str, int]:

@@ -90,7 +90,7 @@ def run_sweep(
 
     Campaigns are independent by construction (each owns its seeded
     world), so sweep-level parallelism needs no extra seed plumbing.
-    ``storage_spec`` (a :func:`repro.store.open_backend` spec) is rebased
+    ``storage_spec`` (a :func:`repro.store.open_store` spec) is rebased
     into a per-task subdirectory for every campaign so disk-backed
     sweeps never interleave their monitor logs.
     """

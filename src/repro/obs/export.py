@@ -15,6 +15,7 @@ A metrics snapshot travels in three shapes:
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, Iterable, List
 
@@ -25,13 +26,6 @@ Record = Dict[str, object]
 
 #: File suffixes stored as flat JSON rather than a record stream.
 _FLAT_JSON_SUFFIXES = {".json"}
-
-
-def _as_backend(destination):
-    """``destination`` if it is a StorageBackend, else ``None``."""
-    from repro.store.backend import StorageBackend
-
-    return destination if isinstance(destination, StorageBackend) else None
 
 
 def metrics_to_records(snapshot: Dict[str, object]) -> List[Record]:
@@ -86,55 +80,41 @@ def records_to_snapshot(records: Iterable[Record]) -> Dict[str, object]:
     return snapshot
 
 
+def _is_flat_json(location) -> bool:
+    return isinstance(location, (str, os.PathLike)) and (
+        Path(location).suffix.lower() in _FLAT_JSON_SUFFIXES
+    )
+
+
 def write_metrics(snapshot: Dict[str, object], destination) -> int:
     """Persist a snapshot; returns the number of metrics written.
 
     ``destination`` is a :class:`~repro.store.backend.StorageBackend` or
     a path — ``.json`` stores the flat snapshot, ``.jsonl`` / ``.sqlite``
-    / ``.db`` store the record stream through the matching backend
-    (replacing any previous content, not appending to it).
+    / ``.db`` store the record stream through
+    :func:`repro.store.write_records` (replacing any previous content,
+    not appending to it).
     """
     records = metrics_to_records(snapshot)
-    backend = _as_backend(destination)
-    if backend is not None:
-        backend.clear()
-        backend.extend(records)
-        backend.flush()
-        return len(records)
-    path = Path(destination)
-    if path.suffix.lower() in _FLAT_JSON_SUFFIXES:
+    if _is_flat_json(destination):
+        path = Path(destination)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
         return len(records)
-    from repro.store import open_file_backend
+    from repro.store import write_records
 
-    backend = open_file_backend(path)
-    try:
-        backend.clear()
-        backend.extend(records)
-        backend.flush()
-    finally:
-        backend.close()
-    return len(records)
+    return write_records(records, destination)
 
 
 def read_metrics(source) -> Dict[str, object]:
     """Load a snapshot written by :func:`write_metrics`."""
-    backend = _as_backend(source)
-    if backend is not None:
-        return records_to_snapshot(backend.scan())
-    path = Path(source)
-    if path.suffix.lower() in _FLAT_JSON_SUFFIXES:
-        with open(path) as handle:
+    if _is_flat_json(source):
+        with open(source) as handle:
             return json.load(handle)
-    from repro.store import open_file_backend
+    from repro.store import read_records
 
-    backend = open_file_backend(path)
-    try:
-        return records_to_snapshot(backend.scan())
-    finally:
-        backend.close()
+    return records_to_snapshot(read_records(source))
 
 
 # ---------------------------------------------------------------------------

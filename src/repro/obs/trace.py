@@ -463,40 +463,17 @@ def write_trace(records: Iterable[Record], destination) -> int:
     """Persist a trace record stream; returns the record count.
 
     ``destination`` is a :class:`~repro.store.backend.StorageBackend` or
-    a path routed through :func:`repro.store.open_file_backend`
-    (``.trace`` and ``.jsonl`` are JSONL, ``.sqlite`` / ``.db`` SQLite).
-    Any previous content is replaced.
+    a path (``.trace`` and ``.jsonl`` are JSONL, ``.sqlite`` / ``.db``
+    SQLite); see :func:`repro.store.write_records`.  Any previous content
+    is replaced.
     """
-    from repro.store.backend import StorageBackend
+    from repro.store import write_records
 
-    records = list(records)
-    if isinstance(destination, StorageBackend):
-        destination.clear()
-        destination.extend(records)
-        destination.flush()
-        return len(records)
-    from repro.store import open_file_backend
-
-    backend = open_file_backend(destination)
-    try:
-        backend.clear()
-        backend.extend(records)
-        backend.flush()
-    finally:
-        backend.close()
-    return len(records)
+    return write_records(records, destination)
 
 
 def read_trace(source) -> List[Record]:
     """Load a trace record stream written by :func:`write_trace`."""
-    from repro.store.backend import StorageBackend
+    from repro.store import read_records
 
-    if isinstance(source, StorageBackend):
-        return list(source.scan())
-    from repro.store import open_file_backend
-
-    backend = open_file_backend(source)
-    try:
-        return list(backend.scan())
-    finally:
-        backend.close()
+    return list(read_records(source))

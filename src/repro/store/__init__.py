@@ -13,13 +13,24 @@ task rebasing and the CLI)::
 
 ``campaign_stores`` maps one spec onto the per-log backends a
 measurement campaign needs (treating the spec's path as a directory).
+
+Whole record files go through one write path and one read path:
+:func:`write_records` *replaces* a file's (or backend's) contents with a
+record stream, and :func:`read_records` streams them back in append
+order.  A path picks its backend by suffix (:func:`open_file_backend`:
+``.jsonl``/``.trace`` are JSON lines, ``.sqlite``/``.db`` SQLite).
+JSONL files hold one ``json.dumps(record)`` per line; blank lines are
+skipped, and a corrupt line (e.g. a truncated last line left by a crash
+mid-flush) raises ``ValueError`` naming the file and its 1-based line
+number.  The published datasets, trace files, metric streams and
+``repro store convert`` all use these two functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.store.backend import (
     JsonlBackend,
@@ -32,11 +43,9 @@ from repro.store.codecs import (
     ATTACK_CODEC,
     BITSWAP_CODEC,
     HYDRA_CODEC,
-    TRACE_CODEC,
     BitswapEntryCodec,
     GroundTruthCodec,
     HydraMessageCodec,
-    TraceEventCodec,
 )
 from repro.store.eventlog import EventLog
 from repro.store.shard import ShardedBackend
@@ -56,15 +65,13 @@ __all__ = [
     "SqliteBackend",
     "StorageBackend",
     "StorageSpec",
-    "TRACE_CODEC",
-    "TraceEventCodec",
     "campaign_stores",
-    "copy_records",
-    "open_backend",
     "open_file_backend",
     "open_store",
     "parse_spec",
+    "read_records",
     "task_storage_spec",
+    "write_records",
 ]
 
 #: File suffixes understood by path-based auto-detection (``.trace`` is
@@ -175,11 +182,6 @@ def open_store(
     return opener(parsed.path)
 
 
-def open_backend(spec: str) -> StorageBackend:
-    """Build a storage backend from a spec string (see module docs)."""
-    return open_store(parse_spec(spec))
-
-
 def open_file_backend(path) -> StorageBackend:
     """Open an existing log file, picking the backend from its suffix."""
     suffix = Path(path).suffix.lower()
@@ -243,17 +245,46 @@ def campaign_stores(
     }
 
 
-def copy_records(source: StorageBackend, destination: StorageBackend) -> int:
-    """Stream every record from one backend into another; returns count."""
-    copied = 0
-    batch = []
-    for record in source.scan():
-        batch.append(record)
-        copied += 1
-        if len(batch) >= 4096:
-            destination.extend(batch)
-            batch.clear()
-    if batch:
-        destination.extend(batch)
-    destination.flush()
-    return copied
+def write_records(
+    records: Iterable[Record], destination: Union[StorageBackend, str, Path]
+) -> int:
+    """Replace ``destination``'s contents with ``records``; returns the count.
+
+    ``destination`` is a :class:`StorageBackend` or a path (backend by
+    suffix).  A backend opened here is closed again; one passed in is
+    flushed and left open.
+    """
+    if isinstance(destination, StorageBackend):
+        backend = destination
+    else:
+        backend = open_file_backend(destination)
+    try:
+        backend.clear()
+        backend.extend(records)
+        backend.flush()
+        return len(backend)
+    finally:
+        if backend is not destination:
+            backend.close()
+
+
+def read_records(source: Union[StorageBackend, str, Path]) -> Iterator[Record]:
+    """Every record of ``source`` in append order.
+
+    ``source`` is a :class:`StorageBackend` or the path of an existing
+    record file (backend by suffix); a file opened here is closed once
+    the iterator is exhausted.
+    """
+    if isinstance(source, StorageBackend):
+        return iter(source.scan())
+    if not Path(source).exists():
+        # Opening a SQLite backend would create an empty database.
+        raise FileNotFoundError(f"no such record file: {source}")
+    return _scan_and_close(open_file_backend(source))
+
+
+def _scan_and_close(backend: StorageBackend) -> Iterator[Record]:
+    try:
+        yield from backend.scan()
+    finally:
+        backend.close()

@@ -119,7 +119,9 @@ class JsonlBackend(StorageBackend):
 
     Opening an existing file resumes appending to it; the line format is
     exactly what :mod:`repro.core.datasets` publishes, so a campaign's
-    live log *is* its published dataset.
+    live log *is* its published dataset.  Blank lines are skipped (and
+    not counted); a line that is not JSON raises ``ValueError`` naming
+    the file and the line number.
     """
 
     def __init__(self, path, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
@@ -130,7 +132,7 @@ class JsonlBackend(StorageBackend):
         self._count = 0
         if self.path.exists():
             with open(self.path, "rb") as handle:
-                self._count = sum(1 for _ in handle)
+                self._count = sum(1 for line in handle if line.strip())
 
     def append(self, record: Record) -> None:
         self._buffer.append(json.dumps(record))
@@ -138,12 +140,20 @@ class JsonlBackend(StorageBackend):
         if len(self._buffer) >= self.batch_size:
             self.flush()
 
+    def _decode(self, line, number: int) -> Record:
+        try:
+            return json.loads(line)
+        except ValueError as error:
+            raise ValueError(
+                f"{self.path}: line {number} is not a JSON record ({error})"
+            ) from error
+
     def scan(self) -> Iterator[Record]:
         self.flush()
         with open(self.path) as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 if line.strip():
-                    yield json.loads(line)
+                    yield self._decode(line, number)
 
     def scan_reversed(self) -> Iterator[Record]:
         self.flush()
@@ -153,11 +163,11 @@ class JsonlBackend(StorageBackend):
             for line in handle:
                 offsets.append(position)
                 position += len(line)
-            for offset in reversed(offsets):
-                handle.seek(offset)
+            for number in range(len(offsets), 0, -1):
+                handle.seek(offsets[number - 1])
                 line = handle.readline().decode()
                 if line.strip():
-                    yield json.loads(line)
+                    yield self._decode(line, number)
 
     def __len__(self) -> int:
         return self._count
@@ -172,8 +182,7 @@ class JsonlBackend(StorageBackend):
     def clear(self) -> None:
         self._buffer.clear()
         self._count = 0
-        if self.path.exists():
-            self.path.unlink()
+        self.path.write_bytes(b"")
 
 
 class SqliteBackend(StorageBackend):

@@ -92,36 +92,6 @@ class BitswapEntryCodec:
         return event.timestamp
 
 
-class TraceEventCodec:
-    """:class:`~repro.obs.trace.TraceEvent` ↔ the ``.trace`` record shape.
-
-    The record shape is what :func:`repro.obs.trace.event_to_record`
-    writes plus the backends' ``ts`` index key (set to the simulated
-    clock, which keeps windowed queries ``log.window(t0, t1)`` aligned
-    with every other campaign log).  Decoding tolerates records without
-    ``ts``, so an :class:`~repro.store.eventlog.EventLog` built on this
-    codec also reads files produced by
-    :func:`repro.obs.trace.write_trace` (skip the leading ``meta``
-    records when scanning raw backends — the event-log route only ever
-    sees events).
-    """
-
-    def encode(self, event) -> Record:
-        from repro.obs.trace import event_to_record
-
-        record = event_to_record(event)
-        record["ts"] = event.sim_time
-        return record
-
-    def decode(self, record: Record):
-        from repro.obs.trace import record_to_event
-
-        return record_to_event(record)
-
-    def timestamp(self, event) -> float:
-        return event.sim_time
-
-
 class GroundTruthCodec:
     """:class:`~repro.attack.ground_truth.GroundTruthEntry` ↔ ``attack.jsonl``."""
 
@@ -153,5 +123,4 @@ class GroundTruthCodec:
 
 HYDRA_CODEC = HydraMessageCodec()
 BITSWAP_CODEC = BitswapEntryCodec()
-TRACE_CODEC = TraceEventCodec()
 ATTACK_CODEC = GroundTruthCodec()

@@ -1,5 +1,6 @@
 """Dataset export/import round-trips."""
 
+import json
 import random
 
 import pytest
@@ -120,3 +121,70 @@ class TestCampaignExport:
         assert all(count > 0 for count in counts_by_artifact.values())
         assert (tmp_path / "out" / "crawls.csv").exists()
         assert (tmp_path / "out" / "hydra.jsonl").exists()
+
+
+def _oracle_jsonl(payloads):
+    """The JSONL bytes of the original hand-rolled dataset writers."""
+    return "".join(json.dumps(payload) + "\n" for payload in payloads).encode()
+
+
+def _oracle_crawl_payloads(dataset):
+    for snapshot in dataset.snapshots:
+        yield {
+            "crawl_id": snapshot.crawl_id,
+            "started_at": snapshot.started_at,
+            "duration": snapshot.duration,
+            "requests_sent": snapshot.requests_sent,
+            "observations": [
+                {
+                    "peer": obs.peer.to_base58(),
+                    "ips": list(obs.ips),
+                    "crawlable": obs.crawlable,
+                }
+                for obs in snapshot.observations.values()
+            ],
+            "edges": {
+                peer.to_base58(): [n.to_base58() for n in neighbors]
+                for peer, neighbors in snapshot.edges.items()
+            },
+        }
+
+
+def _oracle_provider_payloads(observations):
+    for observation in observations:
+        reachable = {record.provider.to_base58() for record in observation.reachable}
+        yield {
+            "cid": observation.cid.to_base32(),
+            "collected_at": observation.collected_at,
+            "resolvers_queried": observation.resolvers_queried,
+            "walk_messages": observation.walk_messages,
+            "records": [
+                {
+                    "provider": r.provider.to_base58(),
+                    "addrs": [str(addr) for addr in r.addrs],
+                    "published_at": r.published_at,
+                }
+                for r in observation.records
+            ],
+            "reachable": sorted(reachable),
+        }
+
+
+class TestFormatPin:
+    """``export_campaign`` writes exactly the bytes of the original writers."""
+
+    def test_export_bytes_match_original_writers(self, smoke_campaign, tmp_path):
+        from repro.store import BITSWAP_CODEC, HYDRA_CODEC
+
+        out = tmp_path / "out"
+        datasets.export_campaign(smoke_campaign, out)
+        expected = {
+            "hydra.jsonl": map(HYDRA_CODEC.encode, smoke_campaign.hydra.log),
+            "bitswap.jsonl": map(BITSWAP_CODEC.encode, smoke_campaign.bitswap_monitor.log),
+            "crawls.jsonl": _oracle_crawl_payloads(smoke_campaign.crawls),
+            "providers.jsonl": _oracle_provider_payloads(
+                smoke_campaign.provider_observations
+            ),
+        }
+        for name, payloads in expected.items():
+            assert (out / name).read_bytes() == _oracle_jsonl(payloads), name

@@ -18,11 +18,11 @@ from repro.store import (
     SqliteBackend,
     StorageSpec,
     campaign_stores,
-    copy_records,
-    open_backend,
     open_file_backend,
     open_store,
     parse_spec,
+    read_records,
+    write_records,
 )
 
 
@@ -259,15 +259,15 @@ class TestStorageSpec:
 
 class TestFactory:
     def test_memory(self):
-        assert isinstance(open_backend("memory"), MemoryBackend)
+        assert isinstance(open_store("memory"), MemoryBackend)
 
     def test_jsonl_and_sqlite(self, tmp_path):
-        assert isinstance(open_backend(f"jsonl:{tmp_path}/x.jsonl"), JsonlBackend)
-        assert isinstance(open_backend(f"sqlite:{tmp_path}/x.sqlite"), SqliteBackend)
-        assert isinstance(open_backend("sqlite::memory:"), SqliteBackend)
+        assert isinstance(open_store(f"jsonl:{tmp_path}/x.jsonl"), JsonlBackend)
+        assert isinstance(open_store(f"sqlite:{tmp_path}/x.sqlite"), SqliteBackend)
+        assert isinstance(open_store("sqlite::memory:"), SqliteBackend)
 
     def test_sharded(self, tmp_path):
-        backend = open_backend(f"sharded:4:sqlite:{tmp_path}/x.sqlite")
+        backend = open_store(f"sharded:4:sqlite:{tmp_path}/x.sqlite")
         assert isinstance(backend, ShardedBackend)
         assert len(backend.shards) == 4
 
@@ -278,7 +278,7 @@ class TestFactory:
     )
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ValueError):
-            open_backend(spec)
+            open_store(spec)
 
     def test_open_file_backend_by_suffix(self, tmp_path):
         assert isinstance(open_file_backend(tmp_path / "a.jsonl"), JsonlBackend)
@@ -309,20 +309,157 @@ class TestCopyAndConvert:
         source = SqliteBackend(tmp_path / "src.sqlite")
         source.extend([{"ts": float(i), "v": i} for i in range(10)])
         destination = JsonlBackend(tmp_path / "dst.jsonl")
-        assert copy_records(source, destination) == 10
+        assert write_records(read_records(source), destination) == 10
         assert list(destination.scan()) == list(source.scan())
 
     def test_convert_log_between_formats(self, tmp_path):
-        from repro.core.datasets import convert_log, write_hydra_jsonl
+        from repro.core.datasets import write_hydra_jsonl
 
         rng = random.Random(8)
         entries = [make_envelope(rng, float(i)) for i in range(12)]
         jsonl_path = tmp_path / "hydra.jsonl"
         write_hydra_jsonl(entries, jsonl_path)
         sqlite_path = tmp_path / "hydra.sqlite"
-        assert convert_log(jsonl_path, sqlite_path, HYDRA_CODEC) == 12
+        assert write_records(read_records(jsonl_path), sqlite_path) == 12
         reloaded = list(EventLog(HYDRA_CODEC, SqliteBackend(sqlite_path)))
         assert reloaded == entries
+
+
+RECORDS = [{"ts": float(i), "v": i, "tag": f"r{i}"} for i in range(25)]
+
+
+class TestWriteAndReadRecords:
+    @pytest.mark.parametrize(
+        "name", ["out.jsonl", "out.trace", "out.sqlite", "memory", "sharded"]
+    )
+    def test_second_write_replaces(self, tmp_path, name):
+        if name == "memory":
+            destination = MemoryBackend()
+        elif name == "sharded":
+            destination = open_store(f"sharded:3:jsonl:{tmp_path}/x.jsonl")
+        else:
+            destination = tmp_path / name
+        assert write_records(RECORDS, destination) == len(RECORDS)
+        assert write_records(iter(RECORDS), destination) == len(RECORDS)
+        assert list(read_records(destination)) == RECORDS
+
+    def test_empty_write_leaves_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        write_records(RECORDS, path)
+        assert write_records([], path) == 0
+        assert path.read_bytes() == b""
+        assert list(read_records(path)) == []
+
+    @pytest.mark.parametrize(
+        "first, second", [("a.jsonl", "b.sqlite"), ("a.sqlite", "b.jsonl"), ("a.db", "b.trace")]
+    )
+    def test_round_trip_across_formats(self, tmp_path, first, second):
+        write_records(RECORDS, tmp_path / first)
+        write_records(read_records(tmp_path / first), tmp_path / second)
+        assert list(read_records(tmp_path / second)) == RECORDS
+        assert list(read_records(tmp_path / first)) == RECORDS
+
+    def test_backend_passed_in_stays_open(self, tmp_path):
+        backend = SqliteBackend(tmp_path / "x.sqlite")
+        write_records(RECORDS, backend)
+        backend.append({"ts": 99.0})
+        assert len(list(read_records(backend))) == len(RECORDS) + 1
+
+    def test_reader_closes_the_file_it_opened(self, tmp_path, monkeypatch):
+        closed = []
+        original = SqliteBackend.close
+        monkeypatch.setattr(
+            SqliteBackend, "close", lambda self: closed.append(self) or original(self)
+        )
+        path = tmp_path / "x.sqlite"
+        write_records(RECORDS, path)
+        closed.clear()
+        stream = read_records(path)
+        assert next(stream) == RECORDS[0]
+        assert closed == []
+        assert list(stream) == RECORDS[1:]
+        assert len(closed) == 1
+
+    @pytest.mark.parametrize("name", ["missing.jsonl", "missing.sqlite"])
+    def test_missing_source_raises_without_creating_it(self, tmp_path, name):
+        with pytest.raises(FileNotFoundError):
+            read_records(tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+
+class TestJsonlRobustness:
+    def _with_blank_lines(self, tmp_path):
+        from repro.core.datasets import write_hydra_jsonl
+
+        rng = random.Random(12)
+        entries = [make_envelope(rng, float(i)) for i in range(6)]
+        path = tmp_path / "hydra.jsonl"
+        write_hydra_jsonl(entries, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3]) + "\n" + "".join(lines[3:]) + "\n")
+        return entries, path
+
+    def test_blank_lines_neither_counted_nor_yielded(self, tmp_path):
+        entries, path = self._with_blank_lines(tmp_path)
+        log = EventLog(HYDRA_CODEC, JsonlBackend(path))
+        assert len(log) == sum(1 for _ in log) == len(entries)
+        assert list(log) == entries
+        assert list(reversed(log)) == entries[::-1]
+
+    def test_every_dataset_reader_skips_blank_lines(self, tmp_path, smoke_campaign):
+        from repro.core import datasets
+
+        entries, path = self._with_blank_lines(tmp_path)
+        assert datasets.read_hydra_jsonl(path) == entries
+        for write, read, data in (
+            (datasets.write_crawl_jsonl, datasets.read_crawl_jsonl, smoke_campaign.crawls),
+            (
+                datasets.write_provider_observations_jsonl,
+                datasets.read_provider_observations_jsonl,
+                smoke_campaign.provider_observations[:5],
+            ),
+        ):
+            other = tmp_path / "other.jsonl"
+            write(data, other)
+            expected = read(other)
+            other.write_text("\n" + other.read_text() + "\n\n")
+            reloaded = read(other)
+            assert len(reloaded) == len(expected) > 0
+
+    def _truncate_last_line(self, path):
+        text = path.read_text()
+        path.write_text(text[: len(text) - 10])
+        return text.count("\n")
+
+    def test_truncated_trace_names_file_and_line(self, tmp_path):
+        from repro.obs import Tracer, read_trace, write_trace
+
+        tracer = Tracer(origin="crash")
+        for i in range(4):
+            with tracer.span("s", i=i):
+                tracer.event("e")
+        path = tmp_path / "run.trace"
+        write_trace(tracer.records(), path)
+        lines = self._truncate_last_line(path)
+        with pytest.raises(ValueError, match=rf"run\.trace: line {lines} "):
+            read_trace(path)
+
+    def test_truncated_hydra_log_names_file_and_line(self, tmp_path):
+        from repro.core.datasets import read_hydra_jsonl, write_hydra_jsonl
+
+        rng = random.Random(13)
+        path = tmp_path / "hydra.jsonl"
+        write_hydra_jsonl([make_envelope(rng, float(i)) for i in range(9)], path)
+        lines = self._truncate_last_line(path)
+        assert lines == 9
+        pattern = r"hydra\.jsonl: line 9 "
+        with pytest.raises(ValueError, match=pattern):
+            read_hydra_jsonl(path)
+        log = EventLog(HYDRA_CODEC, JsonlBackend(path))
+        with pytest.raises(ValueError, match=pattern):
+            list(log)
+        with pytest.raises(ValueError, match=pattern):
+            list(reversed(log))
 
 
 class TestMonitorsOnDisk:

@@ -13,7 +13,7 @@ from repro.kademlia.messages import TrafficClass
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.report import full_report
 from repro.scenario.run import run_campaign
-from repro.store import EventLog
+from repro.store import EventLog, open_file_backend, write_records
 from repro.world.profiles import WorldProfile
 
 
@@ -137,3 +137,41 @@ class TestOnePassPerLog:
         assert sqlite_result.hydra_summary is sqlite_result.hydra_summary
         assert sqlite_result.bitswap_summary is sqlite_result.bitswap_summary
         assert sqlite_result.crawl_rows is sqlite_result.crawl_rows
+
+
+class TestStoreConvertCli:
+    def test_convert_twice_replaces_destination(self, sqlite_result, tmp_path, capsys):
+        from repro.cli import main
+
+        source = Path(sqlite_result.config.storage.split(":", 1)[1]) / "hydra.sqlite"
+        destination = tmp_path / "hydra.jsonl"
+        for _ in range(2):
+            assert main(["store", "convert", str(source), str(destination)]) == 0
+        expected = len(sqlite_result.hydra.log)
+        assert f"converted {expected} records" in capsys.readouterr().out
+        converted = EventLog(sqlite_result.hydra.log.codec, open_file_backend(destination))
+        assert len(converted) == expected
+        assert converted[:50] == sqlite_result.hydra.log[:50]
+
+    def test_convert_refuses_same_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        write_records([{"ts": 1.0, "v": 1}, {"ts": 2.0, "v": 2}], path)
+        before = path.read_bytes()
+        alias = tmp_path / "sub" / ".." / "trace.jsonl"
+        (tmp_path / "sub").mkdir()
+        assert main(["store", "convert", str(path), str(alias)]) == 2
+        assert "same file" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
+    def test_convert_handles_trace_files(self, tmp_path):
+        from repro.cli import main
+        from repro.obs import Tracer, read_trace, write_trace
+
+        tracer = Tracer(origin="convert")
+        with tracer.span("s"):
+            tracer.event("e")
+        write_trace(tracer.records(), tmp_path / "run.trace")
+        assert main(["store", "convert", str(tmp_path / "run.trace"), str(tmp_path / "run.sqlite")]) == 0
+        assert read_trace(tmp_path / "run.sqlite") == tracer.records()

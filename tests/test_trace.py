@@ -237,22 +237,6 @@ class TestPersistence:
         write_trace(records, backend)
         assert read_trace(backend) == records
 
-    def test_eventlog_round_trip_via_codec(self, tmp_path):
-        from repro.store import TRACE_CODEC, EventLog, open_store
-
-        tracer = Tracer(origin="log", clock=lambda: 42.0)
-        with tracer.span("s"):
-            tracer.event("i")
-        log = EventLog(TRACE_CODEC, open_store(f"jsonl:{tmp_path}/events.jsonl"))
-        for event in tracer.events():
-            log.append(event)
-        log.flush()
-        loaded = list(log)
-        assert [event.name for event in loaded] == ["s", "i", "s"]
-        assert all(event.sim_time == 42.0 for event in loaded)
-        # windowed queries use the sim clock
-        assert len(list(log.window(41.0, 43.0))) == 3
-
 
 class TestChromeTrace:
     def test_export_shape_and_balance(self, tmp_path):
