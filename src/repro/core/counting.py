@@ -15,6 +15,14 @@ property (cloud provider, country).  The paper contrasts:
 
 For the paper's Table 1 example (two crawls, peers ``p1``/``p2``), G-IP
 yields ``DE=2, US=2`` while A-N yields ``DE=0.5, US=1``.
+
+Every function derives one label per distinct IP (a single
+``property_of_ip`` call each) and works on those.  A combiner, which
+folds a peer's labels into one, must depend only on the *multiset* of
+labels, not on their order: :func:`cumulative_ratio_series` feeds a
+peer's G-N labels crawl by crawl, which need not be the row order.
+Both shipped combiners (:func:`majority_vote`,
+:func:`cloud_status_combine`) qualify.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.ids.peerid import PeerID
 
@@ -43,6 +51,8 @@ class CountingMethod(enum.Enum):
 
 
 PropertyFn = Callable[[str], str]
+# A peer's labels → its single label.  Must depend only on the multiset
+# of labels (see the module docstring).
 CombineFn = Callable[[Sequence[str]], str]
 
 
@@ -60,6 +70,15 @@ def make_rows(observations: Iterable[Tuple[int, PeerID, str]]) -> List[CrawlRow]
     return [CrawlRow(crawl_id, peer, ip) for crawl_id, peer, ip in observations]
 
 
+def _ip_labels(rows: Sequence[CrawlRow], property_of_ip: PropertyFn) -> Dict[str, str]:
+    """Each distinct IP's label, in first-seen order; one lookup per IP."""
+    labels: Dict[str, str] = {}
+    for row in rows:
+        if row.ip not in labels:
+            labels[row.ip] = property_of_ip(row.ip)
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # The three methodologies
 # ---------------------------------------------------------------------------
@@ -67,11 +86,7 @@ def make_rows(observations: Iterable[Tuple[int, PeerID, str]]) -> List[CrawlRow]
 
 def g_ip_counts(rows: Sequence[CrawlRow], property_of_ip: PropertyFn) -> Dict[str, float]:
     """Unique IPs over the whole dataset, attributed individually."""
-    seen_ips: Dict[str, str] = {}
-    for row in rows:
-        if row.ip not in seen_ips:
-            seen_ips[row.ip] = property_of_ip(row.ip)
-    counts: Counter = Counter(seen_ips.values())
+    counts: Counter = Counter(_ip_labels(rows, property_of_ip).values())
     return {label: float(count) for label, count in counts.items()}
 
 
@@ -81,6 +96,7 @@ def g_n_counts(
     combine: CombineFn = majority_vote,
 ) -> Dict[str, float]:
     """Unique peers over the whole dataset, one label each."""
+    label_of = _ip_labels(rows, property_of_ip)
     labels_by_peer: Dict[PeerID, List[str]] = defaultdict(list)
     seen: set = set()
     for row in rows:
@@ -88,7 +104,7 @@ def g_n_counts(
         if key in seen:
             continue
         seen.add(key)
-        labels_by_peer[row.peer].append(property_of_ip(row.ip))
+        labels_by_peer[row.peer].append(label_of[row.ip])
     counts: Counter = Counter(combine(labels) for labels in labels_by_peer.values())
     return {label: float(count) for label, count in counts.items()}
 
@@ -104,9 +120,10 @@ def a_n_counts(
     ``num_crawls`` defaults to the number of distinct crawl IDs present;
     pass it explicitly when some crawls contain no rows.
     """
+    label_of = _ip_labels(rows, property_of_ip)
     by_crawl: Dict[int, Dict[PeerID, List[str]]] = defaultdict(lambda: defaultdict(list))
     for row in rows:
-        by_crawl[row.crawl_id][row.peer].append(property_of_ip(row.ip))
+        by_crawl[row.crawl_id][row.peer].append(label_of[row.ip])
     crawls = num_crawls if num_crawls is not None else len(by_crawl)
     if crawls == 0:
         return {}
@@ -173,14 +190,86 @@ def cumulative_ratio_series(
     """``(k, ratio)`` using only the first ``k`` crawls, for each ``k``.
 
     Under G-IP the ratio drifts as rotating-IP churners accumulate; under
-    A-N it stays flat (paper Fig. 4).
+    A-N it stays flat (paper Fig. 4).  Equal to :func:`counts` on each
+    crawl-id prefix, but computed in one forward pass over the crawls
+    with integer tallies, so the cost is O(rows), not O(crawls · rows).
+    A missing or zero denominator gives ``inf``.
     """
-    crawl_ids = sorted({row.crawl_id for row in rows})
+    label_of = _ip_labels(rows, property_of_ip)
+    rows_by_crawl: Dict[int, List[CrawlRow]] = defaultdict(list)
+    for row in rows:
+        rows_by_crawl[row.crawl_id].append(row)
+    crawls = [rows_by_crawl[crawl_id] for crawl_id in sorted(rows_by_crawl)]
+    if method is CountingMethod.G_IP:
+        tallies = _g_ip_prefix_tallies(crawls, label_of)
+    elif method is CountingMethod.G_N:
+        tallies = _g_n_prefix_tallies(crawls, label_of, combine)
+    else:
+        tallies = _a_n_prefix_tallies(crawls, label_of, combine)
     series: List[Tuple[int, float]] = []
-    for index, last_crawl in enumerate(crawl_ids, start=1):
-        subset = [row for row in rows if row.crawl_id <= last_crawl]
-        result = counts(subset, property_of_ip, method, combine, num_crawls=index)
-        denominator = result.get(denominator_label, 0.0)
-        numerator = result.get(numerator_label, 0.0)
-        series.append((index, numerator / denominator if denominator else float("inf")))
+    for k, tally in enumerate(tallies, start=1):
+        numerator, denominator = tally[numerator_label], tally[denominator_label]
+        if not denominator:
+            ratio = float("inf")
+        elif method is CountingMethod.A_N:
+            ratio = (numerator / k) / (denominator / k)
+        else:
+            ratio = float(numerator) / float(denominator)
+        series.append((k, ratio))
     return series
+
+
+# Each generator yields, after every crawl, the integer label tally of the
+# crawls so far (the same Counter object, updated in place).
+
+
+def _g_ip_prefix_tallies(
+    crawls: List[List[CrawlRow]], label_of: Dict[str, str]
+) -> Iterator[Counter]:
+    """Unique IPs: each IP's label counts once, in its first crawl."""
+    tally: Counter = Counter()
+    seen: Set[str] = set()
+    for crawl in crawls:
+        for row in crawl:
+            if row.ip not in seen:
+                seen.add(row.ip)
+                tally[label_of[row.ip]] += 1
+        yield tally
+
+
+def _g_n_prefix_tallies(
+    crawls: List[List[CrawlRow]], label_of: Dict[str, str], combine: CombineFn
+) -> Iterator[Counter]:
+    """Unique peers: only peers that gained an IP in a crawl are
+    re-combined, moving their count from the old label to the new."""
+    tally: Counter = Counter()
+    seen: Set[Tuple[PeerID, str]] = set()
+    labels_by_peer: Dict[PeerID, List[str]] = defaultdict(list)
+    label_by_peer: Dict[PeerID, str] = {}
+    for crawl in crawls:
+        changed: Dict[PeerID, None] = {}
+        for row in crawl:
+            key = (row.peer, row.ip)
+            if key not in seen:
+                seen.add(key)
+                labels_by_peer[row.peer].append(label_of[row.ip])
+                changed[row.peer] = None
+        for peer in changed:
+            if peer in label_by_peer:
+                tally[label_by_peer[peer]] -= 1
+            new = label_by_peer[peer] = combine(labels_by_peer[peer])
+            tally[new] += 1
+        yield tally
+
+
+def _a_n_prefix_tallies(
+    crawls: List[List[CrawlRow]], label_of: Dict[str, str], combine: CombineFn
+) -> Iterator[Counter]:
+    """Per-crawl peer labels, summed; the caller divides by ``k``."""
+    tally: Counter = Counter()
+    for crawl in crawls:
+        labels_by_peer: Dict[PeerID, List[str]] = defaultdict(list)
+        for row in crawl:
+            labels_by_peer[row.peer].append(label_of[row.ip])
+        tally.update(combine(labels) for labels in labels_by_peer.values())
+        yield tally

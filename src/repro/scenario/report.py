@@ -36,16 +36,20 @@ def _top(shares: Dict[str, float], n: int = 5) -> List[Tuple[str, float]]:
 
 def crawl_stats_report(result: CampaignResult) -> Dict[str, float]:
     crawls = result.crawls
+    discovered = crawls.avg_discovered()
+    crawlable = crawls.avg_crawlable()
+    peer_ids = crawls.unique_peer_ids()
+    ips = crawls.unique_ips()
     return {
         "num_crawls": float(len(crawls)),
-        "avg_discovered": crawls.avg_discovered(),
-        "avg_crawlable": crawls.avg_crawlable(),
-        "crawlable_fraction": crawls.avg_crawlable() / max(crawls.avg_discovered(), 1.0),
-        "unique_peer_ids": float(crawls.unique_peer_ids()),
-        "unique_ips": float(crawls.unique_ips()),
+        "avg_discovered": discovered,
+        "avg_crawlable": crawlable,
+        "crawlable_fraction": crawlable / max(discovered, 1.0),
+        "unique_peer_ids": float(peer_ids),
+        "unique_ips": float(ips),
         "ips_per_peer": crawls.avg_ips_per_peer(),
-        "peer_turnover": crawls.unique_peer_ids() / max(crawls.avg_discovered(), 1.0),
-        "ip_turnover": crawls.unique_ips() / max(crawls.avg_discovered(), 1.0),
+        "peer_turnover": peer_ids / max(discovered, 1.0),
+        "ip_turnover": ips / max(discovered, 1.0),
     }
 
 
