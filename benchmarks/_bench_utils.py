@@ -1,6 +1,6 @@
 """Formatting and measurement helpers for the benchmarks.
 
-Besides the measured-vs-paper table used by the figure benchmarks, this
+Besides the measured-vs-paper table used by the ablation benchmarks, this
 module provides the machinery of the perf-regression harness
 (``bench_core_hotpaths.py``): best-of-N timing, a hardware calibration
 loop, a machine-readable JSON writer and a baseline comparator.

@@ -9,7 +9,7 @@ and the top-provider ranking barely move across a 4× size sweep.
 from repro.scenario import report as R
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
-from repro.world.profiles import WorldProfile
+from repro.world.profiles import PAPER, WorldProfile
 
 from _bench_utils import show
 
@@ -49,8 +49,8 @@ def test_ablation_scale_invariance(benchmark):
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     rows = []
     for servers in SIZES:
-        rows.append((f"A-N cloud share @ n={servers}", results[servers]["cloud"], 0.796))
-        rows.append((f"choopa share @ n={servers}", results[servers]["choopa"], 0.293))
+        rows.append((f"A-N cloud share @ n={servers}", results[servers]["cloud"], PAPER.an_cloud_share))
+        rows.append((f"choopa share @ n={servers}", results[servers]["choopa"], PAPER.an_choopa_share))
     show("Ablation — scale invariance (crawl-only campaigns)", rows)
     cloud_shares = [results[s]["cloud"] for s in SIZES]
     choopa_shares = [results[s]["choopa"] for s in SIZES]

@@ -1,4 +1,4 @@
-"""Shared campaigns for the figure benchmarks.
+"""Shared campaigns for the benchmarks.
 
 Two expensive artifacts are built once per session:
 
@@ -8,8 +8,8 @@ Two expensive artifacts are built once per session:
   design (38 days, 101 crawls) for the counting-methodology figures,
   whose G-IP numbers are horizon-dependent.
 
-Every benchmark prints a measured-vs-paper table; the paper targets come
-from :data:`repro.world.profiles.PAPER`.
+``bench_fidelity.py`` holds both to the paper-fidelity table
+(:mod:`repro.scenario.fidelity`).
 """
 
 from __future__ import annotations
@@ -18,31 +18,13 @@ import pytest
 
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
-from repro.world.profiles import PAPER, WorldProfile
-
-#: Network size for the main bench campaign.  Shares are approximately
-#: scale-invariant; raise this (e.g. via ScenarioConfig.paper_scale) for
-#: a closer but much slower reproduction.
-BENCH_SERVERS = 1500
-BENCH_DAYS = 6
 
 
 @pytest.fixture(scope="session")
 def campaign():
-    config = ScenarioConfig(
-        profile=WorldProfile(online_servers=BENCH_SERVERS),
-        days=BENCH_DAYS,
-        daily_cid_sample=300,
-        provider_fetch_days=5,
-    )
-    return run_campaign(config)
+    return run_campaign(ScenarioConfig.bench())
 
 
 @pytest.fixture(scope="session")
 def horizon_campaign():
     return run_campaign(ScenarioConfig.paper_horizon(700))
-
-
-@pytest.fixture()
-def paper():
-    return PAPER

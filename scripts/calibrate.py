@@ -1,89 +1,38 @@
-"""Calibration harness: run a campaign and print measured-vs-paper.
+"""Calibration harness: run a campaign and print the paper-fidelity scorecard.
+
+The campaign is ``ScenarioConfig.bench()`` resized to ``servers`` and
+``days``; the scorecard shows every bench row of
+:mod:`repro.scenario.fidelity` with its measured value, bound and paper
+value.
 
 Usage: python scripts/calibrate.py [servers] [days]
 """
 
+import dataclasses
 import sys
 import time
 
-from repro import ScenarioConfig, PAPER, run_campaign
-from repro.scenario import report as R
-from repro.world.profiles import WorldProfile
-
-
-def fmt(d, k=6):
-    items = sorted(d.items(), key=lambda kv: -kv[1])[:k]
-    return {a: round(b, 3) for a, b in items}
+from repro import ScenarioConfig, run_campaign
+from repro.scenario.fidelity import BENCH, render, score
 
 
 def main() -> None:
     servers = int(sys.argv[1]) if len(sys.argv) > 1 else 1200
     days = int(sys.argv[2]) if len(sys.argv) > 2 else 6
-    cfg = ScenarioConfig(
-        profile=WorldProfile(online_servers=servers),
+    cfg = dataclasses.replace(
+        ScenarioConfig.bench().scaled(servers),
         days=days,
-        daily_cid_sample=300,
         provider_fetch_days=min(days - 1, 5),
     )
     t0 = time.time()
     res = run_campaign(cfg)
     print(f"campaign: {time.time()-t0:.1f}s")
     t0 = time.time()
-    rep = R.full_report(res, resilience_reps=3)
-    print(f"report: {time.time()-t0:.1f}s")
-
-    cs = rep["crawl_stats"]
-    print("\n== S3 crawl stats")
-    print(f"  discovered/crawl {cs['avg_discovered']:.0f}  crawlable {cs['crawlable_fraction']:.2f} (paper 0.70)")
-    print(f"  ips/peer {cs['ips_per_peer']:.2f} (paper 1.82)  peer_turnover {cs['peer_turnover']:.2f} (paper 2.09@38d)  ip_turnover {cs['ip_turnover']:.2f} (paper 3.34@38d)")
-    f3 = rep["fig3"]
-    print("== F3 cloud status")
-    print(f"  A-N  {fmt(f3['A-N'])} (paper cloud .796 noncloud .186)")
-    print(f"  G-IP {fmt(f3['G-IP'])} (paper cloud .399 noncloud .601)")
-    f4 = rep["fig4"]
-    an = [r for _, r in f4["A-N"]]
-    gip = [r for _, r in f4["G-IP"]]
-    print(f"== F4 ratio series A-N first/last {an[0]:.2f}/{an[-1]:.2f}  G-IP first/last {gip[0]:.2f}/{gip[-1]:.2f} (G-IP should fall)")
-    f5 = rep["fig5"]
-    print(f"== F5 A-N {fmt(f5['A-N'])}")
-    print(f"  choopa {f5['an_choopa']:.3f} (paper .293)  top3 {f5['an_top3_share']:.3f} (paper .519)  gip_choopa {f5['gip_choopa']:.3f} (paper .138)")
-    f6 = rep["fig6"]
-    print(f"== F6 A-N {fmt(f6['A-N'])} non-top10 {f6['an_non_top10']:.3f} (paper US .474 DE .137 KR .052 / .133)")
-    print(f"   G-IP {fmt(f6['G-IP'])} non-top10 {f6['gip_non_top10']:.3f} (paper US .330 CN .111 DE .080 / .229)")
-    f7 = rep["fig7"]
-    print(f"== F7 out mean {f7['out_mean']:.0f} band [{f7['out_p10']:.0f},{f7['out_p90']:.0f}] in p50/p90/max {f7['in_median']:.0f}/{f7['in_p90']:.0f}/{f7['in_max']:.0f}")
-    f8 = rep["fig8"]
-    print(f"== F8 random lcc@90% {f8['random_lcc_at_90pct']:.3f} (paper .96)  targeted partition @ {f8['targeted_partition_point']:.2f} (paper .60)")
-    s5 = rep["sec5"]
-    print(f"== S5 msgs {s5['total_messages']:.0f} dl {s5['download_share']:.2f} (.57) adv {s5['advertisement_share']:.2f} (.40) other {s5['other_share']:.3f} (.03)")
-    f10 = rep["fig10"]
-    print(f"== F10 dht top5% {f10['dht_top5pct_share']:.2f} (.97) gw_dht {f10['dht_gateway_share']:.3f} (.01) bs top5% {f10['bitswap_top5pct_share']:.2f} gw_bs {f10['bitswap_gateway_share']:.2f} (.18)")
-    f11 = rep["fig11"]
-    print(f"== F11 dht top5% {f11['dht_top5pct_share']:.2f} (.94) cloud_dht {f11['dht_cloud_share']:.2f} (.85) cloud_bs {f11['bitswap_cloud_share']:.2f} (.42)")
-    f12 = rep["fig12"]
-    print(f"== F12 ip-count cloud {f12['overall_cloud_by_ip_count']:.2f} (.35) dl {f12['download_cloud_by_ip_count']:.2f} (.45) adv {f12['advert_cloud_by_ip_count']:.2f} (.34)")
-    print(f"   volume cloud {f12['overall_cloud_by_volume']:.2f} (.93) dl {f12['download_cloud_by_volume']:.2f} (.98) aws_dl {f12['aws_download_by_volume']:.2f} (.68)")
-    f13 = rep["fig13"]
-    print(f"== F13 dht_all {fmt(f13['dht_all'])}")
-    print(f"   dl {fmt(f13['dht_download'])}")
-    print(f"   adv {fmt(f13['dht_advertisement'])}")
-    print(f"   bs {fmt(f13['bitswap'])}")
-    print(f"   (paper: hydra .35 of all, .50 of dl; web3/nft dominate adv; ipfs-bank dominates bs)")
-    f14 = rep["fig14"]
-    print(f"== F14 {fmt(f14['class_shares'])} (paper nat .356 cloud .45 noncloud .18 hybrid .006)")
-    print(f"   relay cloud {f14['relay_cloud_share']:.2f} (.80)  n={f14['total_providers']}")
-    f15 = rep["fig15"]
-    print(f"== F15 top1% {f15['top1pct_record_share']:.2f} (.90) shares {fmt(f15['record_shares_by_class'])} (paper cloud .70 nat .08 noncloud .22)")
-    f16 = rep["fig16"]
-    print(f"== F16 >=1cloud {f16['at_least_one_cloud']:.2f} (.95) >=half {f16['majority_cloud']:.2f} (.91) cloud-only {f16['cloud_only']:.2f} (.23) n={f16['total_cids']}")
-    f17 = rep["fig17"]
-    print(f"== F17 cloudflare {f17['cloudflare_share']:.2f} (.50) noncloud {f17['noncloud_share']:.2f} (.20) gw-ip overlap {f17['public_gateway_ip_share']:.2f} (.21)")
-    f18 = rep["fig18_19"]
-    print(f"== F18/19 frontends {fmt(f18['frontend_provider_shares'],4)} overlay {fmt(f18['overlay_provider_shares'],4)}")
-    print(f"   geo frontends {fmt(f18['frontend_country_shares'],4)} overlay {fmt(f18['overlay_country_shares'],4)}")
-    print(f"   endpoints {f18['num_functional_endpoints']}/{f18['num_listed_endpoints']} (22/83) overlay ids {f18['num_overlay_ids']} (119)")
-    f20 = rep["fig20"]
-    print(f"== F20 cloud {f20['cloud_share']:.2f} (.82) US+DE {f20['us_de_share']:.2f} (.60) records {f20['num_provider_records']}")
+    scores = score(res, BENCH)
+    print(f"report: {time.time()-t0:.1f}s\n")
+    print(render(scores))
+    misses = [entry.row.id for entry in scores if not entry.passed]
+    print(f"\n{len(scores) - len(misses)}/{len(scores)} rows hold; misses: {misses or 'none'}")
 
 
 if __name__ == "__main__":

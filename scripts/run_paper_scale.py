@@ -1,9 +1,12 @@
 """Run the full paper-scale campaign (≈25.8 k servers, 38 days, 101 crawls).
 
 This is the heavyweight reproduction: expect hours of CPU and multiple
-gigabytes of RAM.  The default bench scale (see benchmarks/conftest.py)
-reproduces every share-level result in minutes; run this only to verify
-absolute counts at the paper's dimensions.
+gigabytes of RAM.  The bench scale (``ScenarioConfig.bench()``, held to
+the paper-fidelity table by benchmarks/bench_fidelity.py) reproduces
+every share-level result in minutes; run this only to verify absolute
+counts at the paper's dimensions.  The run ends with the scorecard of
+every row of the table (both campaigns' rows, since this one campaign
+has the traffic and the 101 crawls).
 
 ``--workers N`` fans the 101 DHT crawls out over N worker processes
 (see repro.exec); the datasets are bit-identical at any worker count.
@@ -18,6 +21,7 @@ from pathlib import Path
 
 from repro.core.datasets import export_campaign
 from repro.scenario.config import ScenarioConfig
+from repro.scenario.fidelity import BENCH, HORIZON, render, score
 from repro.scenario.run import run_campaign
 from repro.scenario.report import full_report
 
@@ -60,6 +64,7 @@ def main() -> None:
         json.dump(report, handle, default=default, indent=2)
     counts = export_campaign(result, out_dir / "datasets")
     print(f"report and datasets written to {out_dir}: {counts}")
+    print(render(score(result, BENCH, HORIZON)))
 
 
 if __name__ == "__main__":

@@ -154,6 +154,17 @@ class ScenarioConfig:
         )
 
     @classmethod
+    def bench(cls) -> "ScenarioConfig":
+        """The bench-scale campaign (1,500 servers, 6 days) the paper
+        fidelity table is held to (see :mod:`repro.scenario.fidelity`)."""
+        return cls(
+            profile=WorldProfile(online_servers=1500),
+            days=6,
+            daily_cid_sample=300,
+            provider_fetch_days=5,
+        )
+
+    @classmethod
     def paper_horizon(cls, online_servers: int = 700) -> "ScenarioConfig":
         """The paper's *temporal* design — 38 days, 101 crawls — at a
         reduced network size.  Crawl-only (no traffic), so the

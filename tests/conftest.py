@@ -58,6 +58,13 @@ def smoke_campaign():
     return run_campaign(ScenarioConfig.smoke())
 
 
+@pytest.fixture(scope="session")
+def horizon_campaign():
+    """The paper's temporal design (38 days, 101 crawls, crawl-only) at
+    150 servers (built once)."""
+    return run_campaign(ScenarioConfig.paper_horizon(150))
+
+
 def _attack_scenario_config(
     servers: int = 250,
     workers: int = 1,
