@@ -45,7 +45,6 @@ from _bench_utils import BenchReport, best_of, compare_to_baseline
 
 from repro.ids.peerid import PeerID
 from repro.kademlia.lookup import iterative_find_node
-from repro.kademlia.messages import PeerInfo
 from repro.netsim.network import Overlay
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
@@ -86,54 +85,55 @@ def reference_oracle_closest(overlay: Overlay, target: int, count: int) -> List[
 
 
 class ReferenceWalk:
-    """The pre-index ``_Walk``: full re-sort of the known pool per round."""
+    """The pre-index ``_Walk``: full re-sort of the known pool per round
+    (peers are DHT keys, as in the live walk)."""
 
-    def __init__(self, target_key: int, start: Sequence[PeerInfo], k: int, alpha: int) -> None:
+    def __init__(self, target_key: int, start: Sequence[int], k: int, alpha: int) -> None:
         self.target_key = target_key
         self.k = k
         self.alpha = alpha
-        self.known: Dict[PeerID, PeerInfo] = {}
-        self.queried: Set[PeerID] = set()
-        self.failed: Set[PeerID] = set()
-        self.contacted: List[PeerID] = []
+        self.known: Dict[int, None] = {}
+        self.queried: Set[int] = set()
+        self.failed: Set[int] = set()
+        self.contacted: List[int] = []
         self.messages = 0
-        for info in start:
-            self.known.setdefault(info.peer, info)
+        for key in start:
+            self.known.setdefault(key, None)
 
-    def candidates(self) -> List[PeerInfo]:
-        pool = [info for peer, info in self.known.items() if peer not in self.failed]
-        pool.sort(key=lambda info: info.peer.dht_key ^ self.target_key)
+    def candidates(self) -> List[int]:
+        pool = [key for key in self.known if key not in self.failed]
+        pool.sort(key=lambda key: key ^ self.target_key)
         return pool
 
-    def next_batch(self) -> List[PeerInfo]:
-        frontier = [
-            info for info in self.candidates()[: self.k] if info.peer not in self.queried
-        ]
+    def next_batch(self) -> List[int]:
+        frontier = [key for key in self.candidates()[: self.k] if key not in self.queried]
         return frontier[: self.alpha]
 
-    def absorb(self, closer_peers: Sequence[PeerInfo]) -> None:
-        for info in closer_peers:
-            self.known.setdefault(info.peer, info)
+    def absorb(self, closer_peers: Sequence[int]) -> None:
+        for key in closer_peers:
+            self.known.setdefault(key, None)
 
-    def closest_live(self) -> List[PeerInfo]:
-        live = [info for info in self.candidates() if info.peer in self.queried]
+    def closest_live(self) -> List[int]:
+        live = [key for key in self.candidates() if key in self.queried]
         return live[: self.k]
 
 
 def reference_find_node_query(overlay: Overlay, timeout: float = 180.0):
     """The pre-index FIND_NODE handler: full XOR sort of the whole
     routing table per query (today's handler answers via the sorted key
-    index; see ``RoutingTable.closest``)."""
+    index; see ``RoutingTable.closest_keys``)."""
+    by_key = {node.peer.dht_key: node.peer for node in overlay.online_servers()}
 
-    def query(peer, target_key):
-        node = overlay.dial(peer, timeout)
+    def query(key, target_key):
+        peer = by_key.get(key)
+        node = overlay.dial(peer, timeout) if peer is not None else None
         if node is None:
             return None
         table = node.routing_table
         if table is None:
             return []
-        peers = sorted(table.peers(), key=lambda p: p.dht_key ^ target_key)
-        return overlay.peer_infos(peers[: overlay.k])
+        keys = sorted((p.dht_key for p in table.peers()), key=lambda k: k ^ target_key)
+        return keys[: overlay.k]
 
     return query
 
@@ -144,16 +144,16 @@ def reference_find_node(target_key, start, query, k=20, alpha=3, max_queries=500
         batch = walk.next_batch()
         if not batch:
             break
-        for info in batch:
+        for key in batch:
             if walk.messages >= max_queries:
                 break
-            walk.queried.add(info.peer)
+            walk.queried.add(key)
             walk.messages += 1
-            response = query(info.peer, target_key)
+            response = query(key, target_key)
             if response is None:
-                walk.failed.add(info.peer)
+                walk.failed.add(key)
                 continue
-            walk.contacted.append(info.peer)
+            walk.contacted.append(key)
             walk.absorb(response)
     return walk
 
@@ -199,7 +199,7 @@ def bench_lookup_walk(report: BenchReport, overlay: Overlay, walks: int = 300) -
     for _ in range(walks):
         origin = rng.choice(servers)
         target = rng.getrandbits(256)
-        start = overlay.peer_infos(origin.routing_table.closest(target, overlay.k))
+        start = origin.routing_table.closest_keys(target, overlay.k)
         jobs.append((target, start))
 
     # Result equality on a sample of walks (queries are read-only and
@@ -208,9 +208,7 @@ def bench_lookup_walk(report: BenchReport, overlay: Overlay, walks: int = 300) -
     for target, start in jobs[:50]:
         new = iterative_find_node(target, start, query, k=overlay.k)
         old = reference_find_node(target, start, reference_query, k=overlay.k)
-        assert [info.peer for info in new.closest] == [
-            info.peer for info in old.closest_live()
-        ], "frontier walk diverged from the full-sort walk"
+        assert new.closest == old.closest_live(), "frontier walk diverged from the full-sort walk"
         assert new.contacted == old.contacted and new.messages == old.messages
 
     # New stack (frontier walk + indexed FIND_NODE handlers) vs the

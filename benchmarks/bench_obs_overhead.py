@@ -110,7 +110,7 @@ def bench_lookup_walks(report: BenchReport, overlay: Overlay, walks: int = 200) 
     for _ in range(walks):
         origin = rng.choice(servers)
         target = rng.getrandbits(256)
-        start = overlay.peer_infos(origin.routing_table.closest(target, overlay.k))
+        start = origin.routing_table.closest_keys(target, overlay.k)
         jobs.append((target, start))
 
     def run_walks():

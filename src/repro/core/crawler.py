@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.seeds import derive_seed
-from repro.ids.keys import KEY_BITS, random_key_in_bucket
+from repro.ids.keys import KEY_BITS, random_key_in_bucket, select_closest
 from repro.ids.peerid import PeerID
 from repro.netsim.network import Overlay
 from repro.obs import observer as obs
@@ -262,6 +262,9 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
     """
     rng = random.Random(task.seed)
     keys = task.dht_keys
+    index_of_key = {key: index for index, key in enumerate(keys)}
+    if len(index_of_key) != len(keys):
+        raise ValueError("DHT key collision between interned peers")
     pool = (
         task.stable_pool
         if len(task.stable_pool) >= task.bootstrap_size
@@ -295,13 +298,16 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
                 continue
             responsive_work += server[1]
             own_key = keys[index]
-            table = task.tables.get(index, ())
+            # Sorted once per peer; each bucket's FIND_NODE answer is then
+            # an aligned-prefix slice, in the same XOR order a full sort
+            # gives (keys are unique), so ``neighbors`` fills identically.
+            table_keys = sorted(map(keys.__getitem__, task.tables.get(index, ())))
             neighbors: Set[int] = set()
             previous_size = -1
             for bucket_idx in range(min(depth, KEY_BITS)):
                 crafted = random_key_in_bucket(own_key, bucket_idx, rng)
-                for neighbor in sorted(table, key=lambda t: keys[t] ^ crafted)[: task.k]:
-                    neighbors.add(neighbor)
+                closest = select_closest(table_keys, crafted, task.k)
+                neighbors.update(map(index_of_key.__getitem__, closest))
                 if len(neighbors) == previous_size and bucket_idx > depth - 4:
                     break
                 previous_size = len(neighbors)

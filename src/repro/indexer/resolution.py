@@ -63,7 +63,7 @@ class CombinedResolver:
     def _dht_resolve(self, cid: CID):
         servers = self.overlay.online_servers()
         start = [
-            node.peer_info()
+            node.peer.dht_key
             for node in self.rng.sample(servers, min(self.bootstrap_size, len(servers)))
         ]
         result = iterative_find_providers(

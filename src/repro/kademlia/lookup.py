@@ -14,7 +14,9 @@ provider records — is exposed via ``exhaustive=True``.
 
 Lookups are transport-agnostic: the caller supplies query callables, which
 the simulator (or a test double) implements.  A callable returning ``None``
-models an unreachable peer.
+models an unreachable peer.  Peers travel as their DHT keys: a key names
+one peer (keys are SHA-256 digests), so the walk needs no peer objects,
+and a caller that wants them maps keys back through its own index.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ids.cid import CID
-from repro.ids.peerid import PeerID
-from repro.kademlia.messages import PeerInfo
 from repro.kademlia.providers import ProviderRecord
 from repro.obs import observer as obs
 
@@ -36,15 +36,18 @@ DEFAULT_K = 20
 #: Lookup concurrency (peers queried per round).
 DEFAULT_ALPHA = 3
 
-FindNodeQuery = Callable[[PeerID, int], Optional[Sequence[PeerInfo]]]
+#: ``(peer key, target key) -> closer peer keys``, or ``None`` when the
+#: peer does not answer.
+FindNodeQuery = Callable[[int, int], Optional[Sequence[int]]]
+#: ``(peer key, cid) -> (provider records, closer peer keys)`` or ``None``.
 GetProvidersQuery = Callable[
-    [PeerID, CID], Optional[Tuple[Sequence[ProviderRecord], Sequence[PeerInfo]]]
+    [int, CID], Optional[Tuple[Sequence[ProviderRecord], Sequence[int]]]
 ]
 
 
 @dataclass
 class LookupResult:
-    """Outcome of a ``GetClosestPeers`` walk.
+    """Outcome of a ``GetClosestPeers`` walk; peers are DHT keys.
 
     :ivar closest: up to ``k`` reachable peers closest to the target.
     :ivar contacted: peers successfully queried, in query order.
@@ -52,9 +55,9 @@ class LookupResult:
     :ivar messages: number of requests sent (the traffic the walk created).
     """
 
-    closest: List[PeerInfo] = field(default_factory=list)
-    contacted: List[PeerID] = field(default_factory=list)
-    failed: Set[PeerID] = field(default_factory=set)
+    closest: List[int] = field(default_factory=list)
+    contacted: List[int] = field(default_factory=list)
+    failed: Set[int] = field(default_factory=set)
     messages: int = 0
 
 
@@ -63,37 +66,30 @@ class ProviderLookupResult(LookupResult):
     """Outcome of a ``FindProviders`` walk: walk stats plus the records."""
 
     providers: List[ProviderRecord] = field(default_factory=list)
-    resolvers_queried: List[PeerID] = field(default_factory=list)
+    resolvers_queried: List[int] = field(default_factory=list)
 
 
 class _Walk:
     """Shared machinery of the iterative walks.
 
-    The frontier is an *incremental* sorted structure: each absorbed peer
-    has its XOR distance to the target computed exactly once and is
-    inserted into a distance-ordered list, instead of re-sorting every
-    known peer on every round.  Ties on distance are impossible for
-    distinct DHT keys, and equal-distance duplicates are broken by
-    absorption order via a per-peer sequence number — exactly the order a
-    stable full sort over the insertion-ordered pool would produce.
+    The frontier is the ascending list of XOR distances to the target of
+    every known, live-so-far peer.  XOR with the target is a bijection,
+    so a distance names its peer (``distance ^ target`` is the key) and
+    the list needs no payload or tie-breaker; each absorbed key is
+    XOR-ed once and bisected in, instead of re-sorting every known peer
+    on every round.
     """
 
-    def __init__(self, target_key: int, start: Sequence[PeerInfo], k: int, alpha: int) -> None:
+    def __init__(self, target_key: int, start: Sequence[int], k: int, alpha: int) -> None:
         self.target_key = target_key
         self.k = k
         self.alpha = alpha
-        self.known: Dict[PeerID, PeerInfo] = {}
-        self.queried: Set[PeerID] = set()
-        self.failed: Set[PeerID] = set()
-        self.contacted: List[PeerID] = []
+        self.known: Set[int] = set()
+        self.queried: Set[int] = set()
+        self.failed: Set[int] = set()
+        self.contacted: List[int] = []
         self.messages = 0
-        #: (distance, seq, info) for every known, live-so-far peer, in
-        #: ascending distance order; ``seq`` is unique so ``info`` never
-        #: gets compared.
-        self._frontier: List[Tuple[int, int, PeerInfo]] = []
-        #: peer -> its frontier item, for removal on failure.
-        self._entries: Dict[PeerID, Tuple[int, int, PeerInfo]] = {}
-        self._seq = 0
+        self._frontier: List[int] = []
         #: Smallest XOR distance over every peer *ever* absorbed — unlike
         #: the frontier head it never moves away from the target when the
         #: closest peer fails, making it the monotone progress measure
@@ -101,69 +97,55 @@ class _Walk:
         self.best_distance: Optional[int] = None
         self.absorb(start)
 
-    def _distance(self, peer: PeerID) -> int:
-        return peer.dht_key ^ self.target_key
-
-    def candidates(self) -> List[PeerInfo]:
-        """Known, live-so-far peers ordered by distance to the target."""
-        return [info for _, _, info in self._frontier]
-
-    def next_batch(self) -> List[PeerInfo]:
+    def next_batch(self) -> List[int]:
         """Up to ``alpha`` unqueried peers among the ``k`` closest known.
 
         Empty when the ``k`` closest known live peers have all been
         queried — the walk's termination condition.
         """
         queried = self.queried
+        target_key = self.target_key
         batch = []
-        for _, _, info in self._frontier[: self.k]:
-            if info.peer not in queried:
-                batch.append(info)
+        for distance in self._frontier[: self.k]:
+            key = distance ^ target_key
+            if key not in queried:
+                batch.append(key)
                 if len(batch) >= self.alpha:
                     break
         return batch
 
-    def absorb(self, closer_peers: Sequence[PeerInfo]) -> None:
+    def absorb(self, closer_peers: Sequence[int]) -> None:
         known = self.known
-        entries = self._entries
         frontier = self._frontier
         target_key = self.target_key
-        seq = self._seq
         best = self.best_distance
-        for info in closer_peers:
-            peer = info.peer
-            if peer in known:
+        for key in closer_peers:
+            if key in known:
                 continue
-            known[peer] = info
-            distance = peer.dht_key ^ target_key
-            item = (distance, seq, info)
-            seq += 1
-            entries[peer] = item
-            insort(frontier, item)
+            known.add(key)
+            distance = key ^ target_key
+            insort(frontier, distance)
             if best is None or distance < best:
                 best = distance
-        self._seq = seq
         self.best_distance = best
 
-    def mark_failed(self, peer: PeerID) -> None:
+    def mark_failed(self, key: int) -> None:
         """Record a non-responding peer and drop it from the frontier."""
-        self.failed.add(peer)
-        item = self._entries.pop(peer, None)
-        if item is None:
-            return
-        # ``(distance, seq)`` is unique, so bisect lands exactly on the
-        # item without ever comparing the PeerInfo payloads.
-        position = bisect_left(self._frontier, item)
-        if position < len(self._frontier) and self._frontier[position] is item:
+        self.failed.add(key)
+        distance = key ^ self.target_key
+        position = bisect_left(self._frontier, distance)
+        if position < len(self._frontier) and self._frontier[position] == distance:
             del self._frontier[position]
 
-    def closest_live(self) -> List[PeerInfo]:
+    def closest_live(self) -> List[int]:
         """The ``k`` closest peers that answered a query."""
         queried = self.queried
+        target_key = self.target_key
         live = []
-        for _, _, info in self._frontier:
-            if info.peer in queried:
-                live.append(info)
+        for distance in self._frontier:
+            key = distance ^ target_key
+            if key in queried:
+                live.append(key)
                 if len(live) >= self.k:
                     break
         return live
@@ -171,7 +153,7 @@ class _Walk:
 
 def iterative_find_node(
     target_key: int,
-    start: Sequence[PeerInfo],
+    start: Sequence[int],
     query: FindNodeQuery,
     k: int = DEFAULT_K,
     alpha: int = DEFAULT_ALPHA,
@@ -180,8 +162,9 @@ def iterative_find_node(
     """Run a ``GetClosestPeers(target_key)`` walk.
 
     :param target_key: DHT key being walked towards.
-    :param start: initial candidates (typically from the local table).
-    :param query: ``(peer, target_key) -> closer peers or None``.
+    :param start: keys of the initial candidates (typically from the
+        local table).
+    :param query: ``(peer key, target_key) -> closer peer keys or None``.
     :param max_queries: safety valve against pathological topologies.
     """
     walk = _Walk(target_key, start, k, alpha)
@@ -202,16 +185,16 @@ def iterative_find_node(
                     best=walk.best_distance,
                 )
             rounds += 1
-            for info in batch:
+            for key in batch:
                 if walk.messages >= max_queries:
                     break
-                walk.queried.add(info.peer)
+                walk.queried.add(key)
                 walk.messages += 1
-                response = query(info.peer, target_key)
+                response = query(key, target_key)
                 if response is None:
-                    walk.mark_failed(info.peer)
+                    walk.mark_failed(key)
                     continue
-                walk.contacted.append(info.peer)
+                walk.contacted.append(key)
                 walk.absorb(response)
         if tracer.enabled:
             lookup_span.note(
@@ -234,7 +217,7 @@ def iterative_find_node(
 
 def iterative_find_providers(
     cid: CID,
-    start: Sequence[PeerInfo],
+    start: Sequence[int],
     query: GetProvidersQuery,
     k: int = DEFAULT_K,
     alpha: int = DEFAULT_ALPHA,
@@ -252,7 +235,8 @@ def iterative_find_providers(
     """
     target_key = cid.dht_key
     walk = _Walk(target_key, start, k, alpha)
-    providers: Dict[PeerID, ProviderRecord] = {}
+    #: first record per provider, keyed by the provider's DHT key.
+    providers: Dict[int, ProviderRecord] = {}
     tracer = obs.get_tracer()
     rounds = 0
     with tracer.span("lookup.find_providers") as lookup_span:
@@ -272,19 +256,19 @@ def iterative_find_providers(
                     best=walk.best_distance,
                 )
             rounds += 1
-            for info in batch:
+            for key in batch:
                 if walk.messages >= max_queries:
                     break
-                walk.queried.add(info.peer)
+                walk.queried.add(key)
                 walk.messages += 1
-                response = query(info.peer, cid)
+                response = query(key, cid)
                 if response is None:
-                    walk.mark_failed(info.peer)
+                    walk.mark_failed(key)
                     continue
-                walk.contacted.append(info.peer)
+                walk.contacted.append(key)
                 records, closer_peers = response
                 for record in records:
-                    providers.setdefault(record.provider, record)
+                    providers.setdefault(record.provider.dht_key, record)
                 walk.absorb(closer_peers)
                 if not exhaustive and len(providers) >= max_providers:
                     break
@@ -307,11 +291,12 @@ def iterative_find_providers(
     obs.inc("lookup.failed_peers", len(walk.failed))
     obs.inc("lookup.provider_records", len(providers))
     obs.observe("lookup.walk_messages", walk.messages)
+    closest = walk.closest_live()
     return ProviderLookupResult(
-        closest=walk.closest_live(),
+        closest=closest,
         contacted=walk.contacted,
         failed=walk.failed,
         messages=walk.messages,
         providers=list(providers.values()),
-        resolvers_queried=[info.peer for info in walk.closest_live()],
+        resolvers_queried=list(closest),
     )

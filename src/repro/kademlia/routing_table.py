@@ -169,6 +169,13 @@ class RoutingTable:
         by_key = self._peer_by_key
         return [by_key[k] for k in select_closest(self._sorted_keys, key, count)]
 
+    def closest_keys(self, key: int, count: int) -> List[int]:
+        """:meth:`closest` as DHT keys — the FIND_NODE answer the
+        key-based lookup walks consume, with no peer objects built."""
+        if self._key_collision:
+            return [peer.dht_key for peer in self.closest(key, count)]
+        return select_closest(self._sorted_keys, key, count)
+
     def fullness(self) -> Dict[int, int]:
         """Occupancy per bucket index — useful to verify the trie shape."""
         return {index: len(bucket) for index, bucket in self._buckets.items() if len(bucket) > 0}

@@ -54,12 +54,13 @@ class ProviderRecordFetcher:
         self.exhaustive = exhaustive
         self.observations: List[ProviderObservation] = []
 
-    def _start_peers(self):
+    def _start_peers(self) -> List[int]:
+        """DHT keys of a random sample of online servers (the walk's seed)."""
         servers = self.overlay.online_servers()
         if not servers:
             return []
         sample = self.rng.sample(servers, min(self.bootstrap_size, len(servers)))
-        return [node.peer_info() for node in sample]
+        return [node.peer.dht_key for node in sample]
 
     def fetch(self, cid: CID) -> ProviderObservation:
         """Collect all provider records for ``cid`` and verify reachability."""

@@ -164,9 +164,10 @@ class Overlay:
         self._relay_capable: Dict[int, bool] = {}
 
         # -- incremental indexes (registration order) ----------------------
-        #: online DHT servers / NAT clients, each a subsequence of
-        #: ``online_by_peer`` insertion order.
-        self._online_servers: Dict[PeerID, Node] = {}
+        #: online DHT servers (by DHT key, which the oracle keeps unique
+        #: among them — the lookup walks dial by key) / NAT clients, each
+        #: a subsequence of ``online_by_peer`` insertion order.
+        self._online_servers: Dict[int, Node] = {}
         self._online_clients: Dict[PeerID, Node] = {}
         #: monotonic per-session sequence number of every online server —
         #: the sort key that keeps ``_relay_known`` in registration order.
@@ -196,11 +197,6 @@ class Overlay:
         self._watch_index: Dict[int, Dict[int, Set[Node]]] = {}
         self._node_watches: Dict[Node, List[Tuple[int, int]]] = {}
         self._refresh_depth = self._expected_depth()
-
-        #: one-slot resolver cache, valid for a single oracle generation —
-        #: a FindProviders walk asks for the same CID's resolvers ~k times
-        #: with no membership change in between.
-        self._resolver_cache: Optional[Tuple[int, CID, List[PeerID]]] = None
 
     # ------------------------------------------------------------------
     # clock helpers
@@ -281,7 +277,7 @@ class Overlay:
         seq = self._session_counter
         self._session_counter += 1
         self._server_seq[node.peer] = seq
-        self._online_servers[node.peer] = node
+        self._online_servers[node.peer.dht_key] = node
         capable = self._relay_capable.get(node.spec.index)
         if capable is None:
             self._relay_unsampled[node.peer] = (seq, node)
@@ -294,7 +290,7 @@ class Overlay:
     def _unregister_server(self, node: Node) -> None:
         self.oracle.remove(node.peer)
         seq = self._server_seq.pop(node.peer, None)
-        self._online_servers.pop(node.peer, None)
+        self._online_servers.pop(node.peer.dht_key, None)
         self._relay_unsampled.pop(node.peer, None)
         if seq is not None and self._relay_capable.get(node.spec.index):
             position = bisect_left(self._relay_known, (seq,))
@@ -798,24 +794,9 @@ class Overlay:
         (stale peers keep their final announcement)."""
         return self._last_infos.get(peer)
 
-    def peer_infos(self, peers: List[PeerID]) -> List[PeerInfo]:
-        """Last-announced PeerInfo for each peer (stale peers included —
-        their old addresses are what the DHT still hands out)."""
-        get = self._last_infos.get
-        infos = [get(peer) for peer in peers]
-        for position, info in enumerate(infos):
-            if info is None:
-                infos[position] = PeerInfo(peer=peers[position], addrs=())
-        return infos
-
     def dial(self, peer: PeerID, timeout: float = 180.0) -> Optional[Node]:
         """Attempt to connect to a peer; None models a failed/timed-out dial."""
-        node = self.online_by_peer.get(peer)
-        if node is None or not node.is_dht_server:
-            return None
-        if not node.reachable or node.response_latency > timeout:
-            return None
-        return node
+        return self._dial_key(peer.dht_key, timeout)
 
     def _trace_message(self, kind: str, node: Optional[Node]) -> None:
         """Emit the per-message trace event (caller guards on ``enabled``).
@@ -832,54 +813,74 @@ class Overlay:
                 "msg.query", kind=kind, ok=True, sent=now, recv=now + node.response_latency
             )
 
-    def find_node_query(self, timeout: float = 180.0):
-        """A :func:`repro.kademlia.lookup` query callable over this overlay."""
+    def _dial_key(self, key: int, timeout: float) -> Optional[Node]:
+        """:meth:`dial` by DHT key: the online DHT server holding ``key``,
+        if it answers within ``timeout`` (stale keys dial nobody)."""
+        node = self._online_servers.get(key)
+        if node is None or not node.reachable or node.response_latency > timeout:
+            return None
+        return node
 
-        def query(peer: PeerID, target_key: int):
-            node = self.dial(peer, timeout)
+    def find_node_query(self, timeout: float = 180.0):
+        """A :func:`repro.kademlia.lookup` FIND_NODE callable over this
+        overlay: dials by key and answers from the responder's sorted
+        routing-table keys (stale entries included — they are what the
+        DHT still hands out)."""
+        dial = self._dial_key
+        k = self.k
+
+        def query(key: int, target_key: int):
+            node = dial(key, timeout)
             if obs.get_tracer().enabled:
                 self._trace_message("find_node", node)
             if node is None:
                 return None
-            return node.handle_find_node(target_key, self.k)
+            table = node.routing_table
+            return table.closest_keys(target_key, k) if table is not None else []
 
         return query
 
     def get_providers_query(self, timeout: float = 180.0):
-        def query(peer: PeerID, cid: CID):
-            node = self.dial(peer, timeout)
+        """A :func:`repro.kademlia.lookup` GET_PROVIDERS callable: closer
+        peers as in :meth:`find_node_query`, plus the CID's records when
+        the responder is one of its resolvers (the ``k`` closest online
+        servers).  The resolver key set is built on a walk's first answer
+        and kept while the CID and the oracle membership stay the same."""
+        dial = self._dial_key
+        k = self.k
+        oracle = self.oracle
+        #: (cid, oracle generation, resolver keys) of the walk in progress.
+        resolvers = (None, -1, frozenset())
+
+        def query(key: int, cid: CID):
+            nonlocal resolvers
+            node = dial(key, timeout)
             if obs.get_tracer().enabled:
                 self._trace_message("get_providers", node)
             if node is None:
                 return None
-            return node.handle_get_providers(cid, self.k)
+            target_key = cid.dht_key
+            resolver_cid, generation, members = resolvers
+            if resolver_cid is not cid or generation != oracle.generation:
+                members = frozenset(oracle.closest_keys(target_key, k))
+                resolvers = (cid, oracle.generation, members)
+            records = self.providers.get(cid, self.now) if key in members else []
+            table = node.routing_table
+            closer = table.closest_keys(target_key, k) if table is not None else []
+            return records, closer
 
         return query
 
     def provider_records_at(self, node: Node, cid: CID) -> List[ProviderRecord]:
         """Records ``node`` would return for ``cid`` — only resolvers
         (the k closest servers to the CID) hold them."""
-        if node.peer is None:
-            return []
-        resolvers = self.resolvers_for(cid)
-        if node.peer not in resolvers:
+        if node.peer is None or node.peer not in self.resolvers_for(cid):
             return []
         return self.providers.get(cid, self.now)
 
     def resolvers_for(self, cid: CID) -> List[PeerID]:
-        cache = self._resolver_cache
-        generation = self.oracle.generation
-        if cache is not None and cache[0] == generation and cache[1] == cid:
-            obs.inc("netsim.resolver_cache_hits")
-            if obs.get_tracer().enabled:
-                obs.trace_event("resolver.cache", hit=True)
-            return cache[2]
-        obs.inc("netsim.resolver_cache_misses")
-        if obs.get_tracer().enabled:
-            obs.trace_event("resolver.cache", hit=False)
-        resolvers = self.oracle.closest(cid.dht_key, self.k)
-        self._resolver_cache = (generation, cid, resolvers)
-        return resolvers
+        """The CID's resolvers: the ``k`` online servers closest to it."""
+        return self.oracle.closest(cid.dht_key, self.k)
 
     # ------------------------------------------------------------------
     # in-degree (public surface over the holder book-keeping)

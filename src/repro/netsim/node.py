@@ -218,22 +218,6 @@ class Node:
             raise ValueError("node has no peer ID (offline?)")
         return PeerInfo(peer=self.peer, addrs=tuple(self.multiaddrs()))
 
-    # -- DHT server handlers --------------------------------------------------
-
-    def handle_find_node(self, target_key: int, k: int = 20) -> List[PeerInfo]:
-        """FIND_NODE: the k closest peers to ``target_key`` in our table."""
-        if self.routing_table is None:
-            return []
-        peers = self.routing_table.closest(target_key, k)
-        return self.overlay.peer_infos(peers)
-
-    def handle_get_providers(self, cid, k: int = 20):
-        """GET_PROVIDERS: provider records if we are a resolver for the CID,
-        plus closer peers from our table."""
-        records = self.overlay.provider_records_at(self, cid)
-        closer = self.handle_find_node(cid.dht_key, k)
-        return records, closer
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "online" if self.online else "offline"
         return f"<Node #{self.spec.index} {self.spec.node_class.value} {state}>"

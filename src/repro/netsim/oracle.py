@@ -124,6 +124,10 @@ class KeyspaceOracle:
         by_key = self._by_key
         return [by_key[key] for key in select_closest(self._keys, target, count)]
 
+    def closest_keys(self, target: int, count: int) -> List[int]:
+        """:meth:`closest` as DHT keys."""
+        return select_closest(self._keys, target, count)
+
     def range_bounds(self, prefix: int, prefix_len: int) -> Tuple[int, int]:
         """Index bounds ``[low, high)`` of the keys sharing ``prefix``."""
         if prefix_len <= 0:

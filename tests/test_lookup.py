@@ -10,19 +10,19 @@ from repro.kademlia.lookup import (
     iterative_find_node,
     iterative_find_providers,
 )
-from repro.kademlia.messages import PeerInfo
 from repro.kademlia.providers import ProviderRecord, ProviderStore
 from repro.kademlia.routing_table import RoutingTable
 from repro.ids.multiaddr import Multiaddr
 
 
 class MiniDHT:
-    """A fully wired static network of routing tables."""
+    """A fully wired static network of routing tables, queried by DHT key."""
 
     def __init__(self, size=120, seed=0, k=20):
         self.rng = random.Random(seed)
         self.k = k
         self.peers = [PeerID.generate(self.rng) for _ in range(size)]
+        self.by_key = {peer.dht_key: peer for peer in self.peers}
         self.tables = {}
         self.stores = {peer: ProviderStore() for peer in self.peers}
         self.unreachable = set()
@@ -33,18 +33,25 @@ class MiniDHT:
             self.tables[peer] = table
 
     def info(self, peer):
-        return PeerInfo(peer=peer, addrs=(Multiaddr.direct("10.0.0.1", 4001, peer),))
+        """What a walk is seeded with: the peer's DHT key."""
+        return peer.dht_key
 
-    def find_node_query(self, peer, target_key):
+    def peers_of(self, keys):
+        """Map a walk's result keys back to peers."""
+        return [self.by_key[key] for key in keys]
+
+    def find_node_query(self, key, target_key):
+        peer = self.by_key[key]
         if peer in self.unreachable:
             return None
-        return [self.info(p) for p in self.tables[peer].closest(target_key, self.k)]
+        return self.tables[peer].closest_keys(target_key, self.k)
 
-    def get_providers_query(self, peer, cid):
+    def get_providers_query(self, key, cid):
+        peer = self.by_key[key]
         if peer in self.unreachable:
             return None
         records = self.stores[peer].get(cid, now=0.0)
-        closer = [self.info(p) for p in self.tables[peer].closest(cid.dht_key, self.k)]
+        closer = self.tables[peer].closest_keys(cid.dht_key, self.k)
         return records, closer
 
     def resolvers(self, cid):
@@ -73,7 +80,7 @@ class TestFindNode:
         start = [dht.info(p) for p in dht.peers[:3]]
         result = iterative_find_node(target, start, dht.find_node_query)
         expected = sorted(dht.peers, key=lambda p: p.dht_key ^ target)[:20]
-        assert [info.peer for info in result.closest] == expected
+        assert dht.peers_of(result.closest) == expected
 
     def test_converges_with_few_messages(self, dht):
         target = random.Random(43).getrandbits(256)
@@ -89,10 +96,10 @@ class TestFindNode:
         try:
             start = [dht.info(p) for p in dht.peers[:3]]
             result = iterative_find_node(target, start, dht.find_node_query)
-            assert result.failed <= dead
-            assert all(peer not in dead for peer in result.contacted)
+            assert set(dht.peers_of(result.failed)) <= dead
+            assert all(peer not in dead for peer in dht.peers_of(result.contacted))
             # Live closest only.
-            assert all(info.peer not in dead for info in result.closest)
+            assert all(peer not in dead for peer in dht.peers_of(result.closest))
         finally:
             dht.unreachable = set()
 

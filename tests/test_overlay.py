@@ -108,7 +108,7 @@ class TestJoinLeave:
         assert node.peer == peer
         assert node.ips != ips
         # Announced addresses follow.
-        info = overlay.peer_infos([peer])[0]
+        info = overlay.last_info(peer)
         assert {addr.ip for addr in info.addrs} == {node.primary_ip_str} | {
             addr.ip for addr in info.addrs
         }
@@ -126,12 +126,13 @@ class TestQueries:
         assert overlay.dial(node.peer, timeout=node.response_latency + 1) is node
         assert overlay.dial(node.peer, timeout=node.response_latency / 2) is None
 
-    def test_find_node_query_returns_peer_infos(self, overlay):
+    def test_find_node_query_returns_keys(self, overlay):
         node = next(n for n in overlay.online_servers() if n.reachable)
         query = overlay.find_node_query(timeout=1e9)
-        result = query(node.peer, node.peer.dht_key)
+        result = query(node.peer.dht_key, node.peer.dht_key)
         assert result is not None
-        assert all(info.addrs for info in result if info.peer in overlay.online_by_peer)
+        infos = [overlay.last_info(node.routing_table._peer_by_key[key]) for key in result]
+        assert all(info.addrs for info in infos if info.peer in overlay.online_by_peer)
 
 
 class TestProviders:

@@ -12,7 +12,6 @@ from repro.ids.multiaddr import Multiaddr
 from repro.ids.peerid import PeerID
 from repro.ipns.records import IPNSKeyPair, IPNSRecord
 from repro.kademlia.lookup import iterative_find_node
-from repro.kademlia.messages import PeerInfo
 from repro.kademlia.providers import ProviderRecord
 from repro.kademlia.routing_table import RoutingTable
 from repro.netsim.network import ProviderRegistry
@@ -130,7 +129,7 @@ class TestSelectClosestProperties:
 class _ReferenceWalk:
     """The pre-frontier ``_Walk``: full re-sort of the known pool on every
     ``next_batch``/``closest_live`` (oracle implementation for the
-    equivalence property below)."""
+    equivalence property below).  Peers are DHT keys."""
 
     def __init__(self, target_key, start, k, alpha):
         self.target_key = target_key
@@ -141,26 +140,24 @@ class _ReferenceWalk:
         self.failed = set()
         self.contacted = []
         self.messages = 0
-        for info in start:
-            self.known.setdefault(info.peer, info)
+        for key in start:
+            self.known.setdefault(key, None)
 
     def candidates(self):
-        pool = [info for peer, info in self.known.items() if peer not in self.failed]
-        pool.sort(key=lambda info: info.peer.dht_key ^ self.target_key)
+        pool = [key for key in self.known if key not in self.failed]
+        pool.sort(key=lambda key: key ^ self.target_key)
         return pool
 
     def next_batch(self):
-        frontier = [
-            info for info in self.candidates()[: self.k] if info.peer not in self.queried
-        ]
+        frontier = [key for key in self.candidates()[: self.k] if key not in self.queried]
         return frontier[: self.alpha]
 
     def absorb(self, closer_peers):
-        for info in closer_peers:
-            self.known.setdefault(info.peer, info)
+        for key in closer_peers:
+            self.known.setdefault(key, None)
 
     def closest_live(self):
-        return [info for info in self.candidates() if info.peer in self.queried][: self.k]
+        return [key for key in self.candidates() if key in self.queried][: self.k]
 
 
 def _reference_find_node(target_key, start, query, k, alpha, max_queries=500):
@@ -169,16 +166,16 @@ def _reference_find_node(target_key, start, query, k, alpha, max_queries=500):
         batch = walk.next_batch()
         if not batch:
             break
-        for info in batch:
+        for key in batch:
             if walk.messages >= max_queries:
                 break
-            walk.queried.add(info.peer)
+            walk.queried.add(key)
             walk.messages += 1
-            response = query(info.peer, target_key)
+            response = query(key, target_key)
             if response is None:
-                walk.failed.add(info.peer)
+                walk.failed.add(key)
                 continue
-            walk.contacted.append(info.peer)
+            walk.contacted.append(key)
             walk.absorb(response)
     return walk
 
@@ -195,30 +192,23 @@ class TestLookupWalkProperties:
         same closest set (in order), contacts (in order), failures and
         message count."""
         rng = random.Random(seed)
-        peers = [peer_from_tag(rng.getrandbits(128) + 1) for _ in range(population)]
-        infos = {peer: PeerInfo(peer=peer, addrs=()) for peer in peers}
-        unreachable = {peer for peer in peers if rng.random() < 0.25}
+        keys = [peer_from_tag(rng.getrandbits(128) + 1).dht_key for _ in range(population)]
+        unreachable = {key for key in keys if rng.random() < 0.25}
         neighbors = {
-            peer: [
-                infos[other]
-                for other in rng.sample(peers, rng.randint(1, min(len(peers), 12)))
-            ]
-            for peer in peers
+            key: rng.sample(keys, rng.randint(1, min(len(keys), 12))) for key in keys
         }
         target = rng.getrandbits(256)
 
-        def query(peer, target_key):
+        def query(key, target_key):
             assert target_key == target
-            if peer in unreachable:
+            if key in unreachable:
                 return None
-            return neighbors[peer]
+            return neighbors[key]
 
-        start = [infos[peer] for peer in rng.sample(peers, min(len(peers), 3))]
+        start = rng.sample(keys, min(len(keys), 3))
         new = iterative_find_node(target, start, query, k=k, alpha=alpha)
         old = _reference_find_node(target, start, query, k=k, alpha=alpha)
-        assert [info.peer for info in new.closest] == [
-            info.peer for info in old.closest_live()
-        ]
+        assert new.closest == old.closest_live()
         assert new.contacted == old.contacted
         assert new.failed == old.failed
         assert new.messages == old.messages
