@@ -132,7 +132,7 @@ def reference_find_node_query(overlay: Overlay, timeout: float = 180.0):
         table = node.routing_table
         if table is None:
             return []
-        keys = sorted((p.dht_key for p in table.peers()), key=lambda k: k ^ target_key)
+        keys = sorted(table.keys(), key=lambda k: k ^ target_key)
         return keys[: overlay.k]
 
     return query

@@ -198,34 +198,28 @@ def freeze_crawl_task(
     Pure read — the overlay is not mutated and no shared RNG is drawn,
     so freezing is insensitive to how many crawls ran before.
     """
-    index_of: Dict[PeerID, int] = {}
-    peers: List[PeerID] = []
-
-    def intern(peer: PeerID) -> int:
-        index = index_of.get(peer)
-        if index is None:
-            index = len(peers)
-            index_of[peer] = index
-            peers.append(peer)
-        return index
-
+    # Peers are interned by DHT key, in first-seen order: each online
+    # server, then the entries of its table (stale ones included).
+    index_of: Dict[int, int] = {}
     servers: Dict[int, Tuple[bool, float]] = {}
     tables: Dict[int, Tuple[int, ...]] = {}
     stable_pool: List[int] = []
     server_pool: List[int] = []
     for node in overlay.online_servers():
-        index = intern(node.peer)
+        index = index_of.setdefault(node.peer.dht_key, len(index_of))
         server_pool.append(index)
         if node.spec.platform is not None:
             stable_pool.append(index)
         servers[index] = (node.reachable, node.response_latency)
         table = node.routing_table
-        tables[index] = (
-            tuple(intern(peer) for peer in table.peers()) if table is not None else ()
-        )
+        table_keys = table.keys() if table is not None else ()
+        for key in table_keys:
+            if key not in index_of:
+                index_of[key] = len(index_of)
+        tables[index] = tuple(map(index_of.__getitem__, table_keys))
 
-    # ``peers`` keeps growing while tables intern stale entries, so the
-    # address pass runs over the final interning.
+    keys = list(index_of)
+    peers = [overlay.peer_of(key) for key in keys]
     ips: List[Tuple[str, ...]] = []
     for peer in peers:
         info = overlay.last_info(peer)
@@ -245,7 +239,7 @@ def freeze_crawl_task(
         k=overlay.k,
         oracle_size=len(overlay.oracle),
         peer_digests=tuple(peer.digest for peer in peers),
-        dht_keys=tuple(peer.dht_key for peer in peers),
+        dht_keys=tuple(keys),
         ips=tuple(ips),
         servers=servers,
         tables=tables,

@@ -6,179 +6,182 @@ a fixed capacity of ``k`` connections, which generally leads to the first,
 furthest buckets being filled completely, whereas buckets closer to ``a_n``
 tend to contain fewer and fewer connections (paper §3).  Only peers
 providing DHT *server* functionality are stored in the buckets.
+
+Entries are DHT keys (a server's key is unique to its peer ID): every
+maintenance path — joins, refreshes, evictions, self-insertion — runs on
+plain ints, and the overlay maps a key back to its peer ID only where an
+observer sees peer IDs (crawl snapshots, in-degrees).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, List, Optional
 
-from repro.ids.keys import KEY_BITS, bucket_index, select_closest
-from repro.ids.peerid import PeerID
+from repro.ids.keys import KEY_BITS, select_closest
 
 DEFAULT_BUCKET_SIZE = 20
 
 
-@dataclass
-class KBucket:
-    """A single k-bucket: an ordered set of peers, least-recently seen first.
+class KBucket(dict):
+    """A single k-bucket: an ordered set of DHT keys, least-recently seen
+    first (the dict's insertion order; values are unused).
 
     Kademlia's replacement policy keeps long-lived peers (they are the most
     likely to stay alive), so new peers are rejected when the bucket is
     full rather than evicting an existing live entry.
     """
 
-    capacity: int = DEFAULT_BUCKET_SIZE
-    _peers: Dict[PeerID, None] = field(default_factory=dict)
+    __slots__ = ("capacity",)
 
-    def __len__(self) -> int:
-        return len(self._peers)
-
-    def __contains__(self, peer: PeerID) -> bool:
-        return peer in self._peers
-
-    def __iter__(self) -> Iterator[PeerID]:
-        return iter(self._peers)
+    def __init__(self, capacity: int = DEFAULT_BUCKET_SIZE) -> None:
+        super().__init__()
+        self.capacity = capacity
 
     @property
     def is_full(self) -> bool:
-        return len(self._peers) >= self.capacity
+        return len(self) >= self.capacity
 
-    def add(self, peer: PeerID) -> bool:
-        """Insert ``peer``; refresh its position if already present.
+    def add(self, key: int) -> bool:
+        """Insert ``key``; refresh its position if already present.
 
-        Returns ``True`` if the peer is in the bucket afterwards.
+        Returns ``True`` if the key is in the bucket afterwards.
         """
-        if peer in self._peers:
+        if key in self:
             # Move to most-recently-seen position.
-            del self._peers[peer]
-            self._peers[peer] = None
+            del self[key]
+            self[key] = None
             return True
-        if self.is_full:
+        if len(self) >= self.capacity:
             return False
-        self._peers[peer] = None
+        self[key] = None
         return True
 
-    def remove(self, peer: PeerID) -> bool:
-        """Drop ``peer`` (e.g. it failed to respond). Returns whether present."""
-        if peer in self._peers:
-            del self._peers[peer]
+    def remove(self, key: int) -> bool:
+        """Drop ``key`` (e.g. it failed to respond). Returns whether present."""
+        if key in self:
+            del self[key]
             return True
         return False
 
-    def oldest(self) -> Optional[PeerID]:
-        """Least-recently seen peer, or ``None`` if empty."""
-        return next(iter(self._peers), None)
-
-    def peers(self) -> List[PeerID]:
-        return list(self._peers)
+    def oldest(self) -> Optional[int]:
+        """Least-recently seen key, or ``None`` if empty."""
+        return next(iter(self), None)
 
 
 class RoutingTable:
-    """The per-node Kademlia routing table.
+    """The per-node Kademlia routing table, over DHT keys.
 
-    Bucket ``i`` holds peers sharing exactly ``i`` leading bits with the
-    owner's DHT key.  go-libp2p-kad-dht unfolds buckets lazily; we keep a
+    Bucket ``i`` holds keys sharing exactly ``i`` leading bits with the
+    owner's key.  go-libp2p-kad-dht unfolds buckets lazily; we keep a
     sparse dict of buckets keyed by prefix length, which is equivalent for
     every operation the paper's measurements exercise (in particular the
     crawler's bucket-sweep enumeration).
     """
 
-    def __init__(self, owner: PeerID, bucket_size: int = DEFAULT_BUCKET_SIZE) -> None:
-        self.owner = owner
+    __slots__ = ("owner_key", "bucket_size", "_buckets", "_bucket_of", "_sorted")
+
+    def __init__(self, owner_key: int, bucket_size: int = DEFAULT_BUCKET_SIZE) -> None:
+        self.owner_key = owner_key
         self.bucket_size = bucket_size
         self._buckets: Dict[int, KBucket] = {}
-        self._peer_buckets: Dict[PeerID, int] = {}
-        # Sorted DHT-key index over the stored peers, so ``closest`` can
-        # use the aligned-prefix-range query instead of a full sort.
-        self._sorted_keys: List[int] = []
-        self._peer_by_key: Dict[int, PeerID] = {}
-        # Distinct peers sharing a DHT key never occur with SHA-256-derived
-        # keys, but the index would silently drop one; fall back to the
-        # exact full sort if it ever happens.
-        self._key_collision = False
+        #: stored key -> its bucket index, in first-stored order.
+        self._bucket_of: Dict[int, int] = {}
+        #: the stored keys in ascending order: built by the first
+        #: :meth:`closest_keys`, then kept in step with every change (a
+        #: table no FIND_NODE ever reaches never pays for it).
+        self._sorted: Optional[List[int]] = None
 
     def __len__(self) -> int:
-        return len(self._peer_buckets)
+        return len(self._bucket_of)
 
-    def __contains__(self, peer: PeerID) -> bool:
-        return peer in self._peer_buckets
-
-    def bucket_index_for(self, peer: PeerID) -> int:
-        """Which bucket ``peer`` belongs in (by common prefix length)."""
-        return bucket_index(self.owner.dht_key, peer.dht_key)
+    def __contains__(self, key: int) -> bool:
+        return key in self._bucket_of
 
     def bucket(self, index: int) -> KBucket:
         """The bucket at ``index``, created on first touch."""
-        if index not in self._buckets:
-            self._buckets[index] = KBucket(capacity=self.bucket_size)
-        return self._buckets[index]
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = KBucket(self.bucket_size)
+        return bucket
 
-    def add(self, peer: PeerID) -> bool:
-        """Try to insert ``peer``; returns whether it is stored.
+    def add(self, key: int) -> bool:
+        """Try to insert ``key``; returns whether it is stored.
 
-        The owner itself is never stored.  A full bucket rejects the
-        insertion (classic Kademlia keeps the incumbent).
+        A stored key moves to its bucket's most-recently-seen end.  The
+        owner's key is never stored.  A full bucket rejects the insertion
+        (classic Kademlia keeps the incumbent).
         """
-        if peer == self.owner:
+        owner = self.owner_key
+        if key == owner:
             return False
-        index = self.bucket_index_for(peer)
-        added = self.bucket(index).add(peer)
-        if added and peer not in self._peer_buckets:
-            key = peer.dht_key
-            incumbent = self._peer_by_key.get(key)
-            if incumbent is None:
-                self._peer_by_key[key] = peer
-                insort(self._sorted_keys, key)
-            elif incumbent != peer:
-                self._key_collision = True
-            self._peer_buckets[peer] = index
-        return added
+        index = KEY_BITS - (owner ^ key).bit_length()
+        bucket = self.bucket(index)
+        if key in bucket:
+            return bucket.add(key)
+        return bool(self.top_up(index, (key,)))
 
-    def remove(self, peer: PeerID) -> bool:
-        """Remove a peer (stale/dead entry). Returns whether it was present."""
-        index = self._peer_buckets.pop(peer, None)
+    def top_up(self, index: int, keys: Iterable[int]) -> List[int]:
+        """Store each of ``keys`` (all from bucket ``index``'s subtree)
+        that the bucket does not hold yet, while it has room.
+
+        Held keys keep their position.  Returns the newly stored keys in
+        order — what :meth:`add` of each key not yet in the bucket would
+        have accepted.
+        """
+        bucket = self.bucket(index)
+        room = self.bucket_size - len(bucket)
+        stored: List[int] = []
+        if room <= 0:
+            return stored
+        bucket_of = self._bucket_of
+        ordered = self._sorted
+        for key in keys:
+            if key not in bucket:
+                bucket[key] = None
+                bucket_of[key] = index
+                if ordered is not None:
+                    insort(ordered, key)
+                stored.append(key)
+                room -= 1
+                if not room:
+                    break
+        return stored
+
+    def remove(self, key: int) -> bool:
+        """Remove a key (stale/dead entry). Returns whether it was present."""
+        index = self._bucket_of.pop(key, None)
         if index is None:
             return False
-        key = peer.dht_key
-        if self._peer_by_key.get(key) == peer:
-            del self._peer_by_key[key]
-            position = bisect_left(self._sorted_keys, key)
-            if position < len(self._sorted_keys) and self._sorted_keys[position] == key:
-                del self._sorted_keys[position]
-        return self._buckets[index].remove(peer)
+        del self._buckets[index][key]
+        ordered = self._sorted
+        if ordered is not None:
+            del ordered[bisect_left(ordered, key)]
+        return True
 
-    def peers(self) -> List[PeerID]:
-        """All stored peers (the node's complete outbound DHT view)."""
-        return list(self._peer_buckets)
+    def keys(self) -> List[int]:
+        """All stored keys (the node's complete outbound DHT view), in
+        the order they were first stored."""
+        return list(self._bucket_of)
 
     def nonempty_buckets(self) -> List[int]:
-        """Indices of buckets currently holding at least one peer."""
-        return sorted(index for index, bucket in self._buckets.items() if len(bucket) > 0)
-
-    def closest(self, key: int, count: int) -> List[PeerID]:
-        """The ``count`` stored peers closest (XOR) to ``key``.
-
-        This is what a FIND_NODE handler returns.  The sorted key index
-        answers it via an aligned-prefix-range scan — identical output to
-        a full XOR sort over all entries, without the per-call sort.
-        """
-        if self._key_collision:
-            return sorted(self._peer_buckets, key=lambda peer: peer.dht_key ^ key)[:count]
-        by_key = self._peer_by_key
-        return [by_key[k] for k in select_closest(self._sorted_keys, key, count)]
+        """Indices of buckets currently holding at least one key."""
+        return sorted(index for index, bucket in self._buckets.items() if bucket)
 
     def closest_keys(self, key: int, count: int) -> List[int]:
-        """:meth:`closest` as DHT keys — the FIND_NODE answer the
-        key-based lookup walks consume, with no peer objects built."""
-        if self._key_collision:
-            return [peer.dht_key for peer in self.closest(key, count)]
-        return select_closest(self._sorted_keys, key, count)
+        """The ``count`` stored keys closest (XOR) to ``key``.
+
+        This is what a FIND_NODE handler returns: an aligned-prefix-range
+        scan over the sorted keys, identical to a full XOR sort.
+        """
+        ordered = self._sorted
+        if ordered is None:
+            ordered = self._sorted = sorted(self._bucket_of)
+        return select_closest(ordered, key, count)
 
     def fullness(self) -> Dict[int, int]:
         """Occupancy per bucket index — useful to verify the trie shape."""
-        return {index: len(bucket) for index, bucket in self._buckets.items() if len(bucket) > 0}
+        return {index: len(bucket) for index, bucket in self._buckets.items() if bucket}
 
     @property
     def max_bucket_index(self) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ids.cid import CID
 from repro.ids.keys import KEY_BITS
@@ -153,8 +153,12 @@ class Overlay:
         self.online_by_peer: Dict[PeerID, Node] = {}
         self.oracle = KeyspaceOracle()
         self.providers = ProviderRegistry()
-        #: peer ID -> nodes whose routing table currently references it.
-        self._holders: Dict[PeerID, Set[Node]] = {}
+        #: DHT key -> nodes whose routing table currently references it.
+        self._holders: Dict[int, Set[Node]] = {}
+        #: DHT key -> peer ID of every server that ever registered: the
+        #: only place a key enters a routing table, so every table entry
+        #: (stale ones included) resolves here.
+        self._peer_of_key: Dict[int, PeerID] = {}
         #: last announced addresses per peer ID (stale peers keep theirs).
         self._last_infos: Dict[PeerID, PeerInfo] = {}
         #: persistent peer IDs per spec index (survive sessions w/o regen).
@@ -274,18 +278,21 @@ class Overlay:
     def _register_server(self, node: Node) -> None:
         """Index an online DHT server (registration order) and join the
         keyspace oracle."""
+        peer = node.peer
+        key = peer.dht_key
         seq = self._session_counter
         self._session_counter += 1
-        self._server_seq[node.peer] = seq
-        self._online_servers[node.peer.dht_key] = node
+        self._server_seq[peer] = seq
+        self._online_servers[key] = node
+        self._peer_of_key[key] = peer
         capable = self._relay_capable.get(node.spec.index)
         if capable is None:
-            self._relay_unsampled[node.peer] = (seq, node)
+            self._relay_unsampled[peer] = (seq, node)
         elif capable:
             # ``seq`` is the largest so far: appending keeps the sort.
             self._relay_known.append((seq, node))
-        self.oracle.add(node.peer)
-        self._note_oracle_change(added_key=node.peer.dht_key)
+        self.oracle.add(peer)
+        self._note_oracle_change(added_key=key)
 
     def _unregister_server(self, node: Node) -> None:
         self.oracle.remove(node.peer)
@@ -365,7 +372,7 @@ class Overlay:
                 self._online_clients.pop(node.peer, None)
             # Everyone referencing the departed peer now has a stale table
             # entry: their next maintenance pass is no longer a no-op.
-            holders = self._holders.get(node.peer)
+            holders = self._holders.get(node.peer.dht_key)
             if holders:
                 for holder in list(holders):
                     self._mark_refresh_dirty(holder)
@@ -373,8 +380,9 @@ class Overlay:
         # Routing-table state of the departed node is dropped; peers that
         # reference it keep a stale entry until their next refresh.
         if node.routing_table is not None:
-            for peer in node.routing_table.peers():
-                holders = self._holders.get(peer)
+            all_holders = self._holders
+            for key in node.routing_table.keys():
+                holders = all_holders.get(key)
                 if holders is not None:
                     holders.discard(node)
             node.routing_table = None
@@ -398,20 +406,15 @@ class Overlay:
         """
         if self.vectorized and self._fill_routing_table_batched(node):
             return
-        table = RoutingTable(node.peer, bucket_size=self.k)
         own = node.peer.dht_key
+        table = RoutingTable(own, bucket_size=self.k)
         empty_streak = 0
         max_depth = self._expected_depth() + 8
         for bucket_idx in range(KEY_BITS):
             shift = KEY_BITS - bucket_idx - 1
             prefix_base = (((own >> shift) ^ 1) << shift)
-            peers = self.oracle.sample_range(prefix_base, bucket_idx + 1, self.k, self.rng)
-            found = False
-            for peer in peers:
-                if peer != node.peer and table.add(peer):
-                    self._holders.setdefault(peer, set()).add(node)
-                    found = True
-            if found:
+            keys = self.oracle.sample_range(prefix_base, bucket_idx + 1, self.k, self.rng)
+            if self._store_keys(node, table, bucket_idx, keys):
                 empty_streak = 0
             else:
                 empty_streak += 1
@@ -432,14 +435,14 @@ class Overlay:
         vouch for the top-64-bit bounds (foreign key sharing our 64-bit
         prefix), so results are exact in every case.
         """
-        bounds = self.oracle.bucket_bounds_top64(node.peer.dht_key)
+        own = node.peer.dht_key
+        bounds = self.oracle.bucket_bounds_top64(own)
         if bounds is None:
             return False
         lows, highs = bounds
-        table = RoutingTable(node.peer, bucket_size=self.k)
+        table = RoutingTable(own, bucket_size=self.k)
         max_depth = self._expected_depth() + 8
-        own_peer = node.peer
-        holders = self._holders
+        store = self._store_keys
         oracle = self.oracle
         rng = self.rng
         k = self.k
@@ -460,13 +463,8 @@ class Overlay:
                     node.routing_table = table
                     return True
                 empty_streak += gap
-            peers, _ = oracle.sample_bounds_info(low, high, k, rng)
-            found = False
-            for peer in peers:
-                if peer != own_peer and table.add(peer):
-                    holders.setdefault(peer, set()).add(node)
-                    found = True
-            if found:
+            keys, _ = oracle.sample_bounds_info(low, high, k, rng)
+            if store(node, table, bucket_idx, keys):
                 empty_streak = 0
             else:
                 empty_streak += 1
@@ -480,55 +478,70 @@ class Overlay:
         node.routing_table = table
         return True
 
+    def _store_keys(
+        self, node: Node, table: RoutingTable, bucket_idx: int, keys: Sequence[int]
+    ) -> bool:
+        """Top up ``node``'s bucket ``bucket_idx`` from ``keys`` (all of its
+        subtree) and record ``node`` as the holder of each key stored;
+        returns whether any key was stored."""
+        stored = table.top_up(bucket_idx, keys)
+        holders = self._holders
+        for key in stored:
+            key_holders = holders.get(key)
+            if key_holders is None:
+                holders[key] = {node}
+            else:
+                key_holders.add(node)
+        return bool(stored)
+
     def _join_dht(self, node: Node) -> None:
         self._fill_routing_table(node)
         # The join walk makes the newcomer known: the k closest peers store
         # it in their (near, sparse) buckets, and a handful of random peers
         # contacted along the way may opportunistically add it.
-        for neighbor_peer in self.oracle.closest(node.peer.dht_key, self.k):
-            self._try_table_insert(self.online_by_peer.get(neighbor_peer), node.peer)
-        contacted = min(len(self.online_by_peer), 24)
-        for neighbor_peer in self.rng.sample(list(self.online_by_peer), contacted):
-            neighbor = self.online_by_peer[neighbor_peer]
+        key = node.peer.dht_key
+        servers = self._online_servers
+        for neighbor_key in self.oracle.closest_keys(key, self.k):
+            self._try_table_insert(servers[neighbor_key], key)
+        online = self.online_by_peer
+        # Sampling the registry's nodes draws exactly what sampling its
+        # peer IDs would: ``sample`` only looks at the population size.
+        for neighbor in self.rng.sample(list(online.values()), min(len(online), 24)):
             if neighbor.is_dht_server:
-                self._try_table_insert(neighbor, node.peer)
+                self._try_table_insert(neighbor, key)
 
-    def _try_table_insert(
-        self, holder: Optional[Node], peer: PeerID, force_prob: float = 0.0
-    ) -> bool:
-        """Attempt to place ``peer`` into ``holder``'s table.
+    def _try_table_insert(self, holder: Node, key: int, force_prob: float = 0.0) -> bool:
+        """Attempt to place the server ``key`` into ``holder``'s table.
 
         Classic Kademlia only evicts dead entries; ``force_prob`` models
         modified, aggressively connected clients that stay at the fresh
         end of buckets and eventually displace the incumbent.
         """
-        if (
-            holder is None
-            or not holder.online
-            or holder.routing_table is None
-            or peer == holder.peer
-        ):
-            return False
         table = holder.routing_table
-        bucket = table.bucket(table.bucket_index_for(peer))
-        if bucket.is_full and peer not in bucket:
-            # Kademlia evicts an entry only if it is dead; check the oldest.
-            oldest = bucket.oldest()
-            if oldest is not None and (
-                oldest not in self.online_by_peer or self.rng.random() < force_prob
-            ):
-                table.remove(oldest)
-                self._mark_refresh_dirty(holder)
-                holders = self._holders.get(oldest)
-                if holders is not None:
-                    holders.discard(holder)
-        newly_stored = peer not in table
-        if table.add(peer):
-            self._holders.setdefault(peer, set()).add(holder)
-            if newly_stored:
-                self._mark_refresh_dirty(holder)
+        if not holder.online or table is None:
+            return False
+        owner = table.owner_key
+        if key == owner:
+            return False
+        index = KEY_BITS - (owner ^ key).bit_length()
+        bucket = table.bucket(index)
+        if key in bucket:
+            bucket.add(key)  # seen again: move to the most-recently-seen end
             return True
-        return False
+        if bucket.is_full:
+            # Kademlia evicts an entry only if it is dead; check the oldest.
+            # Table entries are all servers: dead means "no online server
+            # holds the key".
+            oldest = bucket.oldest()
+            if oldest in self._online_servers and self.rng.random() >= force_prob:
+                return False
+            table.remove(oldest)
+            holders = self._holders.get(oldest)
+            if holders is not None:
+                holders.discard(holder)
+        self._store_keys(holder, table, index, (key,))
+        self._mark_refresh_dirty(holder)
+        return True
 
     def advertise_presence(self, node: Node, attempts: int = 40) -> int:
         """Aggressive self-insertion used by modified clients (e.g. the
@@ -537,12 +550,13 @@ class Overlay:
         so it occasionally displaces the least-recently seen incumbent."""
         if not node.online or node.peer is None:
             return 0
-        inserted = 0
         servers = self.online_servers()
         if not servers:
             return 0
+        key = node.peer.dht_key
+        inserted = 0
         for target in self.rng.sample(servers, min(attempts, len(servers))):
-            if self._try_table_insert(target, node.peer, force_prob=0.35):
+            if self._try_table_insert(target, key, force_prob=0.35):
                 inserted += 1
         return inserted
 
@@ -608,18 +622,19 @@ class Overlay:
             return
         self._mark_refresh_dirty(node)
         table = node.routing_table
-        online = self.online_by_peer
+        servers = self._online_servers
+        holders = self._holders
         rng = self.rng
         clean = True
-        for peer in table.peers():
-            if peer not in online:
+        for key in table.keys():
+            if key not in servers:
                 clean = False
                 if rng.random() < self.stale_detect_prob:
-                    table.remove(peer)
-                    holders = self._holders.get(peer)
-                    if holders is not None:
-                        holders.discard(node)
-        own = node.peer.dht_key
+                    table.remove(key)
+                    key_holders = holders.get(key)
+                    if key_holders is not None:
+                        key_holders.discard(node)
+        own = table.owner_key
         watches: List[Tuple[int, int]] = []
         depth = min(self._expected_depth() + 4, KEY_BITS)
         # Vectorized path: all bucket bounds in one searchsorted instead
@@ -630,9 +645,10 @@ class Overlay:
         # needs them.
         bounds = None
         want_bounds = self.vectorized and depth <= MIRROR_BITS
+        k = self.k
         for bucket_idx in range(depth):
             bucket = table.bucket(bucket_idx)
-            missing = self.k - len(bucket)
+            missing = k - len(bucket)
             if missing <= 0:
                 continue
             if want_bounds:
@@ -641,20 +657,18 @@ class Overlay:
             shift = KEY_BITS - bucket_idx - 1
             prefix_base = (((own >> shift) ^ 1) << shift)
             if bounds is not None:
-                peers, consumed_rng = self.oracle.sample_bounds_info(
+                keys, consumed_rng = self.oracle.sample_bounds_info(
                     bounds[0][bucket_idx], bounds[1][bucket_idx], missing * 2, rng
                 )
             else:
-                peers, consumed_rng = self.oracle.sample_range_info(
+                keys, consumed_rng = self.oracle.sample_range_info(
                     prefix_base, bucket_idx + 1, missing * 2, rng
                 )
             if consumed_rng:
                 clean = False
-            for peer in peers:
-                if peer != node.peer and peer not in bucket and table.add(peer):
-                    self._holders.setdefault(peer, set()).add(node)
-                    clean = False
-            if len(bucket) < self.k:
+            if self._store_keys(node, table, bucket_idx, keys):
+                clean = False
+            if len(bucket) < k:
                 watches.append((bucket_idx + 1, prefix_base))
         if clean and self.refresh_skip_enabled:
             self._refresh_clean.add(node)
@@ -886,21 +900,27 @@ class Overlay:
     # in-degree (public surface over the holder book-keeping)
     # ------------------------------------------------------------------
 
+    def peer_of(self, key: int) -> PeerID:
+        """The peer ID behind a routing-table entry's DHT key (stale
+        entries resolve too: a key stays known after its server left)."""
+        return self._peer_of_key[key]
+
     def in_degree(self, peer: PeerID) -> int:
         """How many online nodes currently reference ``peer`` in their
         routing table (the paper's §4 in-degree estimate)."""
-        holders = self._holders.get(peer)
+        holders = self._holders.get(peer.dht_key)
         if not holders:
             return 0
         return sum(1 for holder in holders if holder.online)
 
     def in_degrees(self) -> Dict[PeerID, int]:
         """In-degree for every peer with at least one live holder."""
+        peer_of_key = self._peer_of_key
         counts: Dict[PeerID, int] = {}
-        for peer, holders in self._holders.items():
+        for key, holders in self._holders.items():
             live_holders = sum(1 for holder in holders if holder.online)
             if live_holders:
-                counts[peer] = live_holders
+                counts[peer_of_key[key]] = live_holders
         return counts
 
     # ------------------------------------------------------------------

@@ -171,14 +171,14 @@ class KeyspaceOracle:
         highs = np.searchsorted(view, lasts, side="right")
         return lows.tolist(), highs.tolist()
 
-    def sample_range(self, prefix: int, prefix_len: int, count: int, rng) -> List[PeerID]:
-        """Up to ``count`` random online servers whose keys share the given
+    def sample_range(self, prefix: int, prefix_len: int, count: int, rng) -> List[int]:
+        """Up to ``count`` random online server keys sharing the given
         prefix — the population of one k-bucket subtree."""
         return self.sample_range_info(prefix, prefix_len, count, rng)[0]
 
     def sample_range_info(
         self, prefix: int, prefix_len: int, count: int, rng
-    ) -> Tuple[List[PeerID], bool]:
+    ) -> Tuple[List[int], bool]:
         """Like :meth:`sample_range`, also reporting whether ``rng`` was
         consumed (it is drawn from only when the subtree population
         exceeds ``count``) — the refresh-skip bookkeeping needs this to
@@ -188,7 +188,7 @@ class KeyspaceOracle:
 
     def sample_bounds_info(
         self, low_index: int, high_index: int, count: int, rng
-    ) -> Tuple[List[PeerID], bool]:
+    ) -> Tuple[List[int], bool]:
         """:meth:`sample_range_info` over precomputed index bounds (the
         vectorized refresh path gets its bounds from
         :meth:`bucket_bounds_top64`)."""
@@ -196,11 +196,6 @@ class KeyspaceOracle:
         if size <= 0:
             return [], False
         if size <= count:
-            chosen = range(low_index, high_index)
-            consumed_rng = False
-        else:
-            chosen = rng.sample(range(low_index, high_index), count)
-            consumed_rng = True
+            return self._keys[low_index:high_index], False
         keys = self._keys
-        by_key = self._by_key
-        return [by_key[keys[index]] for index in chosen], consumed_rng
+        return [keys[index] for index in rng.sample(range(low_index, high_index), count)], True

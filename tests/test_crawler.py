@@ -41,7 +41,7 @@ class TestCrawl:
             node = small_overlay.online_by_peer.get(peer)
             if node is None or node.routing_table is None:
                 continue
-            table_peers = set(node.routing_table.peers())
+            table_peers = {small_overlay.peer_of(key) for key in node.routing_table.keys()}
             recovered = len(set(neighbors) & table_peers) / max(len(table_peers), 1)
             assert recovered > 0.9
             checked += 1

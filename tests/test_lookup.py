@@ -27,9 +27,9 @@ class MiniDHT:
         self.stores = {peer: ProviderStore() for peer in self.peers}
         self.unreachable = set()
         for peer in self.peers:
-            table = RoutingTable(peer, bucket_size=k)
+            table = RoutingTable(peer.dht_key, bucket_size=k)
             for other in self.peers:
-                table.add(other)
+                table.add(other.dht_key)
             self.tables[peer] = table
 
     def info(self, peer):

@@ -92,8 +92,8 @@ class TestSampleRange:
             shift = 256 - prefix_len
             base = (anchor >> shift) << shift
             sample = oracle.sample_range(base, prefix_len, 10, rng)
-            for peer in sample:
-                assert peer.dht_key >> shift == base >> shift
+            for key in sample:
+                assert key >> shift == base >> shift
 
     def test_whole_space(self, populated):
         oracle, peers = populated
@@ -115,5 +115,5 @@ class TestSampleRange:
         anchor = peers[3].dht_key
         base = (anchor >> 240) << 240
         sample = oracle.sample_range(base, 16, 500, rng)
-        expected = [p for p in peers if p.dht_key >> 240 == anchor >> 240]
+        expected = [p.dht_key for p in peers if p.dht_key >> 240 == anchor >> 240]
         assert set(sample) == set(expected)

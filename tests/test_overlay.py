@@ -44,7 +44,8 @@ class TestBootstrap:
         for node in list(small_overlay.online_by_peer.values())[:50]:
             if node.routing_table is None:
                 continue
-            assert not (set(node.routing_table.peers()) & nat_peers)
+            table_peers = {small_overlay.peer_of(key) for key in node.routing_table.keys()}
+            assert not (table_peers & nat_peers)
 
 
 class TestJoinLeave:
@@ -64,7 +65,7 @@ class TestJoinLeave:
         still_referencing = sum(
             1
             for holder in overlay.online_by_peer.values()
-            if holder.routing_table is not None and peer in holder.routing_table
+            if holder.routing_table is not None and peer.dht_key in holder.routing_table
         )
         assert still_referencing > 0  # ghosts until refresh
 
@@ -76,7 +77,7 @@ class TestJoinLeave:
         overlay.refresh_all()
         for holder in overlay.online_by_peer.values():
             if holder.routing_table is not None:
-                assert peer not in holder.routing_table
+                assert peer.dht_key not in holder.routing_table
 
     def test_rejoin_reuses_identity_without_rotation(self, overlay):
         node = overlay.online_servers()[1]
@@ -131,7 +132,7 @@ class TestQueries:
         query = overlay.find_node_query(timeout=1e9)
         result = query(node.peer.dht_key, node.peer.dht_key)
         assert result is not None
-        infos = [overlay.last_info(node.routing_table._peer_by_key[key]) for key in result]
+        infos = [overlay.last_info(overlay.peer_of(key)) for key in result]
         assert all(info.addrs for info in infos if info.peer in overlay.online_by_peer)
 
 
@@ -266,7 +267,7 @@ class TestInDegree:
             scanned = sum(
                 1
                 for holder in overlay.online_by_peer.values()
-                if holder.routing_table is not None and peer in holder.routing_table
+                if holder.routing_table is not None and peer.dht_key in holder.routing_table
             )
             assert overlay.in_degree(peer) == scanned
             assert counts.get(peer, 0) == scanned
@@ -277,7 +278,7 @@ class TestInDegree:
         holder = next(
             n
             for n in overlay.online_servers()
-            if n is not node and n.routing_table is not None and peer in n.routing_table
+            if n is not node and n.routing_table is not None and peer.dht_key in n.routing_table
         )
         before = overlay.in_degree(peer)
         overlay.take_offline(holder)
@@ -332,7 +333,7 @@ class TestRefreshSkip:
         tables = {}
         for node in overlay.online_servers():
             tables[node.spec.index] = tuple(
-                peer.digest for peer in node.routing_table.peers()
+                overlay.peer_of(key).digest for key in node.routing_table.keys()
             )
         return tables
 
@@ -380,7 +381,7 @@ class TestRefreshSkip:
             for n in overlay.online_servers()
             if n is not victim
             and n.routing_table is not None
-            and victim.peer in n.routing_table
+            and victim.peer.dht_key in n.routing_table
             and n in overlay._refresh_clean
         ]
         assert holders

@@ -174,14 +174,14 @@ class TestCrawlTaskPurity:
     def test_freeze_does_not_mutate_overlay(self, small_overlay):
         before = dict(small_overlay.online_by_peer)
         tables_before = {
-            peer: tuple(node.routing_table.peers())
+            peer: tuple(node.routing_table.keys())
             for peer, node in small_overlay.online_by_peer.items()
             if node.routing_table is not None
         }
         freeze_crawl_task(small_overlay, 0, seed=1)
         assert dict(small_overlay.online_by_peer) == before
         for peer, peers in tables_before.items():
-            assert tuple(small_overlay.online_by_peer[peer].routing_table.peers()) == peers
+            assert tuple(small_overlay.online_by_peer[peer].routing_table.keys()) == peers
 
     def test_crawl_independent_of_history(self, small_overlay):
         """Re-pin of the determinism contract on the seed-derivation

@@ -28,36 +28,58 @@ class TestRoutingTableProperties:
     @given(st.lists(st.integers(min_value=1, max_value=10_000), max_size=120),
            st.integers(min_value=1, max_value=25))
     def test_bucket_capacity_invariant(self, tags, bucket_size):
-        owner = peer_from_tag(999_999_999)
+        owner = peer_from_tag(999_999_999).dht_key
         table = RoutingTable(owner, bucket_size=bucket_size)
         for tag in tags:
-            table.add(peer_from_tag(tag))
+            table.add(peer_from_tag(tag).dht_key)
         for index in table.nonempty_buckets():
             assert len(table.bucket(index)) <= bucket_size
         # The membership index agrees with the buckets.
-        assert sorted(table.peers(), key=lambda p: p.digest) == sorted(
-            (peer for index in table.nonempty_buckets() for peer in table.bucket(index)),
-            key=lambda p: p.digest,
+        assert sorted(table.keys()) == sorted(
+            key for index in table.nonempty_buckets() for key in table.bucket(index)
         )
 
     @settings(max_examples=40)
     @given(st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=40)),
                     max_size=150))
     def test_add_remove_sequences_match_reference_set(self, operations):
-        owner = peer_from_tag(123_456)
+        owner = peer_from_tag(123_456).dht_key
         table = RoutingTable(owner, bucket_size=1000)  # capacity never binds
         reference = set()
         for is_add, tag in operations:
-            peer = peer_from_tag(tag)
-            if peer == owner:
+            key = peer_from_tag(tag).dht_key
+            if key == owner:
                 continue
             if is_add:
-                table.add(peer)
-                reference.add(peer)
+                table.add(key)
+                reference.add(key)
             else:
-                table.remove(peer)
-                reference.discard(peer)
-        assert set(table.peers()) == reference
+                table.remove(key)
+                reference.discard(key)
+        assert set(table.keys()) == reference
+
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(st.sampled_from(["add", "remove", "query"]),
+                              st.integers(min_value=1, max_value=40)), max_size=150),
+           st.integers(min_value=0, max_value=2**256 - 1))
+    def test_closest_keys_track_adds_and_removes(self, operations, target):
+        """The sorted index behind ``closest_keys`` stays exact across
+        changes made before and after its first query."""
+        owner = peer_from_tag(123_456).dht_key
+        table = RoutingTable(owner, bucket_size=3)  # full buckets reject too
+
+        def brute_force():
+            return sorted(table.keys(), key=lambda key: key ^ target)[:5]
+
+        for operation, tag in operations:
+            key = peer_from_tag(tag).dht_key
+            if operation == "add":
+                table.add(key)
+            elif operation == "remove":
+                table.remove(key)
+            else:
+                assert table.closest_keys(target, 5) == brute_force()
+        assert table.closest_keys(target, 5) == brute_force()
 
 
 class TestOracleProperties:
@@ -99,7 +121,7 @@ class TestOracleProperties:
 
 class TestSelectClosestProperties:
     """``keys.select_closest`` must be bit-identical to a brute-force XOR
-    sort — it backs both the oracle and ``RoutingTable.closest``."""
+    sort — it backs both the oracle and ``RoutingTable.closest_keys``."""
 
     @settings(max_examples=60)
     @given(st.lists(st.integers(min_value=0, max_value=2**256 - 1),
@@ -384,14 +406,14 @@ class TestXorMetricProperties:
     @given(st.lists(st.integers(min_value=1, max_value=5000), min_size=1,
                     max_size=60, unique=True), st.binary(min_size=32, max_size=32))
     def test_routing_table_closest_is_true_xor_order(self, tags, target_digest):
-        owner = peer_from_tag(777_777_777)
+        owner = peer_from_tag(777_777_777).dht_key
         table = RoutingTable(owner, bucket_size=10_000)
         peers = [peer_from_tag(tag) for tag in tags]
         for peer in peers:
-            table.add(peer)
+            table.add(peer.dht_key)
         target = PeerID(target_digest).dht_key
         expected = sorted(peers, key=lambda p: keys.xor_distance(p.dht_key, target))
-        assert table.closest(target, 7) == expected[:7]
+        assert table.closest_keys(target, 7) == [peer.dht_key for peer in expected[:7]]
 
 
 class TestShardMergeProperties:

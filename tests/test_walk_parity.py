@@ -222,7 +222,8 @@ def _peer_infos(overlay: Overlay, peers: List[PeerID]) -> List[PeerInfo]:
 def _handle_find_node(overlay: Overlay, node, target_key: int) -> List[PeerInfo]:
     if node.routing_table is None:
         return []
-    return _peer_infos(overlay, node.routing_table.closest(target_key, overlay.k))
+    keys = node.routing_table.closest_keys(target_key, overlay.k)
+    return _peer_infos(overlay, [overlay.peer_of(key) for key in keys])
 
 
 def oracle_find_node_query(overlay: Overlay, timeout: float):
@@ -366,8 +367,8 @@ def _stale_entries(overlay: Overlay) -> int:
     return sum(
         1
         for node in overlay.online_servers()
-        for peer in node.routing_table.peers()
-        if peer not in overlay.online_by_peer
+        for key in node.routing_table.keys()
+        if overlay.peer_of(key) not in overlay.online_by_peer
     )
 
 
@@ -416,8 +417,8 @@ class TestFetchParity:
         servers = overlay.online_servers()
         for cid in cids:
             origin = rng.choice(servers)
-            start = origin.routing_table.closest(cid.dht_key, overlay.k)
-            keys = [peer.dht_key for peer in start]
+            keys = origin.routing_table.closest_keys(cid.dht_key, overlay.k)
+            start = [overlay.peer_of(key) for key in keys]
             infos = _peer_infos(overlay, start)
             for limit in (500, max_queries):
                 for exhaustive, max_providers in ((True, 20), (False, 20), (False, 3)):
