@@ -813,7 +813,7 @@ def _run_store_command(args) -> int:
     from repro.core.traffic import summarize
 
     codec = HYDRA_CODEC if args.kind == "hydra" else BITSWAP_CODEC
-    summary = summarize(map(codec.decode, read_records(args.path)))
+    summary = summarize(codec.decode_all(read_records(args.path)))
     print(f"{args.kind} log at {args.path}: {summary.total} records")
     print(f"  unique peer IDs: {len(summary.days_by_peer)}")
     print(f"  unique IPs: {len(summary.days_by_ip)}")

@@ -7,7 +7,9 @@ tabular crawl rows — the Table 1 shape — and JSONL for the richer
 records) and round-trip back into the analysis-facing types.  Every
 JSONL file is written and read through :func:`repro.store.write_records`
 / :func:`repro.store.read_records`; this module only encodes and
-decodes the records.
+decodes the records.  Each reader parses through one
+:class:`~repro.store.IdTable`, so a file's distinct peer ID and CID
+strings are parsed once each.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from repro.core.counting import CrawlRow
 from repro.core.crawler import CrawlDataset, CrawlObservation, CrawlSnapshot
 from repro.ids.cid import CID
 from repro.ids.multiaddr import Multiaddr
-from repro.ids.peerid import PeerID
 from repro.kademlia.messages import MessageEnvelope
 from repro.kademlia.providers import ProviderRecord
 from repro.monitors.bitswap_monitor import BitswapLogEntry
 from repro.monitors.provider_fetcher import ProviderObservation
-from repro.store import BITSWAP_CODEC, HYDRA_CODEC, read_records, write_records
+from repro.store import BITSWAP_CODEC, HYDRA_CODEC, IdTable, read_records, write_records
 
 # ---------------------------------------------------------------------------
 # Crawl datasets (CSV rows + JSONL edges)
@@ -53,13 +54,14 @@ def write_crawl_csv(dataset: CrawlDataset, path) -> int:
 def read_crawl_rows(path) -> List[CrawlRow]:
     """Read rows back in the shape the counting methodologies consume."""
     rows: List[CrawlRow] = []
+    peers = IdTable().peers
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         for record in reader:
             rows.append(
                 CrawlRow(
                     crawl_id=int(record["crawl_id"]),
-                    peer=PeerID.from_base58(record["peer"]),
+                    peer=peers[record["peer"]],
                     ip=record["ip"],
                 )
             )
@@ -87,22 +89,21 @@ def _snapshot_to_json(snapshot: CrawlSnapshot) -> Dict:
     }
 
 
-def _snapshot_from_json(payload: Dict) -> CrawlSnapshot:
+def _snapshot_from_json(payload: Dict, ids: IdTable) -> CrawlSnapshot:
     snapshot = CrawlSnapshot(
         crawl_id=payload["crawl_id"],
         started_at=payload["started_at"],
         duration=payload["duration"],
         requests_sent=payload["requests_sent"],
     )
+    peers = ids.peers
     for obs in payload["observations"]:
-        peer = PeerID.from_base58(obs["peer"])
+        peer = peers[obs["peer"]]
         snapshot.observations[peer] = CrawlObservation(
             peer=peer, ips=tuple(obs["ips"]), crawlable=obs["crawlable"]
         )
     for peer_text, neighbors in payload["edges"].items():
-        snapshot.edges[PeerID.from_base58(peer_text)] = tuple(
-            PeerID.from_base58(n) for n in neighbors
-        )
+        snapshot.edges[peers[peer_text]] = tuple(peers[n] for n in neighbors)
     return snapshot
 
 
@@ -113,8 +114,9 @@ def write_crawl_jsonl(dataset: CrawlDataset, path) -> int:
 
 def read_crawl_jsonl(path) -> CrawlDataset:
     dataset = CrawlDataset()
+    ids = IdTable()
     for payload in read_records(path):
-        dataset.add(_snapshot_from_json(payload))
+        dataset.add(_snapshot_from_json(payload, ids))
     return dataset
 
 
@@ -128,7 +130,7 @@ def write_hydra_jsonl(log: Iterable[MessageEnvelope], path) -> int:
 
 
 def read_hydra_jsonl(path) -> List[MessageEnvelope]:
-    return [HYDRA_CODEC.decode(record) for record in read_records(path)]
+    return list(HYDRA_CODEC.decode_all(read_records(path)))
 
 
 def write_bitswap_jsonl(log: Iterable[BitswapLogEntry], path) -> int:
@@ -136,7 +138,7 @@ def write_bitswap_jsonl(log: Iterable[BitswapLogEntry], path) -> int:
 
 
 def read_bitswap_jsonl(path) -> List[BitswapLogEntry]:
-    return [BITSWAP_CODEC.decode(record) for record in read_records(path)]
+    return list(BITSWAP_CODEC.decode_all(read_records(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +154,12 @@ def _record_to_json(record: ProviderRecord) -> Dict:
     }
 
 
-def _record_from_json(cid: CID, payload: Dict) -> ProviderRecord:
+def _record_from_json(cid: CID, payload: Dict, ids: IdTable) -> ProviderRecord:
+    peers = ids.peers
     return ProviderRecord(
         cid=cid,
-        provider=PeerID.from_base58(payload["provider"]),
-        addrs=tuple(Multiaddr.parse(text) for text in payload["addrs"]),
+        provider=peers[payload["provider"]],
+        addrs=tuple(Multiaddr.parse(text, peers.__getitem__) for text in payload["addrs"]),
         published_at=payload["published_at"],
     )
 
@@ -173,9 +176,9 @@ def _observation_to_json(observation: ProviderObservation) -> Dict:
     }
 
 
-def _observation_from_json(payload: Dict) -> ProviderObservation:
-    cid = CID.from_base32(payload["cid"])
-    records = tuple(_record_from_json(cid, r) for r in payload["records"])
+def _observation_from_json(payload: Dict, ids: IdTable) -> ProviderObservation:
+    cid = ids.cids[payload["cid"]]
+    records = tuple(_record_from_json(cid, r, ids) for r in payload["records"])
     reachable_set = set(payload["reachable"])
     return ProviderObservation(
         cid=cid,
@@ -194,7 +197,8 @@ def write_provider_observations_jsonl(
 
 
 def read_provider_observations_jsonl(path) -> List[ProviderObservation]:
-    return [_observation_from_json(payload) for payload in read_records(path)]
+    ids = IdTable()
+    return [_observation_from_json(payload, ids) for payload in read_records(path)]
 
 
 def export_campaign(result, directory) -> Dict[str, int]:

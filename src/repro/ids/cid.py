@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import total_ordering
+from typing import ClassVar, Optional
 
 from repro.ids.encoding import base32_encode
 from repro.ids.keys import Key, key_from_bytes
@@ -31,6 +32,9 @@ class CID:
     digest: bytes
     _dht_key: Key = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    # The base32 text, rendered on first use.  A class attribute, not a
+    # field: it stays out of ``__eq__``, ``repr`` and the pickled state.
+    _text: ClassVar[Optional[str]] = None
 
     def __post_init__(self) -> None:
         if len(self.digest) != 32:
@@ -73,8 +77,12 @@ class CID:
         return self._dht_key
 
     def to_base32(self) -> str:
-        """CIDv1 string form: multibase prefix ``b`` plus base32 body."""
-        return "b" + base32_encode(self.binary)
+        """CIDv1 string form: multibase prefix ``b`` plus base32 body, cached."""
+        text = self._text
+        if text is None:
+            text = "b" + base32_encode(self.binary)
+            object.__setattr__(self, "_text", text)
+        return text
 
     @classmethod
     def from_base32(cls, text: str) -> "CID":

@@ -1,11 +1,14 @@
 """Base58btc and RFC 4648 base32 encodings.
 
 Peer IDs are conventionally rendered base58btc (the Bitcoin alphabet),
-CIDv1 strings base32 lower-case without padding.  Implemented from scratch
-so the reproduction has no dependency beyond the standard library.
+CIDv1 strings base32 lower-case without padding.  Base58 and base32
+decoding are implemented here; base32 encoding is the standard
+library's :func:`base64.b32encode`, lower-cased and unpadded.
 """
 
 from __future__ import annotations
+
+import base64
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
 _B58_INDEX = {char: value for value, char in enumerate(_B58_ALPHABET)}
@@ -44,18 +47,7 @@ def base58_decode(text: str) -> bytes:
 
 def base32_encode(data: bytes) -> str:
     """Encode bytes as lower-case, unpadded RFC 4648 base32."""
-    bits = 0
-    bit_count = 0
-    output = []
-    for byte in data:
-        bits = (bits << 8) | byte
-        bit_count += 8
-        while bit_count >= 5:
-            bit_count -= 5
-            output.append(_B32_ALPHABET[(bits >> bit_count) & 0x1F])
-    if bit_count:
-        output.append(_B32_ALPHABET[(bits << (5 - bit_count)) & 0x1F])
-    return "".join(output)
+    return base64.b32encode(data).decode("ascii").rstrip("=").lower()
 
 
 def base32_decode(text: str) -> bytes:

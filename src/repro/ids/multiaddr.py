@@ -63,20 +63,12 @@ class Multiaddr:
     def parse(cls, text: str, peer_lookup=None) -> "Multiaddr":
         """Parse the string form produced by :meth:`__str__`.
 
-        Because peer IDs are not invertible from base58 alone without the
-        digest, ``peer_lookup`` maps a base58 string back to a
-        :class:`PeerID`; by default the digest is recovered from the
-        multihash bytes, which is always possible.
+        ``peer_lookup`` maps a base58 peer ID string to its
+        :class:`PeerID` (a reader passes its per-read table so repeated
+        peers are parsed once); by default each string is parsed with
+        :meth:`PeerID.from_base58`.
         """
-        from repro.ids.encoding import base58_decode
-
-        def decode_peer(b58: str) -> PeerID:
-            if peer_lookup is not None:
-                return peer_lookup(b58)
-            multihash = base58_decode(b58)
-            if len(multihash) != 34 or multihash[:2] != b"\x12\x20":
-                raise ValueError(f"not a sha2-256 multihash peer ID: {b58}")
-            return PeerID(multihash[2:])
+        decode_peer = peer_lookup if peer_lookup is not None else PeerID.from_base58
 
         parts = text.strip("/").split("/")
         if len(parts) < 6 or parts[0] != "ip4" or parts[2] != "tcp" or parts[4] != "p2p":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import total_ordering
+from typing import ClassVar, Optional
 
 from repro.ids.encoding import base58_encode
 from repro.ids.keys import Key, key_from_bytes
@@ -33,6 +34,9 @@ class PeerID:
     digest: bytes
     _dht_key: Key = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    # The base58 text, rendered on first use.  A class attribute, not a
+    # field: it stays out of ``__eq__``, ``repr`` and the pickled state.
+    _text: ClassVar[Optional[str]] = None
 
     def __post_init__(self) -> None:
         if len(self.digest) != 32:
@@ -66,8 +70,12 @@ class PeerID:
         return self._dht_key
 
     def to_base58(self) -> str:
-        """Conventional base58btc rendering (``Qm...`` style)."""
-        return base58_encode(self.multihash)
+        """Conventional base58btc rendering (``Qm...`` style), cached."""
+        text = self._text
+        if text is None:
+            text = base58_encode(self.multihash)
+            object.__setattr__(self, "_text", text)
+        return text
 
     @classmethod
     def from_base58(cls, text: str) -> "PeerID":

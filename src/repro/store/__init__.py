@@ -46,6 +46,7 @@ from repro.store.codecs import (
     BitswapEntryCodec,
     GroundTruthCodec,
     HydraMessageCodec,
+    IdTable,
 )
 from repro.store.eventlog import EventLog
 from repro.store.shard import ShardedBackend
@@ -58,6 +59,7 @@ __all__ = [
     "GroundTruthCodec",
     "HYDRA_CODEC",
     "HydraMessageCodec",
+    "IdTable",
     "JsonlBackend",
     "MemoryBackend",
     "Record",

@@ -114,7 +114,50 @@ class MemoryBackend(StorageBackend):
         self.records.clear()
 
 
-class JsonlBackend(StorageBackend):
+class _BufferedBackend(StorageBackend):
+    """A disk backend's write buffer: rows wait there for a batched write.
+
+    ``_count`` counts stored plus buffered records.  A slice that starts
+    at or after the stored count is read from the buffer alone: no
+    flush, no commit and no disk query (the gateway prober slices the
+    Bitswap log's newest records once per probe).
+    """
+
+    def __init__(self, batch_size: int, count: int) -> None:
+        self.batch_size = max(1, batch_size)
+        self._buffer: List = []
+        self._count = count
+
+    @abstractmethod
+    def _row(self, record: Record):
+        """The buffered form of ``record`` (it holds the JSON payload)."""
+
+    @abstractmethod
+    def _payload(self, row) -> str:
+        """The JSON text of a buffered row."""
+
+    def append(self, record: Record) -> None:
+        self._buffer.append(self._row(record))
+        self._count += 1
+        if len(self._buffer) >= self.batch_size:
+            self.flush()
+
+    def slice(self, start: int, stop: Optional[int]) -> List[Record]:
+        stored = self._count - len(self._buffer)
+        if start < stored:
+            self.flush()
+            return self._slice_stored(start, stop)
+        end = None if stop is None else max(0, stop - stored)
+        return [json.loads(self._payload(row)) for row in self._buffer[start - stored:end]]
+
+    def _slice_stored(self, start: int, stop: Optional[int]) -> List[Record]:
+        return super().slice(start, stop)
+
+    def __len__(self) -> int:
+        return self._count
+
+
+class JsonlBackend(_BufferedBackend):
     """Append-only JSON-lines file with a buffered writer.
 
     Opening an existing file resumes appending to it; the line format is
@@ -127,18 +170,24 @@ class JsonlBackend(StorageBackend):
     def __init__(self, path, batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.batch_size = max(1, batch_size)
-        self._buffer: List[str] = []
-        self._count = 0
+        count = 0
         if self.path.exists():
             with open(self.path, "rb") as handle:
-                self._count = sum(1 for line in handle if line.strip())
+                count = sum(1 for line in handle if line.strip())
+        super().__init__(batch_size, count)
 
-    def append(self, record: Record) -> None:
-        self._buffer.append(json.dumps(record))
-        self._count += 1
-        if len(self._buffer) >= self.batch_size:
-            self.flush()
+    def _row(self, record: Record) -> str:
+        return json.dumps(record)
+
+    def _payload(self, row: str) -> str:
+        return row
+
+    def flush(self) -> None:
+        if not self._buffer:
+            return
+        with open(self.path, "a") as handle:
+            handle.write("\n".join(self._buffer) + "\n")
+        self._buffer.clear()
 
     def _decode(self, line, number: int) -> Record:
         try:
@@ -169,23 +218,13 @@ class JsonlBackend(StorageBackend):
                 if line.strip():
                     yield self._decode(line, number)
 
-    def __len__(self) -> int:
-        return self._count
-
-    def flush(self) -> None:
-        if not self._buffer:
-            return
-        with open(self.path, "a") as handle:
-            handle.write("\n".join(self._buffer) + "\n")
-        self._buffer.clear()
-
     def clear(self) -> None:
         self._buffer.clear()
         self._count = 0
         self.path.write_bytes(b"")
 
 
-class SqliteBackend(StorageBackend):
+class SqliteBackend(_BufferedBackend):
     """SQLite-backed log: one table of ``(seq, ts, payload)`` rows.
 
     The payload is the JSON record; the timestamp is mirrored into an
@@ -203,8 +242,6 @@ class SqliteBackend(StorageBackend):
         if not table.replace("_", "").isalnum():
             raise ValueError(f"invalid table name: {table!r}")
         self.table = table
-        self.batch_size = max(1, batch_size)
-        self._buffer: List[tuple] = []
         if self.path != ":memory:":
             Path(self.path).parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(self.path)
@@ -218,18 +255,24 @@ class SqliteBackend(StorageBackend):
         self._conn.execute(
             f"CREATE INDEX IF NOT EXISTS {self.table}_ts ON {self.table} (ts)"
         )
-        self._count = self._conn.execute(
-            f"SELECT COUNT(*) FROM {self.table}"
-        ).fetchone()[0]
+        count = self._conn.execute(f"SELECT COUNT(*) FROM {self.table}").fetchone()[0]
+        super().__init__(batch_size, count)
 
-    def append(self, record: Record) -> None:
+    def _row(self, record: Record) -> tuple:
         ts = record.get("ts")
-        self._buffer.append(
-            (ts if isinstance(ts, (int, float)) else None, json.dumps(record))
-        )
-        self._count += 1
-        if len(self._buffer) >= self.batch_size:
-            self.flush()
+        return (ts if isinstance(ts, (int, float)) else None, json.dumps(record))
+
+    def _payload(self, row: tuple) -> str:
+        return row[1]
+
+    def flush(self) -> None:
+        if not self._buffer:
+            return
+        with self._conn:
+            self._conn.executemany(
+                f"INSERT INTO {self.table} (ts, payload) VALUES (?, ?)", self._buffer
+            )
+        self._buffer.clear()
 
     def scan(self) -> Iterator[Record]:
         self.flush()
@@ -256,26 +299,13 @@ class SqliteBackend(StorageBackend):
         for (payload,) in cursor:
             yield json.loads(payload)
 
-    def slice(self, start: int, stop: Optional[int]) -> List[Record]:
-        self.flush()
+    def _slice_stored(self, start: int, stop: Optional[int]) -> List[Record]:
         limit = -1 if stop is None else max(0, stop - start)
         cursor = self._conn.execute(
             f"SELECT payload FROM {self.table} ORDER BY seq LIMIT ? OFFSET ?",
             (limit, start),
         )
         return [json.loads(payload) for (payload,) in cursor]
-
-    def __len__(self) -> int:
-        return self._count
-
-    def flush(self) -> None:
-        if not self._buffer:
-            return
-        with self._conn:
-            self._conn.executemany(
-                f"INSERT INTO {self.table} (ts, payload) VALUES (?, ?)", self._buffer
-            )
-        self._buffer.clear()
 
     def close(self) -> None:
         self.flush()

@@ -9,7 +9,8 @@ fields, so files written by older code still load.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, Optional, Protocol
 
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
@@ -18,17 +19,59 @@ from repro.monitors.bitswap_monitor import BitswapLogEntry
 from repro.store.backend import Record
 
 
+class _Parsed(dict):
+    """``{text: ID}`` that parses a text the first time it is looked up."""
+
+    __slots__ = ("_parse",)
+
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self._parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self._parse(text)
+        return value
+
+
+class IdTable:
+    """The peer IDs and CIDs one read has parsed, keyed by their text.
+
+    A read (a log scan, a slice, a file load) makes one table and drops
+    it when done, so each distinct ID string is parsed once per read;
+    nothing is cached across reads.
+    """
+
+    __slots__ = ("peers", "cids")
+
+    def __init__(self) -> None:
+        self.peers: Dict[str, PeerID] = _Parsed(PeerID.from_base58)
+        self.cids: Dict[str, CID] = _Parsed(CID.from_base32)
+
+
 class EventCodec(Protocol):
     """Encode events to JSON records and back."""
 
     def encode(self, event) -> Record: ...
 
-    def decode(self, record: Record) -> object: ...
+    def decode(self, record: Record, ids: IdTable) -> object: ...
+
+    def decode_all(self, records: Iterable[Record]) -> Iterator: ...
 
     def timestamp(self, event) -> float: ...
 
 
-class HydraMessageCodec:
+class _RecordCodec:
+    """What every codec shares: batch decoding and the event timestamp."""
+
+    def decode_all(self, records: Iterable[Record]) -> Iterator:
+        """Decode ``records`` lazily, in order, sharing one :class:`IdTable`."""
+        return map(self.decode, records, repeat(IdTable()))
+
+    def timestamp(self, event) -> float:
+        return event.timestamp
+
+
+class HydraMessageCodec(_RecordCodec):
     """:class:`MessageEnvelope` ↔ the ``hydra.jsonl`` record shape."""
 
     def encode(self, event: MessageEnvelope) -> Record:
@@ -44,8 +87,8 @@ class HydraMessageCodec:
             "via_relay": event.via_relay.to_base58() if event.via_relay else None,
         }
 
-    def decode(self, record: Record) -> MessageEnvelope:
-        cid = CID.from_base32(record["cid"]) if record.get("cid") else None
+    def decode(self, record: Record, ids: IdTable) -> MessageEnvelope:
+        cid = ids.cids[text] if (text := record.get("cid")) else None
         key_text = record.get("key")
         if key_text is not None:
             target_key: Optional[int] = int(key_text, 16)
@@ -53,23 +96,16 @@ class HydraMessageCodec:
             target_key = cid.dht_key if cid is not None else None
         return MessageEnvelope(
             timestamp=record["ts"],
-            sender=PeerID.from_base58(record["sender"]),
+            sender=ids.peers[record["sender"]],
             sender_ip=record["ip"],
             message_type=MessageType(record["type"]),
             target_key=target_key,
             target_cid=cid,
-            via_relay=(
-                PeerID.from_base58(record["via_relay"])
-                if record.get("via_relay")
-                else None
-            ),
+            via_relay=ids.peers[relay] if (relay := record.get("via_relay")) else None,
         )
 
-    def timestamp(self, event: MessageEnvelope) -> float:
-        return event.timestamp
 
-
-class BitswapEntryCodec:
+class BitswapEntryCodec(_RecordCodec):
     """:class:`BitswapLogEntry` ↔ the ``bitswap.jsonl`` record shape."""
 
     def encode(self, event: BitswapLogEntry) -> Record:
@@ -80,19 +116,16 @@ class BitswapEntryCodec:
             "cid": event.cid.to_base32(),
         }
 
-    def decode(self, record: Record) -> BitswapLogEntry:
+    def decode(self, record: Record, ids: IdTable) -> BitswapLogEntry:
         return BitswapLogEntry(
             timestamp=record["ts"],
-            sender=PeerID.from_base58(record["sender"]),
+            sender=ids.peers[record["sender"]],
             sender_ip=record["ip"],
-            cid=CID.from_base32(record["cid"]),
+            cid=ids.cids[record["cid"]],
         )
 
-    def timestamp(self, event: BitswapLogEntry) -> float:
-        return event.timestamp
 
-
-class GroundTruthCodec:
+class GroundTruthCodec(_RecordCodec):
     """:class:`~repro.attack.ground_truth.GroundTruthEntry` ↔ ``attack.jsonl``."""
 
     def encode(self, event) -> Record:
@@ -105,20 +138,17 @@ class GroundTruthCodec:
             "end": event.end,
         }
 
-    def decode(self, record: Record):
+    def decode(self, record: Record, ids: IdTable):
         from repro.attack.ground_truth import GroundTruthEntry
 
         return GroundTruthEntry(
             timestamp=record["ts"],
             attack=record["attack"],
             event=record["event"],
-            peer=PeerID.from_base58(record["peer"]) if record.get("peer") else None,
-            cid=CID.from_base32(record["cid"]) if record.get("cid") else None,
+            peer=ids.peers[peer] if (peer := record.get("peer")) else None,
+            cid=ids.cids[cid] if (cid := record.get("cid")) else None,
             end=record.get("end"),
         )
-
-    def timestamp(self, event) -> float:
-        return event.timestamp
 
 
 HYDRA_CODEC = HydraMessageCodec()

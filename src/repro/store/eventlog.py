@@ -6,7 +6,9 @@ ordered sequences: ``len(log)``, ``log[pos:]``, ``for e in log``,
 that contract while delegating storage to any
 :class:`~repro.store.backend.StorageBackend` — in memory the objects are
 stored verbatim (zero overhead versus the seed's plain list); on disk
-they round-trip through the log's codec.
+they round-trip through the log's codec.  Every disk read decodes
+through ``codec.decode_all``, so one read parses each distinct peer ID
+and CID string once.
 """
 
 from __future__ import annotations
@@ -44,25 +46,23 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.backend)
 
-    def __iter__(self) -> Iterator:
+    def _decoded(self, records) -> Iterator:
         if self._native:
-            return iter(self.backend.scan())
-        return (self.codec.decode(record) for record in self.backend.scan())
+            return iter(records)
+        return self.codec.decode_all(records)
+
+    def __iter__(self) -> Iterator:
+        return self._decoded(self.backend.scan())
 
     def __reversed__(self) -> Iterator:
-        if self._native:
-            return iter(self.backend.scan_reversed())
-        return (self.codec.decode(record) for record in self.backend.scan_reversed())
+        return self._decoded(self.backend.scan_reversed())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             if index.step not in (None, 1):
                 return list(self)[index]
             start, stop, _ = index.indices(len(self))
-            rows = self.backend.slice(start, stop)
-            if self._native:
-                return list(rows)
-            return [self.codec.decode(record) for record in rows]
+            return list(self._decoded(self.backend.slice(start, stop)))
         length = len(self)
         if index < 0:
             index += length
@@ -71,7 +71,7 @@ class EventLog:
         rows = self.backend.slice(index, index + 1)
         if not rows:
             raise IndexError("EventLog index out of range")
-        return rows[0] if self._native else self.codec.decode(rows[0])
+        return next(self._decoded(rows))
 
     def window(self, start: float, end: float) -> Iterator:
         """Events with ``start <= timestamp < end``.
@@ -81,10 +81,7 @@ class EventLog:
         matching the seed's hot loop (logs are append-ordered by time).
         """
         if not self._native:
-            return (
-                self.codec.decode(record)
-                for record in self.backend.scan_range(start, end)
-            )
+            return self._decoded(self.backend.scan_range(start, end))
 
         def backwards() -> Iterator:
             collected: List = []
@@ -102,9 +99,7 @@ class EventLog:
         """The newest ``count`` events, oldest-first."""
         if count <= 0:
             return []
-        newest = list(islice(self.backend.scan_reversed(), count))
-        if not self._native:
-            newest = [self.codec.decode(record) for record in newest]
+        newest = list(self._decoded(islice(self.backend.scan_reversed(), count)))
         newest.reverse()
         return newest
 

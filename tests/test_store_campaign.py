@@ -2,6 +2,7 @@
 to the in-memory default."""
 
 import dataclasses
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -39,27 +40,49 @@ def sqlite_result(tmp_path_factory):
     return run_campaign(tiny_config(f"sqlite:{directory}"))
 
 
+@pytest.fixture(scope="module")
+def jsonl_result(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("campaign-jsonl")
+    return run_campaign(tiny_config(f"jsonl:{directory}"))
+
+
+@pytest.fixture(scope="module")
+def disk_results(sqlite_result, jsonl_result):
+    return sqlite_result, jsonl_result
+
+
+def report_json(result) -> str:
+    return json.dumps(full_report(result, resilience_reps=1), sort_keys=True, default=str)
+
+
 class TestStorageParity:
-    def test_same_log_sizes(self, memory_result, sqlite_result):
-        assert len(memory_result.hydra.log) == len(sqlite_result.hydra.log) > 0
-        assert (
-            len(memory_result.bitswap_monitor.log)
-            == len(sqlite_result.bitswap_monitor.log)
-            > 0
-        )
+    def test_same_log_sizes(self, memory_result, disk_results):
+        for disk_result in disk_results:
+            assert len(memory_result.hydra.log) == len(disk_result.hydra.log) > 0
+            assert (
+                len(memory_result.bitswap_monitor.log)
+                == len(disk_result.bitswap_monitor.log)
+                > 0
+            )
 
-    def test_same_log_contents(self, memory_result, sqlite_result):
-        assert memory_result.hydra.log[:100] == sqlite_result.hydra.log[:100]
-        assert (
-            memory_result.bitswap_monitor.log[:100]
-            == sqlite_result.bitswap_monitor.log[:100]
-        )
+    def test_same_log_contents(self, memory_result, disk_results):
+        for disk_result in disk_results:
+            assert list(memory_result.hydra.log) == list(disk_result.hydra.log)
+            assert list(memory_result.bitswap_monitor.log) == list(
+                disk_result.bitswap_monitor.log
+            )
 
-    def test_same_traffic_analysis(self, memory_result, sqlite_result):
-        memory, sqlite = memory_result.hydra_summary, sqlite_result.hydra_summary
-        assert memory.class_shares == sqlite.class_shares
-        assert memory.counts == sqlite.counts
-        assert memory_result.bitswap_summary.counts == sqlite_result.bitswap_summary.counts
+    def test_same_traffic_analysis(self, memory_result, disk_results):
+        for disk_result in disk_results:
+            memory, disk = memory_result.hydra_summary, disk_result.hydra_summary
+            assert memory.class_shares == disk.class_shares
+            assert memory.counts == disk.counts
+            assert memory_result.bitswap_summary.counts == disk_result.bitswap_summary.counts
+
+    def test_full_report_is_byte_identical(self, memory_result, sqlite_result, jsonl_result):
+        expected = report_json(memory_result)
+        assert report_json(sqlite_result) == expected
+        assert report_json(jsonl_result) == expected
 
     def test_summary_matches_multi_pass_analysis(self, memory_result):
         """Each aggregate equals a direct count over the log, in the
