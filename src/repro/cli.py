@@ -103,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--days", type=int, help="measurement days (overrides preset)")
     campaign.add_argument("--seed", type=int, help="override the scenario seed")
     campaign.add_argument(
-        "--engine", choices=("auto", "soa", "scalar"), default="auto",
-        help="tick engine: the vectorized struct-of-arrays engine (needs "
-        "numpy), the scalar reference, or auto-select (both are "
-        "bit-identical; see repro.netsim.soa)",
-    )
-    campaign.add_argument(
         "--figures", nargs="*", choices=FIGURE_CHOICES, default=["crawl_stats", "fig3"],
         help="figure reports to print",
     )
@@ -404,10 +398,6 @@ def _config_from_args(args) -> ScenarioConfig:
         import dataclasses
 
         config = dataclasses.replace(config, storage=args.storage)
-    if getattr(args, "engine", "auto") != "auto":
-        import dataclasses
-
-        config = dataclasses.replace(config, engine=args.engine)
     if getattr(args, "workers", 1) > 1:
         import dataclasses
 

@@ -10,8 +10,11 @@ from :func:`repro.exec.seeds.derive_seed` rather than shared RNG state.
 Failure handling is structured, not hung: a task that raises is retried
 (``retries`` times) and then surfaced as an :class:`ExecError`; a worker
 process that dies outright (OOM-kill, segfault, ``os._exit``) breaks the
-pool, which the engine rebuilds before retrying the tasks that were in
-flight.
+pool, which the engine rebuilds.  A break fails every task in flight and
+does not say which one killed the worker, so those tasks are re-run one
+at a time on the rebuilt pool: only a task that breaks the pool while
+running alone is charged an attempt, and a poison task cannot use up the
+retries of the tasks queued beside it.
 """
 
 from __future__ import annotations
@@ -82,7 +85,13 @@ class ParallelExecutor:
         #: bumped on every rebuild so that the flood of BrokenProcessPool
         #: errors one dead worker causes tears the pool down only once.
         self._generation = 0
-        self._pending: Dict[Future, Tuple[Hashable, Callable, tuple, int, int, float]] = {}
+        #: future -> (task id, fn, args, attempt, pool generation,
+        #: submit time, whether it runs alone on the pool)
+        self._pending: Dict[
+            Future, Tuple[Hashable, Callable, tuple, int, int, float, bool]
+        ] = {}
+        #: tasks in flight when a worker died, waiting to re-run alone.
+        self._suspects: List[Tuple[Hashable, Callable, tuple, int]] = []
         self._results: Dict[Hashable, Any] = {}
         self._errors: List[ExecError] = []
 
@@ -142,10 +151,15 @@ class ParallelExecutor:
         if self.workers == 1:
             self._run_inline(task_id, fn, args)
         else:
-            future = self._ensure_pool().submit(fn, *args)
-            self._pending[future] = (
-                task_id, fn, args, 1, self._generation, time.perf_counter()
-            )
+            self._dispatch(task_id, fn, args, 1, isolated=False)
+
+    def _dispatch(
+        self, task_id: Hashable, fn: Callable, args: tuple, attempt: int, isolated: bool
+    ) -> None:
+        future = self._ensure_pool().submit(fn, *args)
+        self._pending[future] = (
+            task_id, fn, args, attempt, self._generation, time.perf_counter(), isolated
+        )
 
     def _run_inline(self, task_id: Hashable, fn: Callable, args: tuple) -> None:
         last: Optional[BaseException] = None
@@ -175,15 +189,14 @@ class ParallelExecutor:
             ExecError(task_id=task_id, error=repr(last), attempts=self.retries + 1)
         )
 
-    def _resubmit(self, task_id: Hashable, fn: Callable, args: tuple, attempt: int) -> None:
+    def _resubmit(
+        self, task_id: Hashable, fn: Callable, args: tuple, attempt: int, isolated: bool = False
+    ) -> None:
         obs.inc("exec.retries")
         obs.note("exec.retries")
         if obs.get_tracer().enabled:
             obs.trace_event("exec.retry", task=str(task_id))
-        future = self._ensure_pool().submit(fn, *args)
-        self._pending[future] = (
-            task_id, fn, args, attempt, self._generation, time.perf_counter()
-        )
+        self._dispatch(task_id, fn, args, attempt, isolated)
 
     def drain(self) -> Tuple[Dict[Hashable, Any], List[ExecError]]:
         """Wait for every submitted task; return ``(results, errors)``.
@@ -191,10 +204,14 @@ class ParallelExecutor:
         ``results`` maps task ID to return value for every task that
         succeeded; every task that did not appears in ``errors``.
         """
-        while self._pending:
+        while self._pending or self._suspects:
+            if not self._pending:
+                self._resubmit(*self._suspects.pop(0), isolated=True)
             done, _ = wait(list(self._pending), return_when=FIRST_COMPLETED)
             for future in done:
-                task_id, fn, args, attempt, generation, submitted = self._pending.pop(future)
+                (
+                    task_id, fn, args, attempt, generation, submitted, isolated
+                ) = self._pending.pop(future)
                 try:
                     self._results[task_id] = future.result()
                     # Queueing time is included; close enough for the
@@ -208,14 +225,16 @@ class ParallelExecutor:
                             "exec.done", task=str(task_id), attempts=attempt
                         )
                 except (BrokenProcessPool, CancelledError) as exc:
-                    # The worker died mid-task and took the pool (and any
-                    # still-queued futures) with it.  Every in-flight
-                    # future reports the same break; the generation guard
-                    # rebuilds only once, then each task retries on the
-                    # fresh pool.
+                    # A worker died and took the pool (and any still-queued
+                    # futures) with it.  Every in-flight future reports the
+                    # same break; the generation guard rebuilds only once.
+                    # A task that was not running alone goes back to run
+                    # alone, uncharged: the break may not be its fault.
                     self._rebuild_pool(generation)
-                    if attempt <= self.retries:
-                        self._resubmit(task_id, fn, args, attempt + 1)
+                    if not isolated:
+                        self._suspects.append((task_id, fn, args, attempt))
+                    elif attempt <= self.retries:
+                        self._suspects.append((task_id, fn, args, attempt + 1))
                     else:
                         obs.inc("exec.failures")
                         if obs.get_tracer().enabled:

@@ -10,14 +10,12 @@ peer ID with class-specific probabilities.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 
 from repro.netsim.clock import SECONDS_PER_HOUR
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
-from repro.netsim.soa import MirroredRandom
 from repro.world.population import NodeClass
 
 
@@ -40,9 +38,6 @@ class ChurnProcess:
         the current state has the same distribution as a fresh draw — the
         steady state bootstrapped by :meth:`Overlay.bootstrap` is preserved.
         """
-        if self.overlay.vectorized and self.overlay.nodes:
-            self._start_batched()
-            return
         for node in self.overlay.nodes:
             behavior = node.spec.behavior
             if node.online:
@@ -51,35 +46,6 @@ class ChurnProcess:
             else:
                 delay = self._exp_hours(behavior.mean_gap_hours)
                 self.overlay.scheduler.schedule_in(delay, lambda n=node: self._join(n))
-
-    def _start_batched(self) -> None:
-        """Batched twin of :meth:`start`: one mirrored uniform per node,
-        one heapify.  Bit-identical — ``expovariate(lambd)`` is
-        ``-log(1.0 - random()) / lambd`` (CPython), reproduced here with
-        the same ``math.log`` and the same operation order, and
-        :meth:`~repro.netsim.clock.EventScheduler.schedule_many` assigns
-        counters in the same order ``schedule_in`` would."""
-        nodes = self.overlay.nodes
-        mirror = MirroredRandom(self.rng)
-        mirror.attach()
-        uniforms = mirror.uniforms(len(nodes)).tolist()
-        now = self.overlay.scheduler.clock.now
-        log = math.log
-        events = []
-        append = events.append
-        for position, node in enumerate(nodes):
-            behavior = node.spec.behavior
-            if node.online:
-                mean_hours = behavior.mean_session_hours
-                callback = (lambda n=node: self._leave(n))
-            else:
-                mean_hours = behavior.mean_gap_hours
-                callback = (lambda n=node: self._join(n))
-            lambd = 1.0 / mean_hours
-            delay = -log(1.0 - uniforms[position]) / lambd * SECONDS_PER_HOUR
-            append((now + delay, callback))
-        mirror.sync_python_to(len(nodes))
-        self.overlay.scheduler.schedule_many(events)
 
     def _leave(self, node: Node) -> None:
         if node.online:
@@ -111,51 +77,17 @@ class DailyAddressRotation:
         self.overlay = overlay
         self.rng = rng or random.Random(overlay.world.profile.seed + 12)
         self.rotations = 0
-        self._mirror: Optional[MirroredRandom] = None
 
     def start(self) -> None:
         self.overlay.scheduler.schedule_in(24 * SECONDS_PER_HOUR, self._tick)
 
     def _tick(self) -> None:
-        if self.overlay.vectorized:
-            self._tick_batched()
-        else:
-            for node in list(self.overlay.online_by_peer.values()):
-                probability = node.spec.behavior.daily_ip_rotation_prob
-                if probability > 0 and self.rng.random() < probability:
-                    self.overlay.rotate_addresses(node)
-                    self.rotations += 1
-        self.overlay.scheduler.schedule_in(24 * SECONDS_PER_HOUR, self._tick)
-
-    def _tick_batched(self) -> None:
-        """Batched twin of the scalar ``_tick`` loop.
-
-        The scalar loop draws one uniform per online node with a positive
-        rotation probability, in registry order; rotations themselves
-        touch only the allocator and the overlay RNG (never ``self.rng``),
-        so pre-drawing the uniforms and then rotating the hits in the
-        same order leaves every RNG stream and every allocator state
-        transition bit-identical.
-        """
-        soa = self.overlay.soa
-        indices = soa.online_indices()
-        probabilities = soa.rotation_prob[indices]
-        draw_mask = probabilities > 0.0
-        draws = int(draw_mask.sum())
-        if not draws:
-            return
-        if self._mirror is None:
-            self._mirror = MirroredRandom(self.rng)
-        mirror = self._mirror
-        mirror.attach()
-        uniforms = mirror.uniforms(draws)[:draws]
-        hits = uniforms < probabilities[draw_mask]
-        mirror.sync_python_to(draws)
-        if hits.any():
-            nodes = self.overlay.nodes
-            for index in indices[draw_mask][hits].tolist():
-                self.overlay.rotate_addresses(nodes[index])
+        for node in list(self.overlay.online_by_peer.values()):
+            probability = node.spec.behavior.daily_ip_rotation_prob
+            if probability > 0 and self.rng.random() < probability:
+                self.overlay.rotate_addresses(node)
                 self.rotations += 1
+        self.overlay.scheduler.schedule_in(24 * SECONDS_PER_HOUR, self._tick)
 
 
 class PresenceAdvertiser:

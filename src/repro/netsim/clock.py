@@ -55,27 +55,6 @@ class EventScheduler:
         """Run ``callback`` after ``delay`` simulated seconds."""
         self.schedule(self.clock.now + delay, callback)
 
-    def schedule_many(
-        self, events: List[Tuple[float, Callable[[], None]]]
-    ) -> None:
-        """Schedule many ``(timestamp, callback)`` pairs at once.
-
-        Equivalent to calling :meth:`schedule` for each pair in order —
-        counters are assigned in iteration order, and because every heap
-        entry is totally ordered by its unique ``(timestamp, counter)``
-        prefix, one ``heapify`` yields the exact pop sequence of
-        element-wise pushes.  Used by the batched churn start, where
-        per-push sift costs add up at 100 k+ nodes.
-        """
-        now = self.clock.now
-        heap = self._heap
-        counter = self._counter
-        for timestamp, callback in events:
-            if timestamp < now:
-                raise ValueError("cannot schedule an event in the past")
-            heap.append((timestamp, next(counter), callback))
-        heapq.heapify(heap)
-
     def __len__(self) -> int:
         return len(self._heap)
 

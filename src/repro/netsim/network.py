@@ -32,8 +32,7 @@ from repro.kademlia.providers import DEFAULT_RECORD_TTL, ProviderRecord
 from repro.kademlia.routing_table import RoutingTable
 from repro.netsim.clock import EventScheduler, SECONDS_PER_HOUR
 from repro.netsim.node import Node
-from repro.netsim.oracle import MIRROR_BITS, KeyspaceOracle
-from repro.netsim.soa import HAVE_NUMPY, SoAState
+from repro.netsim.oracle import KeyspaceOracle
 from repro.obs import observer as obs
 from repro.world.population import NodeClass, NodeSpec, World
 
@@ -128,7 +127,6 @@ class Overlay:
         k: int = 20,
         refresh_interval_hours: float = 6.0,
         stale_detect_prob: float = 0.85,
-        vectorized: Optional[bool] = None,
     ) -> None:
         self.world = world
         self.scheduler = scheduler or EventScheduler()
@@ -136,18 +134,6 @@ class Overlay:
         self.k = k
         self.refresh_interval_hours = refresh_interval_hours
         self.stale_detect_prob = stale_detect_prob
-
-        # -- struct-of-arrays mirror (see repro.netsim.soa) ----------------
-        #: columnar view of the population, maintained at the liveness
-        #: choke points below; ``None`` without numpy.
-        self.soa: Optional[SoAState] = SoAState(world) if HAVE_NUMPY else None
-        #: gates the batched (array-op) algorithm variants.  Every batched
-        #: variant is bit-identical to its scalar twin (same RNG draws,
-        #: same float op order) — the flag exists for the differential
-        #: parity harness and for explicit ``engine="scalar"`` runs.
-        if vectorized is None:
-            vectorized = self.soa is not None
-        self.vectorized: bool = bool(vectorized) and self.soa is not None
 
         self.nodes: List[Node] = [Node(spec, self) for spec in world.specs]
         self.online_by_peer: Dict[PeerID, Node] = {}
@@ -236,8 +222,6 @@ class Overlay:
         node = Node(spec, self)
         self.nodes.append(node)
         self._nodes_by_class.setdefault(node.node_class, []).append(node)
-        if self.soa is not None:
-            self.soa.grow(spec)
         return node
 
     def adopt_identity(self, node: Node, peer: PeerID) -> None:
@@ -324,8 +308,6 @@ class Overlay:
             # regenerate to keep the registry one-to-one.
             self._assign_identity(node, rotate_ip, regen_peer=True)
         self.online_by_peer[node.peer] = node
-        if self.soa is not None:
-            self.soa.set_online(node.spec.index)
         if not node.is_dht_server:
             self._online_clients[node.peer] = node
             node.relay = self.pick_relay(exclude=node)
@@ -362,8 +344,6 @@ class Overlay:
         if not node.online:
             return
         node.online = False
-        if self.soa is not None:
-            self.soa.set_offline(node.spec.index)
         if node.peer is not None:
             self.online_by_peer.pop(node.peer, None)
             if node.is_dht_server:
@@ -404,8 +384,6 @@ class Overlay:
         performs: each bucket is filled with up to ``k`` random online
         servers from that bucket's subtree (see DESIGN.md).
         """
-        if self.vectorized and self._fill_routing_table_batched(node):
-            return
         own = node.peer.dht_key
         table = RoutingTable(own, bucket_size=self.k)
         empty_streak = 0
@@ -421,62 +399,6 @@ class Overlay:
                 if bucket_idx > max_depth and empty_streak >= 3:
                     break
         node.routing_table = table
-
-    def _fill_routing_table_batched(self, node: Node) -> bool:
-        """Vectorized twin of :meth:`_fill_routing_table`.
-
-        One :meth:`~repro.netsim.oracle.KeyspaceOracle.bucket_bounds_top64`
-        call replaces the per-bucket bigint prefix computation and
-        bisects; only non-empty buckets are then visited (empty buckets
-        consume no RNG, so skipping them is draw-for-draw identical),
-        with the scalar loop's ``empty_streak``/break bookkeeping
-        reproduced arithmetically across the skipped gaps.  Returns
-        ``False`` — caller runs the scalar loop — when the oracle cannot
-        vouch for the top-64-bit bounds (foreign key sharing our 64-bit
-        prefix), so results are exact in every case.
-        """
-        own = node.peer.dht_key
-        bounds = self.oracle.bucket_bounds_top64(own)
-        if bounds is None:
-            return False
-        lows, highs = bounds
-        table = RoutingTable(own, bucket_size=self.k)
-        max_depth = self._expected_depth() + 8
-        store = self._store_keys
-        oracle = self.oracle
-        rng = self.rng
-        k = self.k
-        empty_streak = 0
-        previous = -1
-        for bucket_idx in range(len(lows)):
-            low = lows[bucket_idx]
-            high = highs[bucket_idx]
-            if low >= high:
-                continue
-            gap = bucket_idx - previous - 1
-            if gap:
-                # Would the scalar loop have broken inside this run of
-                # empty buckets?  The first breaking index needs both
-                # ``empty_streak >= 3`` and ``bucket_idx > max_depth``.
-                first_break = max(previous + max(1, 3 - empty_streak), max_depth + 1)
-                if first_break < bucket_idx:
-                    node.routing_table = table
-                    return True
-                empty_streak += gap
-            keys, _ = oracle.sample_bounds_info(low, high, k, rng)
-            if store(node, table, bucket_idx, keys):
-                empty_streak = 0
-            else:
-                empty_streak += 1
-                if bucket_idx > max_depth and empty_streak >= 3:
-                    break
-            previous = bucket_idx
-        # Buckets beyond the last non-empty one (including everything past
-        # the 64-bit mirror depth, empty by the ``bounds`` contract) add
-        # no peers and draw no RNG: the scalar loop just walks them until
-        # its break condition fires.
-        node.routing_table = table
-        return True
 
     def _store_keys(
         self, node: Node, table: RoutingTable, bucket_idx: int, keys: Sequence[int]
@@ -637,33 +559,17 @@ class Overlay:
         own = table.owner_key
         watches: List[Tuple[int, int]] = []
         depth = min(self._expected_depth() + 4, KEY_BITS)
-        # Vectorized path: all bucket bounds in one searchsorted instead
-        # of two bigint bisects per bucket.  Bit-identical — the bounds
-        # are exact (else ``bounds is None`` and we fall back) and the
-        # per-bucket sampling below is shared with the scalar path.
-        # Computed lazily: a pass over a fully-topped-up table never
-        # needs them.
-        bounds = None
-        want_bounds = self.vectorized and depth <= MIRROR_BITS
         k = self.k
         for bucket_idx in range(depth):
             bucket = table.bucket(bucket_idx)
             missing = k - len(bucket)
             if missing <= 0:
                 continue
-            if want_bounds:
-                bounds = self.oracle.bucket_bounds_top64(own)
-                want_bounds = False
             shift = KEY_BITS - bucket_idx - 1
             prefix_base = (((own >> shift) ^ 1) << shift)
-            if bounds is not None:
-                keys, consumed_rng = self.oracle.sample_bounds_info(
-                    bounds[0][bucket_idx], bounds[1][bucket_idx], missing * 2, rng
-                )
-            else:
-                keys, consumed_rng = self.oracle.sample_range_info(
-                    prefix_base, bucket_idx + 1, missing * 2, rng
-                )
+            keys, consumed_rng = self.oracle.sample_range_info(
+                prefix_base, bucket_idx + 1, missing * 2, rng
+            )
             if consumed_rng:
                 clean = False
             if self._store_keys(node, table, bucket_idx, keys):

@@ -118,14 +118,6 @@ class ScenarioConfig:
     #: campaign tick at 4 ticks/day, matching the engine's traffic
     #: timestamp quantization).
     detect_window: float = 21_600.0
-    #: tick-engine implementation (see :mod:`repro.netsim.soa`):
-    #: ``"auto"`` uses the vectorized struct-of-arrays engine when numpy
-    #: is available and the scalar engine otherwise; ``"soa"`` requires
-    #: numpy (fails fast with a clear error if missing); ``"scalar"``
-    #: forces the per-node reference engine.  Both engines produce
-    #: bit-identical campaigns (pinned by ``tests/test_tick_parity.py``)
-    #: — the choice is purely about speed.
-    engine: str = "auto"
     seed: int = 2023
 
     @property

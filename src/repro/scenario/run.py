@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.attack.orchestrator import AttackOrchestrator
 from repro.content.catalog import ContentCatalog
-from repro.workload.engine import TrafficEngine, VectorizedTrafficEngine
+from repro.workload.engine import TrafficEngine
 from repro.workload.spec import build_workload
 from repro.core.counting import CrawlRow, make_rows
 from repro.core.crawler import CrawlDataset, DHTCrawler, collect_crawl, execute_crawl_task
@@ -44,7 +44,6 @@ from repro.netsim.churn import ChurnProcess, DailyAddressRotation, PresenceAdver
 from repro.netsim.clock import SECONDS_PER_DAY
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
-from repro.netsim.soa import resolve_engine
 from repro.obs import observer as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer, use_observer
@@ -291,12 +290,7 @@ class MeasurementCampaign:
         self.operators = default_operators()
         self.gateway_specs = install_gateway_specs(self.world, self.operators)
         self._monitor_spec = self._add_monitor_spec()
-        # Engine selection (fails fast here if "soa" is requested without
-        # numpy).  Both engines are bit-identical; "auto" simply picks the
-        # fast one when numpy is available.
-        engine_kind = resolve_engine(config.engine)
-        self.engine_kind = engine_kind
-        self.overlay = Overlay(self.world, vectorized=(engine_kind == "soa"))
+        self.overlay = Overlay(self.world)
         self.overlay.bootstrap()
         self.overlay.schedule_periodic_refresh()
         self.churn = ChurnProcess(self.overlay)
@@ -319,10 +313,7 @@ class MeasurementCampaign:
         self.monitor = BitswapMonitor(
             random.Random(config.seed + 102), store=stores["bitswap"]
         )
-        engine_cls = (
-            VectorizedTrafficEngine if engine_kind == "soa" else TrafficEngine
-        )
-        self.engine = engine_cls(
+        self.engine = TrafficEngine(
             self.overlay, self.catalog, self.hydra, self.monitor, config.workload
         )
         # Optional open-loop session driver (see repro.workload.spec).

@@ -1,7 +1,7 @@
-"""Workload generation: the traffic engines and their models.
+"""Workload generation: the traffic engine and its models.
 
 * :mod:`repro.workload.engine` — the calibrated traffic engine
-  (closed-loop default plus its SoA-batched twin) driving downloads,
+  (closed-loop by default, open-loop with a session driver) driving downloads,
   advertisements and platform re-provides,
 * :mod:`repro.workload.spec` — the ``closed`` / ``zipf:...`` spec-string
   front door (:class:`WorkloadSpec`, :func:`parse_workload_spec`,
@@ -14,13 +14,12 @@
 * :mod:`repro.workload.diurnal` — the day/night rate curve.
 
 This package grew out of a single traffic-engine module into a
-subsystem; :mod:`repro.workload.engine` holds the engines.
+subsystem; :mod:`repro.workload.engine` holds the engine.
 """
 
 from repro.workload.diurnal import diurnal_factor
 from repro.workload.engine import (
     TrafficEngine,
-    VectorizedTrafficEngine,
     WorkloadConfig,
     _poisson,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "DEFAULT_CLASS_MIX",
     "OpenLoopDriver",
     "TrafficEngine",
-    "VectorizedTrafficEngine",
     "WorkloadConfig",
     "WorkloadSpec",
     "ZipfPopularity",

@@ -44,7 +44,6 @@ from repro.monitors.hydra import HydraBooster
 from repro.netsim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node, OrderedCIDSet
-from repro.netsim.soa import CLASS_CODE, CLASS_ORDER, np, require_numpy
 from repro.world.population import NodeClass
 
 
@@ -229,7 +228,6 @@ class TrafficEngine:
         """Install an open-loop session driver; it takes over the user
         request/publish stream from the next ``run_tick`` on."""
         self.open_loop = driver
-        driver.bind(self)
 
     # ------------------------------------------------------------------
     # capture helpers
@@ -423,10 +421,9 @@ class TrafficEngine:
         """Online pinning/storage platform nodes, in spec order."""
         return [
             node
-            for node in self.overlay.nodes
+            for node in self.overlay.nodes_of_class(NodeClass.PLATFORM)
             if node.online
             and node.spec.platform is not None
-            and node.node_class is NodeClass.PLATFORM
             and node.spec.platform not in self.config.indexer_rates
             and node.spec.platform != "hydra"
         ]
@@ -545,19 +542,15 @@ class TrafficEngine:
                 continue  # platforms have their own pass; gateways cache
             if not node.provided_cids:
                 continue
-            self._user_reprovide_node(node, config)
-
-    def _user_reprovide_node(self, node: Node, config: WorkloadConfig) -> None:
-        """Re-announce one node's provided set (shared by both engines)."""
-        cids = list(node.provided_cids)
-        if len(cids) > config.daily_reprovide_sample:
-            cids = self.rng.sample(cids, config.daily_reprovide_sample)
-        for cid in cids:
-            item = self.catalog.by_cid.get(cid)
-            if item is not None and not item.alive_on(self.overlay_clock_day):
-                node.provided_cids.discard(cid)
-                continue
-            self.publish(node, cid=cid, fresh=False)
+            cids = list(node.provided_cids)
+            if len(cids) > config.daily_reprovide_sample:
+                cids = self.rng.sample(cids, config.daily_reprovide_sample)
+            for cid in cids:
+                item = self.catalog.by_cid.get(cid)
+                if item is not None and not item.alive_on(self.overlay_clock_day):
+                    node.provided_cids.discard(cid)
+                    continue
+                self.publish(node, cid=cid, fresh=False)
 
     @property
     def overlay_clock_day(self) -> int:
@@ -567,8 +560,7 @@ class TrafficEngine:
         """Generate ``hours`` worth of traffic from the current online set."""
         if self.open_loop is not None:
             # The session driver owns the user request/publish stream;
-            # infrastructure traffic stays closed-loop.  Both engines run
-            # this exact path, so scalar ≡ soa holds by construction.
+            # infrastructure traffic stays closed-loop.
             self.open_loop.run_tick(self, hours)
             self._run_background_tick(hours)
             return
@@ -607,8 +599,7 @@ class TrafficEngine:
         The automated resolver platforms (``aws-mystery``/``cid-scraper``)
         and the DHT's own FIND_NODE churn are infrastructure, not users,
         so they keep their closed-loop Poisson rates when a session
-        driver is attached.  Runs the same scalar code under both
-        engines.
+        driver is attached.
         """
         config = self.config
         online = list(self.overlay.online_by_peer.values())
@@ -640,339 +631,10 @@ class TrafficEngine:
             self.overlay.scheduler.run_until(min(target, (day + 1) * SECONDS_PER_DAY))
 
 
-class VectorizedTrafficEngine(TrafficEngine):
-    """The SoA tick engine: :meth:`TrafficEngine.run_tick`, batched.
-
-    Bit-identical to the scalar engine by construction (and pinned by
-    ``tests/test_tick_parity.py``): every RNG draw happens in the same
-    order with the same values, every decision-bearing float is computed
-    with the scalar code's operation ordering and libm.  Three batched
-    strategies, picked per tick:
-
-    * **Rate precomputation** (always): per-node request/publish rates
-      become two array gathers instead of per-node dict lookups and
-      class checks.
-    * **Scalar dispatch over precomputed rates** (busy regimes): when the
-      expected share of fully-silent nodes is small, per-node event
-      generation dominates and batching the silence test cannot win, so
-      the tick loops over the precomputed rate lists directly.
-    * **Batched silence classification** (quiet regimes, e.g. many ticks
-      per day or low-rate sweeps): a Poisson draw with rate ``m`` yields
-      zero events iff its first uniform is ``<= exp(-m)``, consuming
-      exactly one draw.  The engine pre-draws a window's worth of those
-      uniforms from the engine RNG itself, classifies the whole window
-      with one vector compare, and — only when the window contains a
-      non-silent node — rewinds via ``getstate``/``setstate`` and replays
-      up to that node's exact stream position before running its
-      unmodified scalar body.  Draw-for-draw identical to the scalar
-      loop; an all-silent window needs no rewind at all.
-    """
-
-    #: Below this expected share of fully-silent nodes the batched
-    #: classifier cannot win (nearly every node triggers a rewind and
-    #: runs the scalar body anyway), so the tick dispatches over
-    #: precomputed rates instead.
-    MIN_SILENT_SHARE = 0.9
-    #: Hard bounds for the adaptive scan window (sized to the expected
-    #: gap between non-silent nodes, so a rewind rarely discards more
-    #: than one window of pre-drawn uniforms).
-    MIN_SCAN_WINDOW = 64
-    MAX_SCAN_WINDOW = 4096
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        require_numpy("VectorizedTrafficEngine")
-        soa_state = getattr(self.overlay, "soa", None)
-        if soa_state is None:
-            raise RuntimeError(
-                "VectorizedTrafficEngine requires an Overlay with SoA state "
-                "(constructed while numpy is available)"
-            )
-        self._soa = soa_state
-        self._platform_code = CLASS_CODE[NodeClass.PLATFORM]
-        self._gateway_code = CLASS_CODE[NodeClass.GATEWAY]
-        self._static_n = -1
-        self._limit_cache: Dict[float, tuple] = {}
-        self._pin_epoch = -1
-        self._pin_cache: List[Node] = []
-        self._rebuild_static()
-
-    # -- static per-spec arrays ----------------------------------------
-
-    def _rebuild_static(self) -> None:
-        """(Re)derive the per-spec rate arrays from config + population.
-
-        Cheap enough to re-run whenever the population grows (attack
-        injection); the indexer fleet sizes deliberately stay frozen at
-        engine construction, exactly like the scalar engine's.
-        """
-        soa = self._soa
-        config = self.config
-        n = soa.size
-        codes = soa.class_code[:n]
-        class_req = np.array(
-            [config.request_rates.get(cls, 0.0) for cls in CLASS_ORDER],
-            dtype=np.float64,
-        )
-        class_pub = np.array(
-            [config.publish_rates.get(cls, 0.0) for cls in CLASS_ORDER],
-            dtype=np.float64,
-        )
-        weights = soa.activity_weight[:n]
-        # Same float op as the scalar ``rate * weight`` per node.
-        self._rw_req = class_req[codes] * weights
-        self._rw_pub = class_pub[codes] * weights
-        gw_mult = np.ones(n, dtype=np.float64)
-        is_ix = np.zeros(n, dtype=bool)
-        ix_base = np.zeros(n, dtype=np.float64)
-        pinnable = np.zeros(n, dtype=bool)
-        platform_id: Dict[str, int] = {}
-        platform_codes = np.zeros(n, dtype=np.int32)
-        for node in self.overlay.nodes:
-            spec = node.spec
-            platform = spec.platform or ""
-            if spec.platform is not None:
-                platform_codes[spec.index] = platform_id.setdefault(
-                    platform, len(platform_id) + 1
-                )
-            if platform in config.indexer_rates:
-                is_ix[spec.index] = True
-                fleet = self._indexer_fleet_sizes.get(platform, 1)
-                ix_base[spec.index] = config.indexer_rates[platform] / fleet
-            else:
-                if spec.node_class is NodeClass.GATEWAY:
-                    gw_mult[spec.index] = config.gateway_rate_multipliers.get(
-                        platform, 1.0
-                    )
-                if (
-                    spec.platform is not None
-                    and spec.node_class is NodeClass.PLATFORM
-                    and platform != "hydra"
-                ):
-                    pinnable[spec.index] = True
-        self._gw_mult = gw_mult
-        self._is_ix = is_ix
-        self._ix_base = ix_base
-        self._is_gw = (codes == self._gateway_code) & ~is_ix
-        self._pinnable = pinnable
-        self._platform_id = platform_id
-        self._platform_codes = platform_codes
-        self._static_n = n
-        self._limit_cache.clear()
-        self._pin_epoch = -1
-
-    def _limits(self, hours: float):
-        """Per-spec silence thresholds ``exp(-rate)`` for static rates.
-
-        Computed with ``math.exp`` — numpy's SIMD ``exp`` can differ by
-        1 ulp, which would flip silence decisions.  Rates outside
-        ``(0, 30]`` get a placeholder (zero-rate nodes draw nothing;
-        ``> 30`` nodes are forced down the scalar fallback).
-        """
-        cached = self._limit_cache.get(hours)
-        if cached is None:
-            exp = math.exp
-            req = (self._rw_req * hours).tolist()
-            pub = (self._rw_pub * hours).tolist()
-            limq = np.array(
-                [exp(-r) if 0.0 < r <= 30.0 else 1.0 for r in req], dtype=np.float64
-            )
-            limp = np.array(
-                [exp(-p) if 0.0 < p <= 30.0 else 1.0 for p in pub], dtype=np.float64
-            )
-            self._limit_cache[hours] = cached = (limq, limp)
-        return cached
-
-    # -- the batched tick ----------------------------------------------
-
-    def run_tick(self, hours: float) -> None:
-        if self.open_loop is not None:
-            # Open-loop ticks run the shared driver + background path;
-            # the driver itself batches its session draws through
-            # MirroredRandom when bound to this engine.
-            TrafficEngine.run_tick(self, hours)
-            return
-        soa = self._soa
-        if soa.size != self._static_n:
-            self._rebuild_static()
-        overlay = self.overlay
-        config = self.config
-        indices = soa.online_indices()
-        n = int(indices.shape[0])
-        nodes_all = overlay.nodes
-        gateway_scale = max(len(overlay.oracle), 1) / 2500.0
-        server_mask = None
-        if n:
-            # Per-node rates with the scalar engine's exact float op order:
-            # normal nodes   (r*w)*hours
-            # gateways       ((r*w)*hours) * (gateway_scale*mult)
-            # indexers       ((rate/fleet)*gateway_scale) * hours
-            req = self._rw_req[indices] * hours
-            gw = self._is_gw[indices]
-            if gw.any():
-                req[gw] = req[gw] * (gateway_scale * self._gw_mult[indices[gw]])
-            ix = self._is_ix[indices]
-            if ix.any():
-                req[ix] = (self._ix_base[indices[ix]] * gateway_scale) * hours
-            pub = self._rw_pub[indices] * hours
-            server_mask = soa.is_server[indices]
-            # Heuristic only (never decision-bearing per node): expected
-            # share of nodes with zero events this tick.
-            expected_silent = float(np.mean(np.exp(-np.minimum(req + pub, 50.0))))
-            if expected_silent < self.MIN_SILENT_SHARE:
-                rng = self.rng
-                req_list = req.tolist()
-                pub_list = pub.tolist()
-                index_list = indices.tolist()
-                for position in range(n):
-                    node = nodes_all[index_list[position]]
-                    for _ in range(_poisson(req_list[position], rng)):
-                        self.download(node)
-                    for _ in range(_poisson(pub_list[position], rng)):
-                        self.publish(node)
-            else:
-                limq_all, limp_all = self._limits(hours)
-                limq = limq_all[indices]
-                limp = limp_all[indices]
-                dynamic = gw | ix
-                if dynamic.any():
-                    exp = math.exp
-                    for position in np.nonzero(dynamic)[0].tolist():
-                        rate = float(req[position])
-                        limq[position] = exp(-rate) if 0.0 < rate <= 30.0 else 1.0
-                big = (req > 30.0) | (pub > 30.0)
-                self._run_tick_batched(
-                    indices, req, pub, limq, limp, big, expected_silent
-                )
-        # Join / maintenance traffic (scalar semantics; the server list is
-        # the registry-order subsequence the scalar filter would build).
-        if n and server_mask.any():
-            servers = [nodes_all[i] for i in indices[server_mask].tolist()]
-            walks = _poisson(config.other_rate * len(servers) * hours, self.rng)
-            for _ in range(walks):
-                self.other_walk(self.rng.choice(servers))
-
-    def _run_tick_batched(
-        self, indices, req, pub, limq, limp, big, expected_silent
-    ) -> None:
-        """Silence-classify whole windows; scalar-replay the active nodes.
-
-        A silent node consumes exactly one uniform per positive rate
-        (the Knuth loop exits on its first draw), so every node's stream
-        position within a window is a prefix sum of per-node draw counts.
-        The window's uniforms are drawn straight from the engine RNG (so
-        an all-silent window leaves the stream exactly where the scalar
-        loop would — no state surgery at all); when a window does hold a
-        non-silent node, the RNG is rewound to the window-start snapshot,
-        replayed up to that node's position, and the unmodified scalar
-        body runs.  The window is sized to the expected gap between
-        non-silent nodes so a rewind rarely discards more than one
-        window of pre-drawn uniforms.
-        """
-        rng = self.rng
-        rnd = rng.random
-        nodes_all = self.overlay.nodes
-        n = int(indices.shape[0])
-        req_positive = req > 0.0
-        pub_positive = pub > 0.0
-        draws = req_positive.astype(np.int64)
-        draws += pub_positive
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(draws, out=starts[1:])
-        window = min(
-            self.MAX_SCAN_WINDOW,
-            max(self.MIN_SCAN_WINDOW, int(1.0 / max(1.0 - expected_silent, 1e-9))),
-        )
-        i = 0
-        while i < n:
-            take = min(n - i, window)
-            end = i + take
-            base = int(starts[i])
-            need = int(starts[end]) - base
-            if need == 0:  # a run of zero-rate nodes: no draws, no events
-                i = end
-                continue
-            snapshot = rng.getstate()
-            buffer = np.array([rnd() for _ in range(need)], dtype=np.float64)
-            offsets = starts[i:end] - base
-            silent = np.ones(take, dtype=bool)
-            rmask = req_positive[i:end]
-            if rmask.any():
-                silent[rmask] = buffer[offsets[rmask]] <= limq[i:end][rmask]
-            pmask = pub_positive[i:end]
-            if pmask.any():
-                # The publish draw is the second draw when a request
-                # draw precedes it.
-                pub_offsets = offsets + rmask
-                silent[pmask] &= buffer[pub_offsets[pmask]] <= limp[i:end][pmask]
-            forced = big[i:end]
-            if forced.any():
-                # mean > 30 takes the gauss path: always the scalar body.
-                silent[forced] = False
-            if silent.all():
-                # The stream has advanced past exactly these nodes'
-                # silence draws — identical to the scalar loop.
-                i = end
-                continue
-            active = i + int(np.argmin(silent))
-            rng.setstate(snapshot)
-            for _ in range(int(starts[active]) - base):
-                rnd()
-            node = nodes_all[int(indices[active])]
-            for _ in range(_poisson(float(req[active]), rng)):
-                self.download(node)
-            for _ in range(_poisson(float(pub[active]), rng)):
-                self.publish(node)
-            i = active + 1
-
-    # -- RNG-free node scans, as array selections ------------------------
-
-    def _pin_candidates(self) -> List[Node]:
-        """Epoch-cached array selection of the scalar scan (spec order;
-        ``choice`` draws on the list length only, so same-length lists in
-        the same order are bit-identical)."""
-        soa = self._soa
-        if soa.size != self._static_n:
-            self._rebuild_static()
-        if soa.epoch != self._pin_epoch:
-            n = self._static_n
-            nodes_all = self.overlay.nodes
-            mask = self._pinnable & soa.online[:n]
-            self._pin_cache = [nodes_all[i] for i in np.nonzero(mask)[0].tolist()]
-            self._pin_epoch = soa.epoch
-        return self._pin_cache
-
-    def _platform_nodes(self, name: str) -> List[Node]:
-        soa = self._soa
-        if soa.size != self._static_n:
-            self._rebuild_static()
-        code = self._platform_id.get(name)
-        if code is None:
-            return []
-        mask = (self._platform_codes == code) & soa.online[: self._static_n]
-        nodes_all = self.overlay.nodes
-        return [nodes_all[i] for i in np.nonzero(mask)[0].tolist()]
-
-    # -- daily passes ----------------------------------------------------
-
-    def user_reprovide_pass(self) -> None:
-        """Scalar pass with the platform/gateway skip as an array filter
-        (those skips draw no RNG, so prefiltering is bit-identical)."""
-        soa = self._soa
-        if soa.size != self._static_n:
-            self._rebuild_static()
-        config = self.config
-        indices = soa.online_indices()
-        if not int(indices.shape[0]):
-            return
-        codes = soa.class_code[indices]
-        keep = (codes != self._platform_code) & (codes != self._gateway_code)
-        nodes_all = self.overlay.nodes
-        for index in indices[keep].tolist():
-            node = nodes_all[index]
-            if not node.provided_cids:
-                continue
-            self._user_reprovide_node(node, config)
+# Not a second engine.  Its only reason is that the campaign benchmark's
+# layer probes name this attribute; it goes when the ROADMAP's timing-surface
+# item moves the probe list into ``repro.obs``.
+VectorizedTrafficEngine = TrafficEngine
 
 
 def _poisson(mean: float, rng: random.Random) -> int:

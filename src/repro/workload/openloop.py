@@ -27,13 +27,9 @@ Determinism: all driver randomness comes from
 crawl workers can't perturb it (workers=1 ≡ N) — with a fixed
 uniform-consumption layout: one :func:`~repro.workload.engine._poisson`
 arrival draw per tick, six uniforms per session (class, node, start,
-duration, train, publish), two per request (offset, CID).  When bound to
-the SoA engine the driver bulk-draws those uniforms through
-:class:`~repro.netsim.soa.MirroredRandom` and feeds them to the *same*
-scalar attribute code, and the per-request math is restricted to
-exact-safe numpy ops (elementwise linear arithmetic, ``searchsorted``),
-so scalar ≡ soa holds bit-for-bit.  Scheduled events execute in
-``(time, seq)`` heap order through the shared scalar engine calls.
+duration, train, publish), two per request (offset, CID).  Scheduled
+events execute in ``(time, seq)`` heap order through the engine's own
+download and publish calls.
 """
 
 from __future__ import annotations
@@ -44,7 +40,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.exec.seeds import derive_rng
 from repro.netsim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
-from repro.netsim.soa import CLASS_CODE, HAVE_NUMPY, MirroredRandom, np
 from repro.workload.diurnal import diurnal_factor
 from repro.workload.engine import _poisson
 from repro.workload.popularity import ZipfPopularity, rank_by_weight
@@ -60,17 +55,13 @@ _REQUEST = 1
 class OpenLoopDriver:
     """Session-based request stream feeding a bound traffic engine.
 
-    One driver instance per campaign; :meth:`bind` is called by
-    :meth:`~repro.workload.engine.TrafficEngine.attach_open_loop` and
-    decides whether session draws go through the batched mirror.
+    One driver instance per campaign, installed with
+    :meth:`~repro.workload.engine.TrafficEngine.attach_open_loop`.
     """
 
     def __init__(self, spec, seed: int) -> None:
         self.spec = spec
         self.rng = derive_rng(seed, "workload", "openloop")
-        self._engine = None
-        self._batched = False
-        self._mirror: Optional[MirroredRandom] = None
         #: pending scheduled events: (time, seq, kind, node_index, cls, item)
         self._pending: List[Tuple] = []
         self._seq = 0
@@ -79,8 +70,6 @@ class OpenLoopDriver:
         self._pop_day: Optional[int] = None
         self._platform_pop: Optional[ZipfPopularity] = None
         self._user_pop: Optional[ZipfPopularity] = None
-        self._pool_epoch = -1
-        self._pools: Optional[Dict[NodeClass, List[int]]] = None
         # Class-mix inverse-CDF thresholds (scalar Python floats).
         self._mix_classes = [cls for cls, _ in spec.class_mix]
         cumulative: List[float] = []
@@ -115,19 +104,6 @@ class OpenLoopDriver:
         self.requests_by_class: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # engine binding
-    # ------------------------------------------------------------------
-
-    def bind(self, engine) -> None:
-        """Attach to an engine; batch session draws iff it runs SoA."""
-        self._engine = engine
-        self._batched = HAVE_NUMPY and getattr(engine, "_soa", None) is not None
-        if self._batched and self._mirror is None:
-            self._mirror = MirroredRandom(self.rng)
-        self._pool_epoch = -1
-        self._pools = None
-
-    # ------------------------------------------------------------------
     # the per-tick driver
     # ------------------------------------------------------------------
 
@@ -156,27 +132,7 @@ class OpenLoopDriver:
         self._drain_due(engine, t_end)
 
     def _class_pools(self, engine) -> Dict[NodeClass, List[int]]:
-        """Online spec indexes per session class, in spec order.
-
-        The SoA path answers with mask selections (cached per liveness
-        epoch); the scalar path is a single pass over the registry.
-        ``np.nonzero`` returns ascending spec indexes — exactly the
-        order the scalar filter builds — so the pools are identical.
-        """
-        soa = getattr(engine, "_soa", None)
-        if soa is not None:
-            if self._pools is not None and self._pool_epoch == soa.epoch:
-                return self._pools
-            n = soa.size
-            codes = soa.class_code[:n]
-            online = soa.online[:n]
-            pools = {}
-            for cls in self._mix_classes:
-                mask = (codes == CLASS_CODE[cls]) & online
-                pools[cls] = np.nonzero(mask)[0].tolist()
-            self._pools = pools
-            self._pool_epoch = soa.epoch
-            return pools
+        """Online spec indexes per session class, in spec order."""
         pools = {cls: [] for cls in self._mix_classes}
         for node in engine.overlay.nodes:
             if node.online:
@@ -186,19 +142,11 @@ class OpenLoopDriver:
         return pools
 
     def _draw_sessions(self, count: int, pools, t0: float, hours: float) -> List[Tuple]:
-        """Phase 1: six uniforms per arrival, shared scalar attributes.
-
-        Batched mode bulk-draws the uniforms through the mirror and then
-        runs the *same* scalar code over the Python list — parity by
-        construction, speedup from removing per-draw dispatch.
-        """
+        """Phase 1: six uniforms per arrival (class, node, start,
+        duration, train, publish)."""
         spec = self.spec
-        need = 6 * count
-        if self._batched:
-            us = self._mirror.take(need).tolist()
-        else:
-            rnd = self.rng.random
-            us = [rnd() for _ in range(need)]
+        rnd = self.rng.random
+        us = [rnd() for _ in range(6 * count)]
         max_duration = spec.max_session_hours * SECONDS_PER_HOUR
         tick_span = hours * SECONDS_PER_HOUR
         sessions = []
@@ -247,12 +195,6 @@ class OpenLoopDriver:
         for node_index, cls_name, start, _, _, publish in sessions:
             if publish:
                 self._push(start, _PUBLISH, node_index, cls_name, None)
-        total = sum(session[4] for session in sessions)
-        if total == 0:
-            return
-        if self._batched:
-            self._schedule_batched(sessions, total)
-            return
         rnd = self.rng.random
         for node_index, cls_name, start, duration, train, _ in sessions:
             span = duration if self._spread else 0.0
@@ -263,68 +205,8 @@ class OpenLoopDriver:
                 item = self._choose_item(u_cid)
                 self._push(time, _REQUEST, node_index, cls_name, item)
 
-    def _schedule_batched(self, sessions: List[Tuple], total: int) -> None:
-        """Vectorized phase 2 — exact-safe ops only.
-
-        Request times are ``start + u * duration`` (one multiply, one
-        add — numpy does not fuse them), CID quantile rescales are the
-        scalar formulas elementwise, rank lookups are ``searchsorted``:
-        all bit-identical to the scalar loop over the same uniforms.
-        """
-        spec = self.spec
-        buffer = self._mirror.take(2 * total)
-        us_offset = buffer[0::2]
-        us_cid = buffer[1::2]
-        trains = np.array([session[4] for session in sessions], dtype=np.int64)
-        starts = np.repeat(
-            np.array([session[2] for session in sessions], dtype=np.float64), trains
-        )
-        durations = np.repeat(
-            np.array(
-                [session[3] if self._spread else 0.0 for session in sessions],
-                dtype=np.float64,
-            ),
-            trains,
-        )
-        times = starts + us_offset * durations
-        # CID choice: thresholds split missing / platform / user, then the
-        # in-band quantile is rescaled exactly like the scalar path.
-        items: List = [None] * total
-        m = spec.missing_prob
-        t2 = m + (1.0 - m) * spec.platform_share
-        platform_mask = (us_cid >= m) & (us_cid < t2)
-        user_mask = us_cid >= t2
-        pop = self._platform_pop
-        if pop is not None and len(pop):
-            positions = np.nonzero(platform_mask)[0]
-            if positions.shape[0]:
-                vs = (us_cid[positions] - m) / (t2 - m)
-                ranks = pop.sample_indices(vs)
-                pop_items = pop.items
-                for position, rank in zip(positions.tolist(), ranks.tolist()):
-                    items[position] = pop_items[rank]
-                self.stats["zipf_draws_platform"] += int(positions.shape[0])
-        pop = self._user_pop
-        if pop is not None and len(pop):
-            positions = np.nonzero(user_mask)[0]
-            if positions.shape[0]:
-                vs = (us_cid[positions] - t2) / (1.0 - t2)
-                ranks = pop.sample_indices(vs)
-                pop_items = pop.items
-                for position, rank in zip(positions.tolist(), ranks.tolist()):
-                    items[position] = pop_items[rank]
-                self.stats["zipf_draws_user"] += int(positions.shape[0])
-        times_list = times.tolist()
-        cursor = 0
-        for node_index, cls_name, _, _, train, _ in sessions:
-            for _ in range(train):
-                self._push(
-                    times_list[cursor], _REQUEST, node_index, cls_name, items[cursor]
-                )
-                cursor += 1
-
     def _choose_item(self, u: float):
-        """Scalar CID choice for one request uniform (see batched twin)."""
+        """The CID one request uniform picks (``None``: missing content)."""
         spec = self.spec
         m = spec.missing_prob
         t2 = m + (1.0 - m) * spec.platform_share
@@ -349,9 +231,7 @@ class OpenLoopDriver:
     def _drain_due(self, engine, t_end: float) -> None:
         """Execute every scheduled event due by ``t_end``, in time order.
 
-        The engine RNG draws happen here, in ``(time, seq)`` order over
-        identical heap contents — the point where both engines converge
-        onto the same scalar resolution code.
+        The engine RNG draws happen here, in ``(time, seq)`` order.
         """
         pending = self._pending
         nodes = engine.overlay.nodes

@@ -8,20 +8,14 @@ class: items ordered by rank get weight ``rank ** -s`` and requests are
 drawn by inverse-CDF lookup.
 
 Determinism: the cumulative weights are computed once with scalar Python
-float ops, and both sampling paths answer the *same* query — the scalar
-path via ``bisect_left`` on the Python list, the batched path via
-``numpy.searchsorted`` (``side="left"``) on an array holding the same
-values — so for any uniform ``u`` the two return the same rank
-bit-identically (``u * total`` is a single IEEE-754 multiply either
-way).
+float ops, and a sample is one ``bisect_left`` of ``u * total`` into
+them.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence
-
-from repro.netsim.soa import np
+from typing import List, Sequence
 
 
 class ZipfPopularity:
@@ -42,7 +36,6 @@ class ZipfPopularity:
             cumulative.append(total)
         self._cumulative = cumulative
         self.total_weight = total
-        self._array = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -56,21 +49,6 @@ class ZipfPopularity:
         if index >= len(self.items):
             index = len(self.items) - 1
         return self.items[index]
-
-    def sample_indices(self, us):
-        """Vectorized :meth:`sample` over a float64 array of uniforms.
-
-        Returns rank indexes; bit-identical to the scalar path because
-        ``searchsorted(side="left")`` and ``bisect_left`` share
-        semantics and the cumulative values are the same Python-computed
-        floats.
-        """
-        if np is None:  # pragma: no cover - callers gate on numpy
-            raise RuntimeError("sample_indices requires numpy")
-        if self._array is None:
-            self._array = np.array(self._cumulative, dtype=np.float64)
-        indices = np.searchsorted(self._array, us * self.total_weight, side="left")
-        return np.minimum(indices, len(self.items) - 1)
 
     def top_share(self, fraction: float) -> float:
         """Share of the total request weight held by the top ``fraction``

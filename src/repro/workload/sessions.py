@@ -3,11 +3,9 @@
 Costa et al. observe that IPFS gateway users arrive in bursts: a session
 turns ON, issues a train of requests, and goes quiet — with both the
 session length and the train size heavy-tailed (a few whales dominate
-total volume).  The samplers here are pure functions of a uniform draw
-so the open-loop driver can feed them either one scalar uniform or a
-bulk :class:`~repro.netsim.soa.MirroredRandom` batch and get the same
-values: every operation is scalar Python float math (``**`` and ``/``),
-never a numpy transcendental, per the PR 7 determinism discipline.
+total volume).  The samplers here are pure functions of a uniform draw,
+computed with scalar Python float math (``**`` and ``/``) only, so a
+given uniform always maps to the same value.
 """
 
 from __future__ import annotations

@@ -338,6 +338,19 @@ class TestCampaignMetrics:
             parallel.metrics
         )
 
+    def test_metrics_leave_campaign_unchanged(self, metric_campaigns):
+        """Metrics are off the simulation's RNG path: the instrumented
+        campaign equals the plain one record for record."""
+        import dataclasses
+
+        from repro.scenario.report import full_report
+
+        serial, _ = metric_campaigns
+        plain = run_campaign(dataclasses.replace(_campaign_config(workers=1), metrics=False))
+        assert list(serial.hydra.log) == list(plain.hydra.log)
+        assert list(serial.bitswap_monitor.log) == list(plain.bitswap_monitor.log)
+        assert full_report(serial) == full_report(plain)
+
     def test_campaign_does_not_install_global_registry(self, metric_campaigns):
         assert get_observer() is NULL_OBSERVER
 

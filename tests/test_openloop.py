@@ -3,10 +3,10 @@
 Three layers of guarantees, mirroring the PR 7 discipline:
 
 * **property layer** — every sampler (Zipf inverse-CDF, Pareto
-  sessions/trains, diurnal curve, bulk mirror draws) is pinned to a
-  brute-force scalar reference under Hypothesis-generated inputs;
-* **parity layer** — an open-loop campaign is bit-identical between the
-  scalar and SoA engines, between runs, and at any worker count;
+  sessions/trains, diurnal curve) is pinned to a brute-force reference
+  under Hypothesis-generated inputs;
+* **parity layer** — an open-loop campaign is bit-identical between
+  runs and at any worker count;
 * **regression layer** — the open-loop machinery is off by default: a
   default campaign builds no driver and produces the exact same logs as
   one with ``workload_spec="closed"`` spelled out (the golden-figure
@@ -23,7 +23,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim.soa import HAVE_NUMPY
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
 from repro.workload import (
@@ -86,21 +85,6 @@ class TestZipfPopularity:
             (i for i, cum in enumerate(pop._cumulative) if cum >= target), n - 1
         )
         assert pop.sample(u) == min(expected, n - 1)
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector path requires numpy")
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=150),
-        s=st.floats(min_value=0.2, max_value=1.6),
-        us=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=64),
-    )
-    def test_vectorized_matches_scalar(self, n, s, us):
-        import numpy as np
-
-        pop = ZipfPopularity(list(range(n)), s)
-        scalar = [pop.sample(u) for u in us]
-        vector = pop.sample_indices(np.array(us, dtype=np.float64)).tolist()
-        assert vector == scalar
 
     def test_empty_catalog_returns_none(self):
         pop = ZipfPopularity([], 1.0)
@@ -199,24 +183,6 @@ class TestDiurnal:
         )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="MirroredRandom requires numpy")
-class TestMirrorTake:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2 ** 32),
-        count=st.integers(min_value=0, max_value=9000),
-    )
-    def test_take_equals_sequential_draws(self, seed, count):
-        from repro.netsim.soa import MirroredRandom
-
-        mirrored = random.Random(seed)
-        reference = random.Random(seed)
-        values = MirroredRandom(mirrored).take(count)
-        assert values.tolist() == [reference.random() for _ in range(count)]
-        # The Python stream advanced past exactly ``count`` draws.
-        assert mirrored.random() == reference.random()
-
-
 # ----------------------------------------------------------------------
 # standalone sampler (shapes, no overlay)
 # ----------------------------------------------------------------------
@@ -265,21 +231,14 @@ class TestSampleWorkload:
 
 
 @pytest.fixture(scope="module")
-def openloop_scalar():
-    return run_campaign(openloop_config(engine="scalar", metrics=True))
-
-
-@pytest.fixture(scope="module")
-def openloop_soa():
-    if not HAVE_NUMPY:
-        pytest.skip("SoA engine requires numpy")
-    return run_campaign(openloop_config(engine="soa", metrics=True))
+def openloop_campaign():
+    return run_campaign(openloop_config(metrics=True))
 
 
 class TestOpenLoopCampaign:
-    def test_driver_generated_traffic(self, openloop_scalar):
+    def test_driver_generated_traffic(self, openloop_campaign):
         # The campaign result does not expose the engine; the gauges do.
-        gauges = openloop_scalar.metrics["gauges"]
+        gauges = openloop_campaign.metrics["gauges"]
         assert gauges["workload.sessions"] > 0
         assert gauges["workload.open_requests"] > 0
         assert gauges["workload.zipf_draws_platform"] > 0
@@ -291,17 +250,14 @@ class TestOpenLoopCampaign:
         # Closed-loop engine counters still exported alongside.
         assert gauges["workload.downloads"] >= gauges["workload.open_requests"]
 
-    def test_scalar_soa_parity(self, openloop_scalar, openloop_soa):
-        assert log_fingerprint(openloop_scalar) == log_fingerprint(openloop_soa)
-
-    def test_run_twice_determinism(self, openloop_scalar):
-        again = run_campaign(openloop_config(engine="scalar", metrics=True))
-        assert log_fingerprint(openloop_scalar) == log_fingerprint(again)
+    def test_run_twice_determinism(self, openloop_campaign):
+        again = run_campaign(openloop_config(metrics=True))
+        assert log_fingerprint(openloop_campaign) == log_fingerprint(again)
         from repro.obs import deterministic_view
 
         first = {
             k: v
-            for k, v in deterministic_view(openloop_scalar.metrics).items()
+            for k, v in deterministic_view(openloop_campaign.metrics).items()
             if not k.startswith("exec.")
         }
         second = {
@@ -311,11 +267,11 @@ class TestOpenLoopCampaign:
         }
         assert first == second
 
-    def test_workers_parity(self, openloop_scalar):
+    def test_workers_parity(self, openloop_campaign):
         parallel = run_campaign(
-            openloop_config(engine="scalar", metrics=True, workers=4)
+            openloop_config(metrics=True, workers=4)
         )
-        assert log_fingerprint(openloop_scalar) == log_fingerprint(parallel)
+        assert log_fingerprint(openloop_campaign) == log_fingerprint(parallel)
 
 
 class TestClosedDefaultRegression:

@@ -28,7 +28,7 @@ from repro.scenario.run import run_campaign
 from repro.world.profiles import WorldProfile
 
 
-def parity_config(workers: int, engine: str = "auto") -> ScenarioConfig:
+def parity_config(workers: int) -> ScenarioConfig:
     return ScenarioConfig(
         profile=WorldProfile(online_servers=150, seed=77),
         days=1,
@@ -38,25 +38,12 @@ def parity_config(workers: int, engine: str = "auto") -> ScenarioConfig:
         gateway_probes_per_endpoint=2,
         seed=77,
         workers=workers,
-        engine=engine,
     )
 
 
 @pytest.fixture(scope="module")
 def serial_and_parallel():
     return run_campaign(parity_config(1)), run_campaign(parity_config(4))
-
-
-@pytest.fixture(scope="module")
-def cross_engine_pair():
-    """Both axes flipped at once: scalar engine fanned out over 4 workers
-    vs the SoA engine run serially.  Parity here implies parity along
-    either single axis (workers or engine) as well."""
-    pytest.importorskip("numpy")
-    return (
-        run_campaign(parity_config(4, engine="scalar")),
-        run_campaign(parity_config(1, engine="soa")),
-    )
 
 
 def snapshot_fingerprint(snapshot):
@@ -101,6 +88,11 @@ class TestCampaignParity:
             e.sender for e in parallel.hydra.log[:200]
         ]
 
+    def test_monitor_logs_bit_identical(self, serial_and_parallel):
+        serial, parallel = serial_and_parallel
+        assert list(serial.hydra.log) == list(parallel.hydra.log)
+        assert list(serial.bitswap_monitor.log) == list(parallel.bitswap_monitor.log)
+
     def test_campaign_summaries_identical(self, serial_and_parallel):
         from repro.exec.sweep import summarize_campaign
 
@@ -109,50 +101,6 @@ class TestCampaignParity:
         theirs = summarize_campaign(parallel)
         del ours["crawl_stats"]["num_crawls"], theirs["crawl_stats"]["num_crawls"]
         assert {k: v for k, v in ours.items()} == {k: v for k, v in theirs.items()}
-
-
-class TestEngineWorkersDiagonal:
-    """Neither the worker count nor the tick engine may leave a trace in
-    the science: ``(engine=scalar, workers=4)`` and ``(engine=soa,
-    workers=1)`` must produce the same campaign bit for bit.  Requires
-    numpy; on the numpy-less CI lane the fixtures skip and the workers
-    axis is still covered by :class:`TestCampaignParity`."""
-
-    def test_engines_recorded(self, cross_engine_pair):
-        scalar_parallel, soa_serial = cross_engine_pair
-        assert scalar_parallel.config.engine == "scalar"
-        assert scalar_parallel.config.workers == 4
-        assert soa_serial.config.engine == "soa"
-        assert soa_serial.config.workers == 1
-
-    def test_no_exec_errors(self, cross_engine_pair):
-        scalar_parallel, soa_serial = cross_engine_pair
-        assert scalar_parallel.exec_errors == []
-        assert soa_serial.exec_errors == []
-
-    def test_crawl_datasets_bit_identical(self, cross_engine_pair):
-        scalar_parallel, soa_serial = cross_engine_pair
-        assert len(scalar_parallel.crawls) == len(soa_serial.crawls)
-        for ours, theirs in zip(
-            scalar_parallel.crawls.snapshots, soa_serial.crawls.snapshots
-        ):
-            assert snapshot_fingerprint(ours) == snapshot_fingerprint(theirs)
-
-    def test_monitor_logs_bit_identical(self, cross_engine_pair):
-        scalar_parallel, soa_serial = cross_engine_pair
-        assert list(scalar_parallel.hydra.log) == list(soa_serial.hydra.log)
-        assert list(scalar_parallel.bitswap_monitor.log) == list(
-            soa_serial.bitswap_monitor.log
-        )
-
-    def test_campaign_summaries_identical(self, cross_engine_pair):
-        from repro.exec.sweep import summarize_campaign
-
-        scalar_parallel, soa_serial = cross_engine_pair
-        ours = summarize_campaign(scalar_parallel)
-        theirs = summarize_campaign(soa_serial)
-        del ours["crawl_stats"]["num_crawls"], theirs["crawl_stats"]["num_crawls"]
-        assert ours == theirs
 
 
 class TestCrawlTaskPurity:
@@ -297,9 +245,9 @@ class TestEngine:
             results, errors = engine.drain()
         assert results["after"] == 81
         assert [results[index] for index in range(8)] == [i * i for i in range(8)]
-        assert any(
-            error.task_id == "fatal" and error.stage == "worker" for error in errors
-        )
+        # Only the task that kills a worker while running alone is charged:
+        # the squares queued beside it never become errors.
+        assert [(error.task_id, error.stage) for error in errors] == [("fatal", "worker")]
 
     def test_duplicate_task_id_rejected(self):
         with ParallelExecutor(workers=1) as engine:

@@ -19,7 +19,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.attack.orchestrator import ATTACKER_BEHAVIOR
@@ -30,16 +29,11 @@ from repro.netsim.churn import ChurnProcess, DailyAddressRotation, PresenceAdver
 from repro.netsim.clock import SECONDS_PER_HOUR
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
-from repro.netsim.soa import HAVE_NUMPY
 from repro.obs import observer as obs
 from repro.world.population import NodeClass, NodeSpec, build_world
 from repro.world.profiles import WorldProfile
 
 SERVERS = 80
-
-#: vectorized=True runs the batched fill / ``bucket_bounds_top64``
-#: refresh path; it needs numpy.
-ENGINES = [False, True] if HAVE_NUMPY else [False]
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +144,9 @@ class ParentRoutingTable:
         return select_closest(self._sorted_keys, key, count)
 
 
-def _sample_bounds_info(oracle, low_index, high_index, count, rng):
+def _sample_range_info(oracle, prefix, prefix_len, count, rng):
     """The oracle's bucket sampler as it was: peer IDs, not keys."""
+    low_index, high_index = oracle.range_bounds(prefix, prefix_len)
     size = high_index - low_index
     if size <= 0:
         return [], False
@@ -166,11 +161,6 @@ def _sample_bounds_info(oracle, low_index, high_index, count, rng):
     return [by_key[keys[index]] for index in chosen], consumed_rng
 
 
-def _sample_range_info(oracle, prefix, prefix_len, count, rng):
-    low_index, high_index = oracle.range_bounds(prefix, prefix_len)
-    return _sample_bounds_info(oracle, low_index, high_index, count, rng)
-
-
 # ---------------------------------------------------------------------------
 # oracle: the overlay maintenance paths over PeerID tables
 # ---------------------------------------------------------------------------
@@ -183,8 +173,6 @@ class ParentOverlay(Overlay):
         if not node.online:
             return
         node.online = False
-        if self.soa is not None:
-            self.soa.set_offline(node.spec.index)
         if node.peer is not None:
             self.online_by_peer.pop(node.peer, None)
             if node.is_dht_server:
@@ -206,8 +194,6 @@ class ParentOverlay(Overlay):
         obs.inc("netsim.sessions_ended")
 
     def _fill_routing_table(self, node: Node) -> None:
-        if self.vectorized and self._fill_routing_table_batched(node):
-            return
         table = ParentRoutingTable(node.peer, bucket_size=self.k)
         own = node.peer.dht_key
         empty_streak = 0
@@ -228,47 +214,6 @@ class ParentOverlay(Overlay):
                 if bucket_idx > max_depth and empty_streak >= 3:
                     break
         node.routing_table = table
-
-    def _fill_routing_table_batched(self, node: Node) -> bool:
-        bounds = self.oracle.bucket_bounds_top64(node.peer.dht_key)
-        if bounds is None:
-            return False
-        lows, highs = bounds
-        table = ParentRoutingTable(node.peer, bucket_size=self.k)
-        max_depth = self._expected_depth() + 8
-        own_peer = node.peer
-        holders = self._holders
-        rng = self.rng
-        k = self.k
-        empty_streak = 0
-        previous = -1
-        for bucket_idx in range(len(lows)):
-            low = lows[bucket_idx]
-            high = highs[bucket_idx]
-            if low >= high:
-                continue
-            gap = bucket_idx - previous - 1
-            if gap:
-                first_break = max(previous + max(1, 3 - empty_streak), max_depth + 1)
-                if first_break < bucket_idx:
-                    node.routing_table = table
-                    return True
-                empty_streak += gap
-            peers, _ = _sample_bounds_info(self.oracle, low, high, k, rng)
-            found = False
-            for peer in peers:
-                if peer != own_peer and table.add(peer):
-                    holders.setdefault(peer, set()).add(node)
-                    found = True
-            if found:
-                empty_streak = 0
-            else:
-                empty_streak += 1
-                if bucket_idx > max_depth and empty_streak >= 3:
-                    break
-            previous = bucket_idx
-        node.routing_table = table
-        return True
 
     def _join_dht(self, node: Node) -> None:
         self._fill_routing_table(node)
@@ -339,26 +284,16 @@ class ParentOverlay(Overlay):
         own = node.peer.dht_key
         watches: List[Tuple[int, int]] = []
         depth = min(self._expected_depth() + 4, KEY_BITS)
-        bounds = None
-        want_bounds = self.vectorized and depth <= 64
         for bucket_idx in range(depth):
             bucket = table.bucket(bucket_idx)
             missing = self.k - len(bucket)
             if missing <= 0:
                 continue
-            if want_bounds:
-                bounds = self.oracle.bucket_bounds_top64(own)
-                want_bounds = False
             shift = KEY_BITS - bucket_idx - 1
             prefix_base = (((own >> shift) ^ 1) << shift)
-            if bounds is not None:
-                peers, consumed_rng = _sample_bounds_info(
-                    self.oracle, bounds[0][bucket_idx], bounds[1][bucket_idx], missing * 2, rng
-                )
-            else:
-                peers, consumed_rng = _sample_range_info(
-                    self.oracle, prefix_base, bucket_idx + 1, missing * 2, rng
-                )
+            peers, consumed_rng = _sample_range_info(
+                self.oracle, prefix_base, bucket_idx + 1, missing * 2, rng
+            )
             if consumed_rng:
                 clean = False
             for peer in peers:
@@ -493,12 +428,12 @@ def fingerprint(overlay: Overlay, crawl_id: int) -> dict:
     }
 
 
-def drive(overlay_cls, seed: int, vectorized: bool) -> List[dict]:
+def drive(overlay_cls, seed: int) -> List[dict]:
     """Bootstrap, then a day and a half of churn, presence advertising,
     daily address rotation and 6-hourly refreshes, with a late injected
     node that leaves and rejoins; fingerprint at each checkpoint."""
     world = build_world(WorldProfile(online_servers=SERVERS, seed=seed))
-    overlay = overlay_cls(world, vectorized=vectorized)
+    overlay = overlay_cls(world)
     overlay.bootstrap()
     overlay.schedule_periodic_refresh()
     ChurnProcess(overlay).start()
@@ -519,13 +454,12 @@ def drive(overlay_cls, seed: int, vectorized: bool) -> List[dict]:
 
 
 class TestTableParity:
-    @pytest.mark.parametrize("vectorized", ENGINES)
     # A seed has no smaller "simpler" form: report the failing one as is.
     @settings(max_examples=3, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(seed=st.integers(min_value=0, max_value=2**20))
-    def test_maintenance_matches_peerid_tables(self, vectorized, seed):
-        new = drive(Overlay, seed, vectorized)
-        old = drive(ParentOverlay, seed, vectorized)
+    def test_maintenance_matches_peerid_tables(self, seed):
+        new = drive(Overlay, seed)
+        old = drive(ParentOverlay, seed)
         assert len(new) == len(old)
         for checkpoint, (got, want) in enumerate(zip(new, old)):
             # Names only: a diff of two whole overlays is unreadable.
@@ -537,7 +471,7 @@ class TestTableParity:
         stale entries, certified-clean nodes with watches, and the
         injected identity stored in other nodes' tables."""
         seed = 5
-        fingerprints = drive(Overlay, seed, ENGINES[-1])
+        fingerprints = drive(Overlay, seed)
         injected_key = PeerID.generate(random.Random(seed)).dht_key
 
         def stale(fp) -> int:
@@ -586,9 +520,9 @@ class _PeerIDCalls:
         return count
 
 
-def warmed(overlay_cls, vectorized: bool) -> Overlay:
+def warmed(overlay_cls) -> Overlay:
     world = build_world(WorldProfile(online_servers=SERVERS, seed=77))
-    overlay = overlay_cls(world, vectorized=vectorized)
+    overlay = overlay_cls(world)
     overlay.bootstrap()
     overlay.schedule_periodic_refresh()
     ChurnProcess(overlay).start()
@@ -603,9 +537,8 @@ PER_JOIN = 12
 
 
 class TestPeerIDWorkGuard:
-    @pytest.mark.parametrize("vectorized", ENGINES)
-    def test_refresh_and_presence_touch_no_peerid(self, vectorized, monkeypatch):
-        overlay = warmed(Overlay, vectorized)
+    def test_refresh_and_presence_touch_no_peerid(self, monkeypatch):
+        overlay = warmed(Overlay)
         servers = overlay.online_servers()
         for node in servers[:6]:
             overlay.take_offline(node)  # stale entries for the refresh to find
@@ -619,10 +552,9 @@ class TestPeerIDWorkGuard:
         assert calls.take() == 0
         assert overlay.rng.getstate() != state
 
-    @pytest.mark.parametrize("vectorized", ENGINES)
-    def test_bring_online_is_constant_per_join(self, vectorized, monkeypatch):
+    def test_bring_online_is_constant_per_join(self, monkeypatch):
         for overlay_cls, bounded in ((Overlay, True), (ParentOverlay, False)):
-            overlay = warmed(overlay_cls, vectorized)
+            overlay = warmed(overlay_cls)
             leavers = overlay.online_servers()[:10]
             for node in leavers:
                 overlay.take_offline(node)

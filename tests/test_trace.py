@@ -488,6 +488,19 @@ class TestCampaignTracing:
             parallel.trace
         )
 
+    def test_tracing_leaves_campaign_unchanged(self, traced_campaigns):
+        """Tracing is off the simulation's RNG path: the traced campaign
+        equals the untraced one record for record."""
+        import dataclasses
+
+        from repro.scenario.report import full_report
+
+        traced, _ = traced_campaigns
+        plain = run_campaign(dataclasses.replace(_traced_config(workers=1), trace=False))
+        assert list(traced.hydra.log) == list(plain.hydra.log)
+        assert list(traced.bitswap_monitor.log) == list(plain.bitswap_monitor.log)
+        assert full_report(traced) == full_report(plain)
+
     def test_audit_passes_on_campaign_trace(self, traced_campaigns):
         serial, parallel = traced_campaigns
         for result in (serial, parallel):
