@@ -67,7 +67,7 @@ class ProviderSpamConfig(AttackConfig):
     """Poison provider records for the most popular CIDs.
 
     Each publish inserts a record with a freshly minted bogus provider
-    peer ID, stressing ``max_providers_per_cid`` eviction until honest
+    peer ID, stressing ``ProviderRegistry.max_per_cid`` eviction until honest
     records for the target CIDs are pushed out.
     """
 

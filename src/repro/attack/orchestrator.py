@@ -33,7 +33,7 @@ from repro.attack.config import (
     SybilEclipseConfig,
 )
 from repro.attack.ground_truth import GroundTruthLog
-from repro.workload.engine import TrafficEngine, _poisson
+from repro.workload.engine import TrafficEngine
 from repro.exec.seeds import derive_rng
 from repro.ids.cid import CID
 from repro.ids.keys import KEY_BITS, common_prefix_len
@@ -45,6 +45,7 @@ from repro.monitors.hydra import HydraBooster
 from repro.netsim.clock import SECONDS_PER_HOUR
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
+from repro.netsim.sampling import poisson
 from repro.obs import observer as obs
 from repro.world.ipspace import format_ip
 from repro.world.population import NodeClass, NodeSpec
@@ -145,7 +146,7 @@ class SybilEclipseRuntime(_AttackRuntime):
         prefix_base = (self.victim.dht_key >> shift) << shift
         contacts = self.orch.engine.config.other_walk_contacts
         for node in self.nodes:
-            for _ in range(_poisson(config.lookups_per_hour * hours, self.rng)):
+            for _ in range(poisson(config.lookups_per_hour * hours, self.rng)):
                 target_key = prefix_base | self.rng.getrandbits(shift)
                 self.orch.log_walk(
                     node, MessageType.FIND_NODE, contacts, self.rng, target_key=target_key
@@ -197,8 +198,8 @@ class ProviderSpamRuntime(_AttackRuntime):
         if not self.targets:
             return
         for node in self.nodes:
-            addrs = tuple(node.multiaddrs())
-            for _ in range(_poisson(config.publishes_per_hour * hours, self.rng)):
+            addrs = node.addr_tuple()
+            for _ in range(poisson(config.publishes_per_hour * hours, self.rng)):
                 fake = PeerID.generate(self.rng)
                 self.fake_providers.add(fake)
                 cid = self.rng.choice(self.targets)
@@ -241,7 +242,7 @@ class BitswapFloodRuntime(_AttackRuntime):
     def step(self, now: float, hours: float) -> None:
         monitor = self.orch.monitor
         for node in self.nodes:
-            for _ in range(_poisson(self.config.broadcasts_per_hour * hours, self.rng)):
+            for _ in range(poisson(self.config.broadcasts_per_hour * hours, self.rng)):
                 monitor.observe_broadcast(now, node, CID.generate(self.rng))
                 self.broadcasts += 1
         obs.set_gauge("attack.bitswap_flood.broadcasts", self.broadcasts)
@@ -269,7 +270,7 @@ class HydraAmplificationRuntime(_AttackRuntime):
         engine = self.orch.engine
         contacts = engine.config.download_walk_contacts
         for node in self.nodes:
-            for _ in range(_poisson(self.config.requests_per_hour * hours, self.rng)):
+            for _ in range(poisson(self.config.requests_per_hour * hours, self.rng)):
                 # A fresh CID guarantees a fleet cache miss: maximum
                 # amplification for one request's worth of effort.
                 cid = CID.generate(self.rng)

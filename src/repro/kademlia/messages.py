@@ -44,6 +44,11 @@ def classify_message(message_type: MessageType) -> TrafficClass:
     return TrafficClass.OTHER
 
 
+#: :func:`classify_message` per message type, built once: every captured
+#: message classifies itself, and a dict read is cheaper than the call.
+_TRAFFIC_CLASS = {message_type: classify_message(message_type) for message_type in MessageType}
+
+
 @dataclass(frozen=True)
 class PeerInfo:
     """A peer and its advertised multiaddresses, as returned by FIND_NODE."""
@@ -119,4 +124,4 @@ class MessageEnvelope:
     traffic_class: TrafficClass = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "traffic_class", classify_message(self.message_type))
+        object.__setattr__(self, "traffic_class", _TRAFFIC_CLASS[self.message_type])

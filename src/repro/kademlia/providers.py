@@ -19,7 +19,7 @@ from repro.ids.peerid import PeerID
 DEFAULT_RECORD_TTL = 24 * 3600.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProviderRecord:
     """One advertised provider for one CID."""
 

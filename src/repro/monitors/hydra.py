@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
 from repro.kademlia.messages import MessageEnvelope, MessageType, TrafficClass
+from repro.netsim.sampling import poisson
 from repro.obs import observer as obs
 
 if TYPE_CHECKING:  # pragma: no cover - the store imports us for the codec
@@ -78,16 +79,16 @@ class HydraBooster:
 
         Exact binomial for short walks; for the common small-probability
         case a Poisson draw with the same mean is indistinguishable and
-        much cheaper (the engine calls this for every walk).
+        much cheaper (the engine calls this for every walk, so the
+        geometry of :meth:`capture_probability` is inlined here).
         """
-        probability = self.capture_probability(network_servers)
-        if probability <= 0.0 or walk_messages <= 0:
+        if network_servers <= 0 or walk_messages <= 0:
             return 0
-        mean = probability * walk_messages
+        probability = len(self.heads) / network_servers
         if probability < 0.2:
-            from repro.workload.engine import _poisson
-
-            return min(walk_messages, _poisson(mean, rng))
+            return min(walk_messages, poisson(probability * walk_messages, rng))
+        if probability > 1.0:
+            probability = 1.0
         count = 0
         for _ in range(walk_messages):
             if rng.random() < probability:
@@ -106,16 +107,12 @@ class HydraBooster:
         target_key: Optional[int] = None,
         via_relay: Optional[PeerID] = None,
     ) -> MessageEnvelope:
+        """Log one captured message: one envelope, one append and one
+        observer dispatch (this runs once per captured message)."""
+        if target_key is None and target_cid is not None:
+            target_key = target_cid.dht_key
         envelope = MessageEnvelope(
-            timestamp=timestamp,
-            sender=sender,
-            sender_ip=sender_ip,
-            message_type=message_type,
-            target_key=target_key if target_key is not None else (
-                target_cid.dht_key if target_cid is not None else None
-            ),
-            target_cid=target_cid,
-            via_relay=via_relay,
+            timestamp, sender, sender_ip, message_type, target_key, target_cid, via_relay
         )
         self.log.append(envelope)
         obs.observe_hydra(envelope)

@@ -10,7 +10,9 @@
 * :mod:`repro.netsim.nat` — relay selection and circuit addressing for
   NAT-ed peers,
 * :mod:`repro.netsim.churn` — session/gap processes, IP rotation and
-  peer-ID regeneration.
+  peer-ID regeneration,
+* :mod:`repro.netsim.sampling` — the Poisson count sampler shared by the
+  traffic engine and the Hydra capture.
 """
 
 from repro.netsim.clock import Clock, EventScheduler

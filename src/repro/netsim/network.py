@@ -60,20 +60,24 @@ class ProviderRegistry:
         self._oldest: Dict[CID, float] = {}
 
     def add(self, record: ProviderRecord) -> None:
-        by_provider = self._records.setdefault(record.cid, {})
+        """Store a record; a re-provide replaces the provider's previous
+        record in place, keeping its position among the CID's records."""
+        cid = record.cid
+        by_provider = self._records.get(cid)
+        if by_provider is None:
+            by_provider = self._records[cid] = {}
         by_provider[record.provider] = record
-        oldest = self._oldest.get(record.cid)
-        if oldest is None or record.published_at < oldest:
-            self._oldest[record.cid] = record.published_at
+        published_at = record.published_at
+        oldest = self._oldest.get(cid)
+        if oldest is None or published_at < oldest:
+            self._oldest[cid] = published_at
         if len(by_provider) > self.max_per_cid:
             victim = min(by_provider.values(), key=lambda rec: rec.published_at)
             del by_provider[victim.provider]
             # The eviction may have removed the record behind ``_oldest``;
             # a stale floor would force a futile full prune on every
             # subsequent ``get``, so recompute it from the survivors.
-            self._oldest[record.cid] = min(
-                rec.published_at for rec in by_provider.values()
-            )
+            self._oldest[cid] = min(rec.published_at for rec in by_provider.values())
 
     def _prune(self, cid: CID, now: float) -> None:
         by_provider = self._records.get(cid)
@@ -170,10 +174,12 @@ class Overlay:
         #: registration order — exactly when and where the scan-based
         #: implementation drew it).
         self._relay_unsampled: Dict[PeerID, Tuple[int, Node]] = {}
-        #: static membership index (specs never change class at runtime).
+        #: static membership indexes (specs never change class or
+        #: platform at runtime), each in spec order.
         self._nodes_by_class: Dict[NodeClass, List[Node]] = {}
+        self._nodes_by_platform: Dict[str, List[Node]] = {}
         for node in self.nodes:
-            self._nodes_by_class.setdefault(node.node_class, []).append(node)
+            self._index_node(node)
 
         # -- refresh-skip bookkeeping --------------------------------------
         #: maintenance passes are skipped for nodes whose last refresh was
@@ -199,6 +205,12 @@ class Overlay:
     def nodes_of_class(self, node_class: NodeClass) -> List[Node]:
         return list(self._nodes_by_class.get(node_class, ()))
 
+    def nodes_of_platform(self, name: str) -> List[Node]:
+        """Every node run by platform ``name``, whatever its class (the
+        pinata pinning service also runs gateway-class nodes), in spec
+        order."""
+        return list(self._nodes_by_platform.get(name, ()))
+
     def online_servers(self) -> List[Node]:
         return list(self._online_servers.values())
 
@@ -221,8 +233,13 @@ class Overlay:
             raise ValueError(f"spec index {spec.index} already registered")
         node = Node(spec, self)
         self.nodes.append(node)
-        self._nodes_by_class.setdefault(node.node_class, []).append(node)
+        self._index_node(node)
         return node
+
+    def _index_node(self, node: Node) -> None:
+        self._nodes_by_class.setdefault(node.node_class, []).append(node)
+        if node.spec.platform is not None:
+            self._nodes_by_platform.setdefault(node.spec.platform, []).append(node)
 
     def adopt_identity(self, node: Node, peer: PeerID) -> None:
         """Pin the peer ID ``node`` will use for its next sessions.
@@ -835,15 +852,20 @@ class Overlay:
 
     def publish_provider_record(self, node: Node, cid: CID) -> Optional[ProviderRecord]:
         """Execute the effect of a Provide(): store a provider record
-        mapping the CID to the node's current multiaddresses."""
-        if not node.online or node.peer is None:
+        mapping the CID to the node's current multiaddresses.
+
+        Every record a node publishes within one address epoch shares the
+        node's cached address tuple (:meth:`Node.addr_tuple`).
+        """
+        peer = node.peer
+        if not node.online or peer is None:
             return None
         if not node.is_dht_server:
             self.ensure_relay(node)
-        addrs = tuple(node.multiaddrs())
+        addrs = node.addr_tuple()
         if not addrs:
             return None
-        record = ProviderRecord(cid=cid, provider=node.peer, addrs=addrs, published_at=self.now)
+        record = ProviderRecord(cid, peer, addrs, self.scheduler.clock.now)
         self.providers.add(record)
         node.provided_cids.add(cid)
         return record

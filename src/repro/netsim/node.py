@@ -9,7 +9,7 @@ paper's counting-methodology analysis (§3) hinges on.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.ids.multiaddr import Multiaddr
 from repro.ids.peerid import PeerID
@@ -92,6 +92,8 @@ class Node:
 
     __slots__ = (
         "spec",
+        "node_class",
+        "is_dht_server",
         "overlay",
         "peer",
         "ips",
@@ -106,11 +108,16 @@ class Node:
         "provided_cids",
         "bitswap_neighbors_weight",
         "_addrs_cache",
+        "_circuit_via",
         "_ip_strs_cache",
     )
 
     def __init__(self, spec: NodeSpec, overlay: "Overlay") -> None:
         self.spec = spec
+        # A spec never changes class, so both are plain per-node reads.
+        self.node_class: NodeClass = spec.node_class
+        #: whether this node joins the DHT as a server (not a NAT client).
+        self.is_dht_server: bool = spec.node_class.is_dht_server
         self.overlay = overlay
         self.peer: Optional[PeerID] = None
         self.ips: List[int] = []
@@ -126,18 +133,14 @@ class Node:
         # Relative likelihood of holding a Bitswap connection to any given
         # peer; gateways/platforms keep hundreds of connections.
         self.bitswap_neighbors_weight = 1.0
-        self._addrs_cache: Optional[List[Multiaddr]] = None
+        #: the announced addresses, built once per address epoch (see
+        #: :meth:`addr_tuple`).
+        self._addrs_cache: Optional[Tuple[Multiaddr, ...]] = None
+        #: what a NAT client's cached circuit address was built from.
+        self._circuit_via: Optional[tuple] = None
         self._ip_strs_cache: Optional[List[str]] = None
 
     # -- identity -----------------------------------------------------------
-
-    @property
-    def node_class(self) -> NodeClass:
-        return self.spec.node_class
-
-    @property
-    def is_dht_server(self) -> bool:
-        return self.spec.node_class.is_dht_server
 
     def mint_peer_id(self, rng) -> PeerID:
         """Generate and adopt a fresh peer ID (new key pair)."""
@@ -146,7 +149,8 @@ class Node:
         return self.peer
 
     def invalidate_addr_cache(self) -> None:
-        """Drop the memoized multiaddr list (peer ID or IPs changed)."""
+        """End the address epoch: drop the memoized addresses (peer ID or
+        IPs changed)."""
         self._addrs_cache = None
         self._ip_strs_cache = None
 
@@ -164,27 +168,36 @@ class Node:
         NAT clients announce circuit addresses through their relay; public
         nodes announce one direct address per IP.
         """
+        return list(self.addr_tuple())
+
+    def addr_tuple(self) -> Tuple[Multiaddr, ...]:
+        """:meth:`multiaddrs` as a shared tuple, built once per address epoch.
+
+        A public node's epoch ends when :meth:`invalidate_addr_cache` or
+        :meth:`mint_peer_id` runs.  A NAT client's circuit address embeds
+        its relay's *current* address, which can change behind its back
+        (relay DHCP re-lease, relay swap, relay rejoining under a new peer
+        ID), so it is rebuilt whenever what it is built from differs.
+        """
         if self.peer is None:
-            return []
+            return ()
         if self.node_class is NodeClass.NAT_CLIENT:
-            # Circuit addresses embed the relay's *current* address, which
-            # can change behind our back (relay DHCP re-lease) — never
-            # cached.
-            if self.relay is None or self.relay.peer is None:
-                return []
             relay = self.relay
-            return [
-                Multiaddr.circuit(relay.primary_ip_str, relay.port, relay.peer, self.peer)
-            ]
+            if relay is None or relay.peer is None:
+                return ()
+            via = (relay.primary_ip_str, relay.port, relay.peer, self.peer)
+            cached = self._addrs_cache
+            if cached is None or via != self._circuit_via:
+                cached = self._addrs_cache = (Multiaddr.circuit(*via),)
+                self._circuit_via = via
+            return cached
         cached = self._addrs_cache
         if cached is None:
-            from repro.world.ipspace import format_ip
-
-            cached = [
-                Multiaddr.direct(format_ip(ip), self.port, self.peer) for ip in self.ips
-            ]
-            self._addrs_cache = cached
-        return list(cached)
+            port, peer = self.port, self.peer
+            cached = self._addrs_cache = tuple(
+                Multiaddr.direct(ip, port, peer) for ip in self.ip_strs()
+            )
+        return cached
 
     def ip_strs(self) -> List[str]:
         """Dotted-quad strings for ``ips``, memoized per address set.
@@ -216,7 +229,7 @@ class Node:
     def peer_info(self) -> PeerInfo:
         if self.peer is None:
             raise ValueError("node has no peer ID (offline?)")
-        return PeerInfo(peer=self.peer, addrs=tuple(self.multiaddrs()))
+        return PeerInfo(peer=self.peer, addrs=self.addr_tuple())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "online" if self.online else "offline"

@@ -18,11 +18,7 @@ subsystem; :mod:`repro.workload.engine` holds the engine.
 """
 
 from repro.workload.diurnal import diurnal_factor
-from repro.workload.engine import (
-    TrafficEngine,
-    WorkloadConfig,
-    _poisson,
-)
+from repro.workload.engine import TrafficEngine, WorkloadConfig
 from repro.workload.openloop import OpenLoopDriver, sample_workload
 from repro.workload.popularity import ZipfPopularity, rank_by_weight
 from repro.workload.sessions import duration_scale, pareto_duration, train_size

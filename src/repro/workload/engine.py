@@ -31,7 +31,6 @@ for every measurement operation (crawls, provider fetches, probes).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -44,6 +43,7 @@ from repro.monitors.hydra import HydraBooster
 from repro.netsim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node, OrderedCIDSet
+from repro.netsim.sampling import poisson
 from repro.world.population import NodeClass
 
 
@@ -175,9 +175,6 @@ class WorkloadConfig:
     platform_reprovide_share: float = 1.0
     #: "Other" (join/maintenance) walks per online server per hour.
     other_rate: float = 0.45
-    #: Cap on provider records tracked per CID (memory guard; far above
-    #: what the analyses need).
-    max_providers_per_cid: int = 200
 
 
 class TrafficEngine:
@@ -198,20 +195,16 @@ class TrafficEngine:
         self.monitor = bitswap_monitor
         self.config = config or WorkloadConfig()
         self.rng = rng or random.Random(overlay.world.profile.seed + 4)
-        self._pl_hydra_nodes: List[Node] = [
-            node for node in overlay.nodes if node.spec.platform == "hydra"
-        ]
+        self._pl_hydra_nodes: List[Node] = overlay.nodes_of_platform("hydra")
         #: the PL hydra fleet's provider-record cache: CID -> last refresh.
         self._amp_cache: Dict[CID, float] = {}
         #: user uploads ingested by pinning platforms: node -> CIDs.
         self._platform_pins: Dict[Node, OrderedCIDSet] = {}
         self._indexer_fleet_sizes: Dict[str, int] = {}
-        for node in overlay.nodes:
-            platform = node.spec.platform or ""
-            if platform in self.config.indexer_rates:
-                self._indexer_fleet_sizes[platform] = (
-                    self._indexer_fleet_sizes.get(platform, 0) + 1
-                )
+        for platform in self.config.indexer_rates:
+            fleet = len(overlay.nodes_of_platform(platform))
+            if fleet:
+                self._indexer_fleet_sizes[platform] = fleet
         self.stats = {
             "downloads": 0,
             "publishes": 0,
@@ -233,12 +226,6 @@ class TrafficEngine:
     # capture helpers
     # ------------------------------------------------------------------
 
-    def _network_size(self) -> int:
-        return max(len(self.overlay.oracle), 1)
-
-    def _capture(self, walk_messages: int) -> int:
-        return self.hydra.capture_count(walk_messages, self._network_size(), self.rng)
-
     def _log_dht(
         self,
         node: Node,
@@ -247,26 +234,28 @@ class TrafficEngine:
         walk_messages: int,
         via_relay=None,
     ) -> None:
-        """Log the captured subset of a walk's messages at the Hydra."""
-        captured = self._capture(walk_messages)
-        if captured <= 0 or node.peer is None or not node.ips:
+        """Log the captured subset of a walk's messages at the Hydra.
+
+        One capture draw per walk, then one ``record`` per captured
+        message; nothing else is looked up per message.
+        """
+        rng = self.rng
+        captured = self.hydra.capture_count(
+            walk_messages, len(self.overlay.oracle) or 1, rng
+        )
+        sender = node.peer
+        if captured <= 0 or sender is None or not node.ips:
             return
         now = self.overlay.now
+        record = self.hydra.record
+        choice = rng.choice
         # Pre-formatted per-node address strings; ``choice`` draws on
         # indexes only, so this is bit-identical to formatting per draw.
+        # Multihomed nodes originate requests from any of their announced
+        # interfaces.
         ip_strs = node.ip_strs()
         for _ in range(captured):
-            # Multihomed nodes originate requests from any of their
-            # announced interfaces.
-            sender_ip = self.rng.choice(ip_strs)
-            self.hydra.record(
-                timestamp=now,
-                sender=node.peer,
-                sender_ip=sender_ip,
-                message_type=message_type,
-                target_cid=cid,
-                via_relay=via_relay,
-            )
+            record(now, sender, choice(ip_strs), message_type, cid, None, via_relay)
 
     # ------------------------------------------------------------------
     # the three activity types
@@ -429,12 +418,8 @@ class TrafficEngine:
         ]
 
     def _platform_nodes(self, name: str) -> List[Node]:
-        """A platform's online nodes, in spec order."""
-        return [
-            node
-            for node in self.overlay.nodes
-            if node.spec.platform == name and node.online
-        ]
+        """A platform's online nodes (any class), in spec order."""
+        return [node for node in self.overlay.nodes_of_platform(name) if node.online]
 
     def other_walk(self, node: Node) -> None:
         """Join/maintenance FIND_NODE traffic (the §5 'other' 3 %)."""
@@ -450,42 +435,39 @@ class TrafficEngine:
 
     def seed_platform_content(self) -> None:
         """Mint and provide each storage platform's pinned set (day 0)."""
+        config = self.config
+        rng = self.rng
+        publish = self.overlay.publish_provider_record
         scale = len(self.overlay.oracle) / 2500.0
+        coprovider_pools = {
+            cls: self.overlay.nodes_of_class(cls) for cls in config.coprovider_class_weights
+        }
+        classes = list(config.coprovider_class_weights)
+        weights = [config.coprovider_class_weights[cls] for cls in classes]
         for platform in self.overlay.world.profile.platforms:
             if platform.role not in ("storage", "pinning"):
                 continue
-            size = max(
-                100, int(self.config.platform_set_size * scale * platform.pinned_set_scale)
-            )
+            size = max(100, int(config.platform_set_size * scale * platform.pinned_set_scale))
             items = self.catalog.mint_platform_set(
-                platform.name, size, weight_scale=self.config.platform_weight_scale
+                platform.name, size, weight_scale=config.platform_weight_scale
             )
-            online_nodes = [
-                node
-                for node in self.overlay.nodes
-                if node.spec.platform == platform.name and node.online
-            ]
+            online_nodes = self._platform_nodes(platform.name)
             if not online_nodes:
                 continue
-            replicas = min(self.config.platform_replicas, len(online_nodes))
-            coprovider_pools = {
-                cls: self.overlay.nodes_of_class(cls)
-                for cls in self.config.coprovider_class_weights
-            }
-            classes = list(self.config.coprovider_class_weights)
-            weights = [self.config.coprovider_class_weights[cls] for cls in classes]
+            replicas = min(config.platform_replicas, len(online_nodes))
             for item in items:
-                for node in self.rng.sample(online_nodes, replicas):
-                    self.overlay.publish_provider_record(node, item.cid)
+                cid = item.cid
+                for node in rng.sample(online_nodes, replicas):
+                    publish(node, cid)
                 # The original uploader often keeps providing the item
                 # alongside the pinning service.
-                if self.rng.random() < self.config.platform_coprovider_prob:
-                    pool = coprovider_pools[self.rng.choices(classes, weights=weights)[0]]
+                if rng.random() < config.platform_coprovider_prob:
+                    pool = coprovider_pools[rng.choices(classes, weights=weights)[0]]
                     if pool:
-                        uploader = self.rng.choice(pool)
-                        uploader.provided_cids.add(item.cid)
+                        uploader = rng.choice(pool)
+                        uploader.provided_cids.add(cid)
                         if uploader.online:
-                            self.overlay.publish_provider_record(uploader, item.cid)
+                            publish(uploader, cid)
 
     def platform_reprovide_pass(self) -> None:
         """Daily re-announcement of every pinned CID by storage platforms.
@@ -493,6 +475,11 @@ class TrafficEngine:
         Records are refreshed exactly; the Hydra log receives the
         capture-sampled share of the advertisement walks.
         """
+        rng = self.rng
+        publish = self.overlay.publish_provider_record
+        log_dht = self._log_dht
+        share = self.config.platform_reprovide_share
+        contacts = self.config.advert_walk_contacts
         for platform in self.overlay.world.profile.platforms:
             if platform.role not in ("storage", "pinning"):
                 continue
@@ -502,18 +489,12 @@ class TrafficEngine:
             nodes = self._platform_nodes(platform.name)
             if not nodes:
                 continue
-            share = self.config.platform_reprovide_share
             for item in items:
-                if share < 1.0 and self.rng.random() >= share:
+                if share < 1.0 and rng.random() >= share:
                     continue
-                node = self.rng.choice(nodes)
-                self.overlay.publish_provider_record(node, item.cid)
-                self._log_dht(
-                    node,
-                    MessageType.ADD_PROVIDER,
-                    item.cid,
-                    self.config.advert_walk_contacts,
-                )
+                node = rng.choice(nodes)
+                publish(node, item.cid)
+                log_dht(node, MessageType.ADD_PROVIDER, item.cid, contacts)
         # Pinned user uploads are re-announced by their pinning node.
         day = self.overlay_clock_day
         for node, cids in self._platform_pins.items():
@@ -524,10 +505,8 @@ class TrafficEngine:
                 if item is not None and not item.alive_on(day):
                     cids.discard(cid)
                     continue
-                self.overlay.publish_provider_record(node, cid)
-                self._log_dht(
-                    node, MessageType.ADD_PROVIDER, cid, self.config.advert_walk_contacts
-                )
+                publish(node, cid)
+                log_dht(node, MessageType.ADD_PROVIDER, cid, contacts)
 
     def user_reprovide_pass(self) -> None:
         """Daily re-announcement of previously provided content.
@@ -537,6 +516,8 @@ class TrafficEngine:
         the 24 h record TTL and a large source of advertisement traffic.
         """
         config = self.config
+        day = self.overlay_clock_day
+        items = self.catalog.by_cid
         for node in list(self.overlay.online_by_peer.values()):
             if node.node_class in (NodeClass.PLATFORM, NodeClass.GATEWAY):
                 continue  # platforms have their own pass; gateways cache
@@ -546,8 +527,8 @@ class TrafficEngine:
             if len(cids) > config.daily_reprovide_sample:
                 cids = self.rng.sample(cids, config.daily_reprovide_sample)
             for cid in cids:
-                item = self.catalog.by_cid.get(cid)
-                if item is not None and not item.alive_on(self.overlay_clock_day):
+                item = items.get(cid)
+                if item is not None and not item.alive_on(day):
                     node.provided_cids.discard(cid)
                     continue
                 self.publish(node, cid=cid, fresh=False)
@@ -581,15 +562,15 @@ class TrafficEngine:
                     rate *= gateway_scale * config.gateway_rate_multipliers.get(
                         platform, 1.0
                     )
-            for _ in range(_poisson(rate, self.rng)):
+            for _ in range(poisson(rate, self.rng)):
                 self.download(node)
             rate = config.publish_rates[node.node_class] * weight * hours
-            for _ in range(_poisson(rate, self.rng)):
+            for _ in range(poisson(rate, self.rng)):
                 self.publish(node)
         # Join / maintenance traffic.
         servers = [node for node in online if node.is_dht_server]
         if servers:
-            walks = _poisson(config.other_rate * len(servers) * hours, self.rng)
+            walks = poisson(config.other_rate * len(servers) * hours, self.rng)
             for _ in range(walks):
                 self.other_walk(self.rng.choice(servers))
 
@@ -609,11 +590,11 @@ class TrafficEngine:
             if platform in config.indexer_rates:
                 fleet = self._indexer_fleet_sizes.get(platform, 1)
                 rate = config.indexer_rates[platform] / fleet * gateway_scale * hours
-                for _ in range(_poisson(rate, self.rng)):
+                for _ in range(poisson(rate, self.rng)):
                     self.download(node)
         servers = [node for node in online if node.is_dht_server]
         if servers:
-            walks = _poisson(config.other_rate * len(servers) * hours, self.rng)
+            walks = poisson(config.other_rate * len(servers) * hours, self.rng)
             for _ in range(walks):
                 self.other_walk(self.rng.choice(servers))
 
@@ -636,18 +617,3 @@ class TrafficEngine:
 # item moves the probe list into ``repro.obs``.
 VectorizedTrafficEngine = TrafficEngine
 
-
-def _poisson(mean: float, rng: random.Random) -> int:
-    """Poisson sample (Knuth for small means, normal approx for large)."""
-    if mean <= 0.0:
-        return 0
-    if mean > 30.0:
-        value = int(rng.gauss(mean, mean ** 0.5) + 0.5)
-        return max(0, value)
-    limit = math.exp(-mean)
-    count = 0
-    product = rng.random()
-    while product > limit:
-        count += 1
-        product *= rng.random()
-    return count

@@ -25,7 +25,7 @@ composes:
 Determinism: all driver randomness comes from
 ``derive_rng(seed, "workload", "openloop")`` — never the engine RNG, so
 crawl workers can't perturb it (workers=1 ≡ N) — with a fixed
-uniform-consumption layout: one :func:`~repro.workload.engine._poisson`
+uniform-consumption layout: one :func:`~repro.netsim.sampling.poisson`
 arrival draw per tick, six uniforms per session (class, node, start,
 duration, train, publish), two per request (offset, CID).  Scheduled
 events execute in ``(time, seq)`` heap order through the engine's own
@@ -40,8 +40,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.exec.seeds import derive_rng
 from repro.netsim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from repro.netsim.sampling import poisson
 from repro.workload.diurnal import diurnal_factor
-from repro.workload.engine import _poisson
 from repro.workload.popularity import ZipfPopularity, rank_by_weight
 from repro.workload.sessions import duration_scale, pareto_duration, train_size
 from repro.world.population import NodeClass
@@ -122,7 +122,7 @@ class OpenLoopDriver:
             hour_of_day = (now % SECONDS_PER_DAY) / SECONDS_PER_HOUR
             factor = diurnal_factor(hour_of_day, spec.diurnal_amplitude, spec.peak_hour)
         lam = spec.users * spec.arrivals_per_user_hour * hours * factor
-        count = _poisson(lam, self.rng)
+        count = poisson(lam, self.rng)
         self.stats["arrivals"] += count
         if count:
             pools = self._class_pools(engine)
@@ -342,7 +342,7 @@ def sample_workload(
             factor = diurnal_factor(
                 hour_of_day, spec.diurnal_amplitude, spec.peak_hour
             )
-        count = _poisson(spec.users * spec.arrivals_per_user_hour * factor, driver.rng)
+        count = poisson(spec.users * spec.arrivals_per_user_hour * factor, driver.rng)
         driver.stats["arrivals"] += count
         if count:
             sessions = driver._draw_sessions(count, pools, now, 1.0)

@@ -262,6 +262,55 @@ class TestProviderRegistryProperties:
             providers = [record.provider for record in records]
             assert len(providers) == len(set(providers))
 
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
+                              st.integers(min_value=0, max_value=7),
+                              st.sampled_from([0.0, 0.0, 0.0, 1.0, 5.0])),
+                    min_size=1, max_size=120),
+           st.integers(min_value=1, max_value=4))
+    def test_eviction_tie_rule_matches_min_reference(self, adds, cap):
+        """Pins today's eviction rule for a later O(1) replacement.
+
+        Publish times never decrease but repeat often, and providers
+        re-provide.  The reference keeps each CID's records as an ordered
+        list: a re-provide updates the provider's entry where it stands,
+        a new provider appends, and an overflow drops the *first* entry
+        with the smallest ``published_at`` (``min()``'s tie rule: the
+        provider inserted first loses).
+        """
+        registry = ProviderRegistry(ttl=1e9, max_per_cid=cap)
+        cids = [CID((i + 1).to_bytes(32, "big")) for i in range(2)]
+        reference = {cid: [] for cid in cids}
+        now = 0.0
+        for cid_index, provider_tag, step in adds:
+            now += step
+            cid, provider = cids[cid_index], peer_from_tag(provider_tag + 1)
+            registry.add(ProviderRecord(
+                cid=cid,
+                provider=provider,
+                addrs=(Multiaddr.direct("1.2.3.4", 4001, provider),),
+                published_at=now,
+            ))
+            entries = reference[cid]
+            for position, (existing, _) in enumerate(entries):
+                if existing == provider:
+                    entries[position] = (provider, now)
+                    break
+            else:
+                entries.append((provider, now))
+            if len(entries) > cap:
+                floor = min(published_at for _, published_at in entries)
+                victim = next(
+                    position for position, (_, published_at) in enumerate(entries)
+                    if published_at == floor
+                )
+                del entries[victim]
+        for cid in cids:
+            survivors = [
+                (record.provider, record.published_at) for record in registry.get(cid, now)
+            ]
+            assert survivors == reference[cid]
+
 
 class TestIPNSProperties:
     @settings(max_examples=30)

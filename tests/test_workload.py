@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.content.catalog import ContentCatalog
-from repro.workload import TrafficEngine, WorkloadConfig, _poisson
+from repro.netsim.sampling import poisson
+from repro.workload import TrafficEngine, WorkloadConfig
 from repro.ids.cid import CID
 from repro.kademlia.messages import TrafficClass
 from repro.monitors.bitswap_monitor import BitswapMonitor
@@ -39,14 +40,14 @@ def online_of(engine, node_class):
 
 class TestPoisson:
     def test_zero_mean(self, rng):
-        assert _poisson(0.0, rng) == 0
+        assert poisson(0.0, rng) == 0
 
     def test_small_mean_expectation(self, rng):
-        draws = [_poisson(2.5, rng) for _ in range(4000)]
+        draws = [poisson(2.5, rng) for _ in range(4000)]
         assert sum(draws) / len(draws) == pytest.approx(2.5, rel=0.05)
 
     def test_large_mean_normal_approximation(self, rng):
-        draws = [_poisson(100.0, rng) for _ in range(2000)]
+        draws = [poisson(100.0, rng) for _ in range(2000)]
         assert sum(draws) / len(draws) == pytest.approx(100.0, rel=0.02)
         assert min(draws) >= 0
 
