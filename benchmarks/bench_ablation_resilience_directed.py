@@ -16,6 +16,17 @@ from repro.core.resilience import targeted_removal
 from _bench_utils import show
 
 
+def _digraph(snapshot) -> nx.DiGraph:
+    """The directed DHT graph of one snapshot: every discovered peer, and
+    an edge per outgoing bucket entry of every crawled peer."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(snapshot.observations)
+    graph.add_edges_from(
+        (peer, neighbor) for peer, neighbors in snapshot.edges.items() for neighbor in neighbors
+    )
+    return graph
+
+
 def _directed_core_share(digraph) -> float:
     """Share of nodes inside the largest strongly connected component."""
     if digraph.number_of_nodes() == 0:
@@ -28,8 +39,8 @@ def test_ablation_directed_vs_undirected(benchmark, campaign):
     snapshot = campaign.crawls.snapshots[-1]
 
     def compare():
-        digraph = topology.build_digraph(snapshot)
-        undirected = topology.build_undirected(snapshot)
+        digraph = _digraph(snapshot)
+        undirected = digraph.to_undirected()
         undirected_lcc = max(
             (len(c) for c in nx.connected_components(undirected)), default=0
         ) / undirected.number_of_nodes()

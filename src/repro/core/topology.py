@@ -4,6 +4,9 @@ From a crawl snapshot we learn the complete k-buckets (all outgoing DHT
 connections) of every crawled node; in-degree is estimated by a node's
 presence in other peers' buckets, which undercounts because not every
 node is crawlable.
+
+The module runs on the standard library alone.  The networkx graphs its
+views must equal are built only by the tests (``tests/graph_oracles.py``).
 """
 
 from __future__ import annotations
@@ -11,40 +14,19 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.core.crawler import CrawlSnapshot
 from repro.ids.peerid import PeerID
 
 
-def build_digraph(snapshot: CrawlSnapshot) -> nx.DiGraph:
-    """The directed DHT graph of one snapshot.
-
-    Nodes: every discovered peer.  Edges: the outgoing bucket entries of
-    every crawled peer.  Uncrawlable peers appear as leaves with only
-    estimated in-edges — exactly the paper's graph.
-    """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(snapshot.observations)
-    for peer, neighbors in snapshot.edges.items():
-        for neighbor in neighbors:
-            graph.add_edge(peer, neighbor)
-    return graph
-
-
-def build_undirected(snapshot: CrawlSnapshot) -> nx.Graph:
-    """The undirected interpretation used by the resilience experiment
-    (all observable connections usable for communication, §4)."""
-    return build_digraph(snapshot).to_undirected()
-
-
 def undirected_adjacency(snapshot: CrawlSnapshot) -> List[Set[int]]:
-    """:func:`build_undirected` as an int adjacency (the input of
-    :mod:`repro.core.resilience`), without building a graph.
+    """The undirected DHT graph of one snapshot as an int adjacency (the
+    input of :mod:`repro.core.resilience`).
 
-    Node ``i`` is the ``i``-th node of :func:`build_undirected`: the
-    observed peers in order, then any other peer in order of first
-    appearance in the edges.
+    Edges are the outgoing bucket entries of every crawled peer, with
+    their direction dropped: the paper's simplification that Bitswap
+    can use every observed connection (§4).  Node ``i`` is the ``i``-th
+    peer met: the observed peers in order, then any other peer in order
+    of first appearance in the edges.
     """
     index = {peer: i for i, peer in enumerate(snapshot.observations)}
     adjacency: List[Set[int]] = [set() for _ in index]
@@ -58,7 +40,7 @@ def undirected_adjacency(snapshot: CrawlSnapshot) -> List[Set[int]]:
 
     for peer, neighbors in snapshot.edges.items():
         if not neighbors:
-            continue  # build_digraph adds peers through their edges only
+            continue  # an unobserved peer enters only through an edge
         source = node(peer)
         for neighbor in neighbors:
             target = node(neighbor)

@@ -5,9 +5,12 @@ traffic classification, identifier lifetimes, centralization Pareto
 charts, cloud shares by count and by volume, and platform attribution
 through reverse DNS.
 
-:func:`summarize` is the only pass over a log.  Every aggregate is
-derived from the :class:`LogSummary` it returns, so a disk-backed
-:class:`~repro.store.eventlog.EventLog` is decoded from storage once.
+Every aggregate is derived from one :class:`LogSummary` per log.  The
+monitors fold each entry into their own summary as they append it
+(:meth:`LogSummary.add`), so the §5 reports read no log records at all.
+:func:`summarize` is the same fold run over a stored log: the fallback
+for a monitor opened over a store that already held records, and the
+parity oracle for the incremental fold.
 """
 
 from __future__ import annotations
@@ -30,12 +33,8 @@ from repro.world.rdns import ReverseDNS
 SenderKey = Tuple[Optional[TrafficClass], PeerID, str]
 
 
-def _day_of(timestamp: float) -> int:
-    return int(timestamp // SECONDS_PER_DAY)
-
-
 # ---------------------------------------------------------------------------
-# The single pass
+# The fold
 # ---------------------------------------------------------------------------
 
 
@@ -60,6 +59,31 @@ class LogSummary:
     total: int = 0
     first_timestamp: Optional[float] = None
     last_timestamp: Optional[float] = None
+
+    def add(
+        self,
+        traffic_class: Optional[TrafficClass],
+        sender: PeerID,
+        sender_ip: str,
+        cid: Optional[CID],
+        timestamp: float,
+    ) -> None:
+        """Fold one log entry in (the monitors call this as they append)."""
+        key = (traffic_class, sender, sender_ip)
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + 1
+        day_bit = 1 << int(timestamp // SECONDS_PER_DAY)
+        if cid is not None:
+            days = self.days_by_cid
+            days[cid] = days.get(cid, 0) | day_bit
+        days = self.days_by_ip
+        days[sender_ip] = days.get(sender_ip, 0) | day_bit
+        days = self.days_by_peer
+        days[sender] = days.get(sender, 0) | day_bit
+        self.total += 1
+        if self.first_timestamp is None:
+            self.first_timestamp = timestamp
+        self.last_timestamp = timestamp
 
     @property
     def unique_cids(self) -> int:
@@ -157,32 +181,22 @@ class LogSummary:
 
 
 def summarize(log: Iterable[Union[MessageEnvelope, BitswapLogEntry]]) -> LogSummary:
-    """The one pass over a (possibly disk-backed) Hydra or Bitswap log."""
-    counts: Dict[SenderKey, int] = {}
-    days_by_cid: Dict[CID, int] = {}
-    days_by_ip: Dict[str, int] = {}
-    days_by_peer: Dict[PeerID, int] = {}
-    total = 0
-    first_timestamp = last_timestamp = None
+    """One pass over a (possibly disk-backed) Hydra or Bitswap log:
+    :meth:`LogSummary.add` for every entry, in log order."""
+    summary = LogSummary()
+    add = summary.add
     for entry in log:
         if isinstance(entry, MessageEnvelope):
-            traffic_class, cid = entry.traffic_class, entry.target_cid
+            add(
+                entry.traffic_class,
+                entry.sender,
+                entry.sender_ip,
+                entry.target_cid,
+                entry.timestamp,
+            )
         else:
-            traffic_class, cid = None, entry.cid
-        key = (traffic_class, entry.sender, entry.sender_ip)
-        counts[key] = counts.get(key, 0) + 1
-        day_bit = 1 << _day_of(entry.timestamp)
-        if cid is not None:
-            days_by_cid[cid] = days_by_cid.get(cid, 0) | day_bit
-        days_by_ip[entry.sender_ip] = days_by_ip.get(entry.sender_ip, 0) | day_bit
-        days_by_peer[entry.sender] = days_by_peer.get(entry.sender, 0) | day_bit
-        total += 1
-        if first_timestamp is None:
-            first_timestamp = entry.timestamp
-        last_timestamp = entry.timestamp
-    return LogSummary(
-        counts, days_by_cid, days_by_ip, days_by_peer, total, first_timestamp, last_timestamp
-    )
+            add(None, entry.sender, entry.sender_ip, entry.cid, entry.timestamp)
+    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.obs import observer as obs
 from repro.world.population import NodeClass
 
 if TYPE_CHECKING:  # pragma: no cover - the store imports us for the codec
+    from repro.core.traffic import LogSummary
     from repro.store.backend import StorageBackend
     from repro.store.eventlog import EventLog
 
@@ -57,14 +58,19 @@ class BitswapMonitor:
         rng: Optional[random.Random] = None,
         store: Optional["StorageBackend"] = None,
     ) -> None:
-        # Imported here: repro.store's codecs need this module, so a
-        # module-level import would be circular.
+        # Imported here: repro.store's codecs need this module, and so
+        # does repro.core.traffic, so module-level imports would be
+        # circular.
+        from repro.core.traffic import LogSummary
         from repro.store import BITSWAP_CODEC, EventLog, open_store
 
         if isinstance(store, str):
             store = open_store(store)
         self.rng = rng or random.Random(0xB17)
         self.log: "EventLog" = EventLog(BITSWAP_CODEC, store)
+        #: the §5 fold of every entry :meth:`observe_broadcast` appended;
+        #: it covers the whole log only when the store started out empty.
+        self.summary: "LogSummary" = LogSummary()
         self._connected_specs: Dict[int, bool] = {}
 
     def is_connected(self, node: Node) -> bool:
@@ -83,14 +89,9 @@ class BitswapMonitor:
         """Log the broadcast if the sender is connected to us."""
         logged = self.is_connected(node) and node.peer is not None and bool(node.ips)
         if logged:
-            self.log.append(
-                BitswapLogEntry(
-                    timestamp=timestamp,
-                    sender=node.peer,
-                    sender_ip=node.primary_ip_str,
-                    cid=cid,
-                )
-            )
+            sender, sender_ip = node.peer, node.primary_ip_str
+            self.log.append(BitswapLogEntry(timestamp, sender, sender_ip, cid))
+            self.summary.add(None, sender, sender_ip, cid, timestamp)
         obs.observe_bitswap(timestamp, node, cid, logged)
         return logged
 

@@ -25,6 +25,7 @@ from repro.netsim.sampling import poisson
 from repro.obs import observer as obs
 
 if TYPE_CHECKING:  # pragma: no cover - the store imports us for the codec
+    from repro.core.traffic import LogSummary
     from repro.store.backend import StorageBackend
     from repro.store.eventlog import EventLog
 
@@ -45,7 +46,9 @@ class HydraBooster:
         store: Optional["StorageBackend"] = None,
     ) -> None:
         # Imported here: repro.store's codecs need the monitor modules,
-        # so a module-level import would be circular.
+        # and so does repro.core.traffic, so module-level imports would
+        # be circular.
+        from repro.core.traffic import LogSummary
         from repro.store import HYDRA_CODEC, EventLog, open_store
 
         if isinstance(store, str):
@@ -55,6 +58,9 @@ class HydraBooster:
         self.rng = rng or random.Random(0x47D2A)
         self.heads: List[PeerID] = [PeerID.generate(self.rng) for _ in range(num_heads)]
         self.log: "EventLog" = EventLog(HYDRA_CODEC, store)
+        #: the §5 fold of every entry :meth:`record` appended; it covers
+        #: the whole log only when the store started out empty.
+        self.summary: "LogSummary" = LogSummary()
         self.cache_ttl = cache_ttl
         #: provider-record cache: CID -> last refresh time.  A miss is what
         #: triggers the proactive lookups of Protocol Labs' hydra fleet.
@@ -107,14 +113,17 @@ class HydraBooster:
         target_key: Optional[int] = None,
         via_relay: Optional[PeerID] = None,
     ) -> MessageEnvelope:
-        """Log one captured message: one envelope, one append and one
-        observer dispatch (this runs once per captured message)."""
+        """Log one captured message: one envelope, one append, one fold
+        and one observer dispatch (this runs once per captured message)."""
         if target_key is None and target_cid is not None:
             target_key = target_cid.dht_key
         envelope = MessageEnvelope(
             timestamp, sender, sender_ip, message_type, target_key, target_cid, via_relay
         )
         self.log.append(envelope)
+        # The envelope classified itself; its slot is cheaper to read
+        # than the class table (enum hashes run in Python).
+        self.summary.add(envelope.traffic_class, sender, sender_ip, target_cid, timestamp)
         obs.observe_hydra(envelope)
         return envelope
 

@@ -142,12 +142,6 @@ class Node:
 
     # -- identity -----------------------------------------------------------
 
-    def mint_peer_id(self, rng) -> PeerID:
-        """Generate and adopt a fresh peer ID (new key pair)."""
-        self.peer = PeerID.generate(rng)
-        self._addrs_cache = None
-        return self.peer
-
     def invalidate_addr_cache(self) -> None:
         """End the address epoch: drop the memoized addresses (peer ID or
         IPs changed)."""
@@ -173,11 +167,12 @@ class Node:
     def addr_tuple(self) -> Tuple[Multiaddr, ...]:
         """:meth:`multiaddrs` as a shared tuple, built once per address epoch.
 
-        A public node's epoch ends when :meth:`invalidate_addr_cache` or
-        :meth:`mint_peer_id` runs.  A NAT client's circuit address embeds
-        its relay's *current* address, which can change behind its back
-        (relay DHCP re-lease, relay swap, relay rejoining under a new peer
-        ID), so it is rebuilt whenever what it is built from differs.
+        A public node's epoch ends when :meth:`invalidate_addr_cache`
+        runs; the overlay calls it whenever it assigns a peer ID or IPs.
+        A NAT client's circuit address embeds its relay's *current*
+        address, which can change behind its back (relay DHCP re-lease,
+        relay swap, relay rejoining under a new peer ID), so it is
+        rebuilt whenever what it is built from differs.
         """
         if self.peer is None:
             return ()

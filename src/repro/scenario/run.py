@@ -17,7 +17,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.attack.orchestrator import AttackOrchestrator
 from repro.content.catalog import ContentCatalog
@@ -121,11 +121,20 @@ class CampaignResult:
 
     @cached_property
     def hydra_summary(self) -> LogSummary:
-        return summarize(self.hydra.log)
+        return _log_summary(self.hydra)
 
     @cached_property
     def bitswap_summary(self) -> LogSummary:
-        return summarize(self.bitswap_monitor.log)
+        return _log_summary(self.bitswap_monitor)
+
+
+def _log_summary(monitor: Union[HydraBooster, BitswapMonitor]) -> LogSummary:
+    """The monitor's folded summary when it covers the whole log; else
+    (a monitor opened over a store that already held records) one pass
+    over the log."""
+    if monitor.summary.total == len(monitor.log):
+        return monitor.summary
+    return summarize(monitor.log)
 
 
 class MeasurementCampaign:

@@ -12,9 +12,11 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import resilience, topology
+from repro.core import resilience
 from repro.core.resilience import RemovalTrace
 from repro.scenario import report as R
+
+from graph_oracles import build_undirected
 
 
 # --- oracle: the networkx implementation --------------------------------------
@@ -209,7 +211,7 @@ class TestRandomGraphs:
 
 def test_fig8_report_equals_networkx_oracle(smoke_campaign):
     snapshot = smoke_campaign.crawls.snapshots[-1]
-    graph = topology.build_undirected(snapshot)
+    graph = build_undirected(snapshot)
     fractions, means, halfwidths = oracle_random_removal_with_ci(graph, repetitions=3)
     random_trace = RemovalTrace(list(fractions), list(means))
     targeted_trace = oracle_targeted_removal(graph)

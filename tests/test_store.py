@@ -1,8 +1,10 @@
 """The storage subsystem: backends, the EventLog facade, sharding."""
 
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
@@ -194,6 +196,59 @@ class TestShardedBackend:
         backend.append({"ts": 1.0})
         records = list(backend.scan())
         assert records == [{"ts": 1.0}]
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        shards=st.integers(min_value=1, max_value=4),
+        records=st.integers(min_value=0, max_value=40),
+        batch_size=st.integers(min_value=1, max_value=12),
+        start=st.integers(min_value=0, max_value=45),
+        stop=st.one_of(st.none(), st.integers(min_value=0, max_value=45)),
+    )
+    def test_slice_equals_merge_scan(self, shards, records, batch_size, start, stop):
+        # Batches larger than a shard's share leave unflushed tails.
+        backend = ShardedBackend(
+            [ScanCountingSqlite(batch_size=batch_size) for _ in range(shards)]
+        )
+        for i in range(records):
+            backend.append({"ts": float(i), "i": i})
+        rows = backend.slice(start, stop)
+        assert [shard.scans for shard in backend.shards] == [0] * shards
+        assert rows == list(islice(backend.scan(), start, stop))
+
+    def test_slice_reads_only_the_rows_it_returns(self):
+        backend = ShardedBackend([ScanCountingSqlite(batch_size=4) for _ in range(3)])
+        for i in range(30):
+            backend.append({"ts": float(i)})
+        assert backend.slice(25, None) == [{"ts": float(i)} for i in range(25, 30)]
+        assert [shard.sliced for shard in backend.shards] == [[(9, 10)], [(8, 10)], [(8, 10)]]
+
+    def test_slice_of_shards_not_in_round_robin_shape_merges(self):
+        shards = [MemoryBackendRecords(), MemoryBackendRecords()]
+        for seq in (0, 1, 2):
+            shards[0].append({"ts": float(seq), "_seq": seq})
+        shards[1].append({"ts": 3.0, "_seq": 3})
+        backend = ShardedBackend(shards)
+        assert backend.slice(1, 4) == [{"ts": 1.0}, {"ts": 2.0}, {"ts": 3.0}]
+        assert backend.slice(0, None) == list(backend.scan())
+
+
+class ScanCountingSqlite(SqliteBackend):
+    """An in-memory SQLite shard that counts full scans and records the
+    index slices it serves."""
+
+    def __init__(self, batch_size: int) -> None:
+        super().__init__(":memory:", batch_size=batch_size)
+        self.scans = 0
+        self.sliced = []
+
+    def scan(self):
+        self.scans += 1
+        return super().scan()
+
+    def slice(self, start, stop):
+        self.sliced.append((start, stop))
+        return super().slice(start, stop)
 
 
 class MemoryBackendRecords(MemoryBackend):

@@ -126,20 +126,26 @@ class TestStorageParity:
 
 
 class TestOnePassPerLog:
-    def test_full_report_scans_each_log_once(self, sqlite_result, monkeypatch):
-        # A fresh result object: nothing derived from the logs is cached yet.
+    def test_full_report_reads_neither_log(self, sqlite_result, monkeypatch):
+        # A fresh result object: nothing derived from the logs is cached
+        # yet.  The §5 reports read the summaries the monitors folded as
+        # they logged, so no monitor record is read back from storage.
         result = dataclasses.replace(sqlite_result)
-        scans = Counter()
-        original_iter = EventLog.__iter__
+        reads = Counter()
+        for name, log in (("hydra", result.hydra.log), ("bitswap", result.bitswap_monitor.log)):
+            for method in ("scan", "scan_reversed", "scan_range", "slice"):
+                original = getattr(log.backend, method)
 
-        def counting_iter(log):
-            scans[id(log)] += 1
-            return original_iter(log)
+                def counting(*args, _original=original, _key=f"{name}.{method}"):
+                    reads[_key] += 1
+                    return _original(*args)
 
-        monkeypatch.setattr(EventLog, "__iter__", counting_iter)
+                monkeypatch.setattr(log.backend, method, counting)
         full_report(result, resilience_reps=1)
-        assert scans[id(result.hydra.log)] == 1
-        assert scans[id(result.bitswap_monitor.log)] == 1
+        assert reads == Counter()
+        # The wrappers do count a pass over a log.
+        traffic.summarize(result.hydra.log)
+        assert reads == Counter({"hydra.scan": 1})
 
     def test_store_stats_prints_both_log_kinds(self, sqlite_result, capsys):
         from repro.cli import main

@@ -8,6 +8,8 @@ import pytest
 from repro.core import resilience, topology
 from repro.core.crawler import CrawlSnapshot, DHTCrawler
 
+from graph_oracles import build_digraph, build_undirected
+
 
 @pytest.fixture(scope="module")
 def snapshot(small_overlay):
@@ -16,13 +18,13 @@ def snapshot(small_overlay):
 
 class TestGraphs:
     def test_digraph_nodes_and_edges(self, snapshot):
-        graph = topology.build_digraph(snapshot)
+        graph = build_digraph(snapshot)
         assert graph.number_of_nodes() == snapshot.num_discovered
         assert graph.number_of_edges() == sum(len(v) for v in snapshot.edges.values())
 
     def test_undirected_conversion(self, snapshot):
-        directed = topology.build_digraph(snapshot)
-        undirected = topology.build_undirected(snapshot)
+        directed = build_digraph(snapshot)
+        undirected = build_undirected(snapshot)
         assert undirected.number_of_edges() <= directed.number_of_edges()
 
     def test_out_degree_bucket_bound(self, snapshot):
@@ -40,7 +42,7 @@ class TestGraphs:
 
     def test_adjacency_matches_undirected_graph(self, snapshot):
         adjacency = topology.undirected_adjacency(snapshot)
-        assert adjacency == resilience.adjacency(topology.build_undirected(snapshot))
+        assert adjacency == resilience.adjacency(build_undirected(snapshot))
 
     def test_adjacency_appends_unobserved_peers_in_edge_order(self, snapshot):
         observed = list(snapshot.observations)[:3]
@@ -56,7 +58,7 @@ class TestGraphs:
             },
         )
         adjacency = topology.undirected_adjacency(partial)
-        assert adjacency == resilience.adjacency(topology.build_undirected(partial))
+        assert adjacency == resilience.adjacency(build_undirected(partial))
         # observed peers 0..2, then `early` (3) and `late` (4) as first met.
         assert adjacency == [{1, 3}, {0}, set(), {0, 4}, {3}]
 
@@ -91,13 +93,13 @@ class TestCDFHelpers:
 
 class TestRemoval:
     def test_random_removal_robust(self, snapshot):
-        graph = resilience.adjacency(topology.build_undirected(snapshot))
+        graph = resilience.adjacency(build_undirected(snapshot))
         trace = resilience.random_removal(graph, random.Random(0))
         # Robust to random failure: high LCC share deep into the removal.
         assert trace.share_at(0.5) > 0.9
 
     def test_targeted_removal_more_effective(self, snapshot):
-        graph = resilience.adjacency(topology.build_undirected(snapshot))
+        graph = resilience.adjacency(build_undirected(snapshot))
         random_trace = resilience.random_removal(graph, random.Random(1))
         targeted_trace = resilience.targeted_removal(graph)
         assert targeted_trace.partition_point() < random_trace.partition_point()

@@ -447,9 +447,11 @@ class TestAddressEpochInvalidation:
             elif action == "rotate-relay" and relay is not None:
                 overlay.rotate_addresses(relay)
             elif action == "mint":
-                node.mint_peer_id(rng)
+                overlay.take_offline(node)
+                overlay.bring_online(node, regen_peer=True)
             elif action == "mint-relay" and relay is not None:
-                relay.mint_peer_id(rng)
+                overlay.take_offline(relay)
+                overlay.bring_online(relay, regen_peer=True)
             elif action == "lose-relay" and relay is not None:
                 overlay.take_offline(relay)
                 overlay.ensure_relay(node)
