@@ -98,7 +98,6 @@ def bench_hook_dispatch(report: BenchReport, result) -> float:
     Returns live hydra events/s (the dashboard's headline rate)."""
     envelopes = list(result.hydra.log)
     broadcasts = [(e.timestamp, e.sender, e.cid) for e in result.bitswap_monitor.log]
-    gateway_peers = result.gateway_peers
 
     def replay_hydra():
         for envelope in envelopes:
@@ -112,8 +111,10 @@ def bench_hook_dispatch(report: BenchReport, result) -> float:
         return Observer(
             stream=StreamAnalytics(
                 21_600.0,
+                hydra=result.hydra_summary,
+                bitswap=result.bitswap_summary,
                 provider_of=result.world.cloud_db.lookup,
-                is_gateway=gateway_peers.__contains__,
+                gateway_peers=lambda: result.gateway_peers,
             )
         )
 

@@ -22,7 +22,6 @@ from repro.store import (
     EventLog,
     JsonlBackend,
     MemoryBackend,
-    ShardedBackend,
     SqliteBackend,
 )
 
@@ -58,14 +57,10 @@ def _backend(kind: str, tmp_path):
         return JsonlBackend(tmp_path / "bench.jsonl")
     if kind == "sqlite":
         return SqliteBackend(tmp_path / "bench.sqlite")
-    if kind == "sharded-sqlite":
-        return ShardedBackend(
-            [SqliteBackend(tmp_path / f"bench-{i}.sqlite") for i in range(4)]
-        )
     raise AssertionError(kind)
 
 
-@pytest.mark.parametrize("kind", ("memory", "jsonl", "sqlite", "sharded-sqlite"))
+@pytest.mark.parametrize("kind", ("memory", "jsonl", "sqlite"))
 def test_backend_throughput(kind, tmp_path, benchmark):
     events = _events(NUM_EVENTS)
 

@@ -77,8 +77,8 @@ def _exec_options() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--storage", metavar="SPEC", default="memory",
-        help="storage spec: memory (default), sqlite:DIR, jsonl:DIR, "
-        "or sharded:N:sqlite:DIR (see repro.store.parse_spec)",
+        help="storage spec: memory (default), sqlite:DIR or jsonl:DIR "
+        "(see repro.store.parse_spec)",
     )
     return common
 
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect_score.add_argument(
         "storage",
         help="campaign storage: the directory, or the spec it was run with "
-        "(sqlite:DIR, jsonl:DIR, sharded:N:sqlite:DIR)",
+        "(sqlite:DIR or jsonl:DIR)",
     )
     detect_score.add_argument(
         "--window", type=float, default=None, metavar="SECONDS",
@@ -820,30 +820,19 @@ def _run_store_command(args) -> int:
 def _sniff_campaign_logs(directory: Path):
     """Infer a campaign directory's storage spec and stored log set.
 
-    ``campaign_stores`` lays logs out as ``<dir>/<name>.<suffix>`` (or
-    ``<name>-shardN.<suffix>`` for parallel runs), so the files
-    themselves carry the backend kind, shard count and which logs
-    exist — no flags needed to re-open them for scoring.
+    ``campaign_stores`` lays logs out as ``<dir>/<name>.<suffix>``, so
+    the files themselves carry the backend kind and which logs exist —
+    no flags needed to re-open them for scoring.
     """
-    for kind, suffix in (("sqlite", "sqlite"), ("jsonl", "jsonl")):
-        if (directory / f"hydra.{suffix}").exists():
-            shards = 1
-        elif (directory / f"hydra-shard0.{suffix}").exists():
-            shards = len(list(directory.glob(f"hydra-shard*.{suffix}")))
-        else:
-            continue
-        names = ["hydra"]
-        for name in ("bitswap", "attack"):
-            if (directory / f"{name}.{suffix}").exists() or (
-                directory / f"{name}-shard0.{suffix}"
-            ).exists():
-                names.append(name)
-        if shards == 1:
+    for kind in ("sqlite", "jsonl"):
+        if (directory / f"hydra.{kind}").exists():
+            names = ["hydra"] + [
+                name
+                for name in ("bitswap", "attack")
+                if (directory / f"{name}.{kind}").exists()
+            ]
             return f"{kind}:{directory}", tuple(names)
-        return f"sharded:{shards}:{kind}:{directory}", tuple(names)
-    raise ValueError(
-        f"no campaign logs (hydra.sqlite/.jsonl or hydra-shard0.*) under {directory}"
-    )
+    raise ValueError(f"no campaign logs (hydra.sqlite/.jsonl) under {directory}")
 
 
 def _run_detect_command(args) -> int:

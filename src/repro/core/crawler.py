@@ -102,9 +102,7 @@ class CrawlDataset:
 
         Each shard must be internally ordered by ``crawl_id`` (true for
         any worker that processed tasks in submission order); the merge
-        then restores the global campaign order exactly, mirroring the
-        sequence-number heap-merge of
-        :class:`repro.store.shard.ShardedBackend`.
+        then restores the global campaign order exactly.
         """
         merged = heapq.merge(*shards, key=lambda snapshot: snapshot.crawl_id)
         return cls(snapshots=list(merged))

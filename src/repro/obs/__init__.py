@@ -20,7 +20,8 @@ holds up to three sinks:
   exporter (:func:`chrome_trace`) and a trace-replaying invariant
   auditor (:func:`audit_trace`, ``repro obs audit``);
 * ``stream`` — a :class:`StreamAnalytics` engine: mergeable sketches
-  that keep the §4-§6 headline estimates live, served by the
+  (heavy hitters, quantiles, distinct counts) next to exact headline
+  shares read from the monitors' §5 fold, live on the
   :class:`ControlServer` (``--live``).
 
 A missing sink is its null object, and :data:`NULL_OBSERVER` — every
@@ -68,7 +69,6 @@ from repro.obs.sketch import (
     LinearCounter,
     QuantileSketch,
     SpaceSaving,
-    WindowedCounters,
 )
 from repro.obs.stream import (
     DEFAULT_WINDOW_SECONDS,
@@ -138,7 +138,6 @@ __all__ = [
     "TIME_BUCKETS",
     "TraceEvent",
     "Tracer",
-    "WindowedCounters",
     "audit_trace",
     "chrome_trace",
     "deterministic_sketches_view",

@@ -13,10 +13,10 @@ path is observationally (and bit-)identical to the uninstrumented code.
 Snapshots are flat JSON-compatible dicts (see :meth:`MetricsRegistry.
 snapshot`) and merge deterministically: merging per-task snapshots in
 task order yields the same totals no matter which worker produced them —
-the same contract as the sharded-log heap-merge.  Wall-clock quantities
-(span timings and ``*_seconds`` histograms) are inherently
-non-deterministic; :func:`deterministic_view` strips them, leaving the
-portion that must be bit-identical across worker counts.
+the same contract as :meth:`CrawlDataset.merge` of crawl snapshots.
+Wall-clock quantities (span timings and ``*_seconds`` histograms) are
+inherently non-deterministic; :func:`deterministic_view` strips them,
+leaving the portion that must be bit-identical across worker counts.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ summaries.  This module provides the zero-dependency sketch substrate the
   estimates (how many peers are behind the traffic), mergeable by OR.
   Keys are hashed with BLAKE2b, never ``hash()``, so estimates are
   independent of ``PYTHONHASHSEED``.
-* :class:`WindowedCounters` — exact per-label tallies bucketed into
-  fixed time windows (the per-class request shares of §5), mergeable by
-  addition.
+
+Exact counts are not kept here: the §5 shares come from the monitors'
+:class:`~repro.core.traffic.LogSummary` folds.
 
 All sketches are keyed by *stable strings* (base58 peer IDs, dotted
 IPs, base32 CIDs), serialize to JSON-compatible state dicts
@@ -37,14 +37,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = [
     "LinearCounter",
     "QuantileSketch",
     "SpaceSaving",
-    "WindowedCounters",
 ]
 
 
@@ -461,89 +460,3 @@ class LinearCounter:
         counter._map = bytearray(bytes.fromhex(state["map"]))
         return counter
 
-
-# ---------------------------------------------------------------------------
-# exact windowed per-label counters
-# ---------------------------------------------------------------------------
-
-
-class WindowedCounters:
-    """Per-label tallies bucketed into fixed-width time windows.
-
-    Exact (these are plain counts, cheap enough to keep), mergeable by
-    addition, with both all-time totals and per-window slices — the
-    per-class request shares of §5, reportable mid-campaign.
-    """
-
-    __slots__ = ("window_seconds", "totals", "windows")
-
-    def __init__(self, window_seconds: float) -> None:
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
-        self.window_seconds = window_seconds
-        self.totals: Dict[str, int] = {}
-        self.windows: Dict[int, Dict[str, int]] = {}
-
-    def update(self, timestamp: float, label: str, amount: int = 1) -> None:
-        index = int(timestamp // self.window_seconds)
-        self.totals[label] = self.totals.get(label, 0) + amount
-        window = self.windows.get(index)
-        if window is None:
-            window = self.windows[index] = {}
-        window[label] = window.get(label, 0) + amount
-
-    @property
-    def total(self) -> int:
-        return sum(self.totals.values())
-
-    def shares(self) -> Dict[str, float]:
-        total = self.total
-        if not total:
-            return {}
-        return {
-            label: count / total for label, count in sorted(self.totals.items())
-        }
-
-    def window_shares(self, index: int) -> Dict[str, float]:
-        window = self.windows.get(index, {})
-        total = sum(window.values())
-        if not total:
-            return {}
-        return {label: count / total for label, count in sorted(window.items())}
-
-    def latest_window(self) -> Optional[int]:
-        return max(self.windows) if self.windows else None
-
-    def merge(self, other: "WindowedCounters") -> None:
-        if other.window_seconds != self.window_seconds:
-            raise ValueError("cannot merge WindowedCounters of different widths")
-        for label, count in other.totals.items():
-            self.totals[label] = self.totals.get(label, 0) + count
-        for index, window in other.windows.items():
-            mine = self.windows.get(index)
-            if mine is None:
-                mine = self.windows[index] = {}
-            for label, count in window.items():
-                mine[label] = mine.get(label, 0) + count
-
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "window_seconds": self.window_seconds,
-            "totals": dict(sorted(self.totals.items())),
-            "windows": [
-                [index, dict(sorted(window.items()))]
-                for index, window in sorted(self.windows.items())
-            ],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "WindowedCounters":
-        counters = cls(window_seconds=float(state["window_seconds"]))
-        counters.totals = {
-            str(label): int(count) for label, count in state["totals"].items()
-        }
-        counters.windows = {
-            int(index): {str(label): int(count) for label, count in window.items()}
-            for index, window in state["windows"]
-        }
-        return counters

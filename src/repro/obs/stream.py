@@ -2,19 +2,23 @@
 
 Batch campaigns answer the paper's questions *after* the run; this
 module answers them *during* it.  A :class:`StreamAnalytics` engine
-consumes every Hydra DHT request and Bitswap broadcast as the monitors
-log them and maintains bounded-memory summaries of the paper's headline
-quantities (§4-§6):
+reads the paper's headline quantities (§4-§6) while the monitors log:
 
+* exact headline shares — events, cloud % by volume, the per-provider
+  split, the gateway share and the download / advertisement / other
+  class split — read from the Hydra and Bitswap
+  :class:`~repro.core.traffic.LogSummary` folds the monitors keep as
+  they append (the same fold the batch §5 figures use);
 * Space-Saving top-K heavy hitters over sender peer IDs, sender IPs and
-  requested CIDs;
+  requested CIDs, with top-1 % concentration from them;
 * a mergeable quantile sketch over per-window per-peer request volumes
   (the Fig. 10/11 Pareto tail, live) and — fed by the crawl workers —
   over per-crawled-peer routing-table out-degrees (Fig. 7's CCDF);
-* windowed per-class request-share counters (§5's download /
-  advertisement / other split);
-* exact running estimates of the headline shares: cloud % by volume,
-  per-provider split, gateway share, top-1 % concentration.
+* linear-counting distinct-count estimates of peers, IPs and CIDs.
+
+The engine itself holds only the approximate sketches; the exact
+shares are derived from the folds when :meth:`StreamAnalytics.headline`
+or :meth:`~StreamAnalytics.snapshot` is read.
 
 The monitors reach the engine through the ``observe_hydra`` /
 ``observe_bitswap`` / ``note`` hooks of :mod:`repro.obs.observer`; an
@@ -27,9 +31,8 @@ for one.
 Sketches are approximate *by design*; the exact batch analyses remain
 the source of truth for final figures.  Their accuracy contracts —
 top-10 recall 1.0 on fixture campaigns, quantile rank error within the
-declared ``epsilon``, headline shares within ±0.01 of the batch
-figures — are pinned by ``tests/test_stream.py`` and gated by the CI
-``stream-smoke`` job.
+declared ``epsilon``, distinct counts within 5 % — are pinned by
+``tests/test_stream.py``.
 
 Cross-worker determinism: the monitor-side stream runs in the campaign
 process, and crawl workers return compact sketch states
@@ -42,14 +45,12 @@ snapshot and trace-record merges.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional
 
-from repro.obs.sketch import (
-    LinearCounter,
-    QuantileSketch,
-    SpaceSaving,
-    WindowedCounters,
-)
+from repro.obs.sketch import LinearCounter, QuantileSketch, SpaceSaving
+
+if TYPE_CHECKING:  # repro.core imports the observer, which imports this
+    from repro.core.traffic import LogSummary
 
 __all__ = [
     "DEFAULT_WINDOW_SECONDS",
@@ -76,13 +77,15 @@ _REPORT_FRACTIONS = (0.5, 0.9, 0.99)
 class StreamAnalytics:
     """The collecting engine (see module docs).
 
-    :param window_seconds: width of the per-class and per-peer-rate
-        aggregation windows.
+    :param window_seconds: width of the per-peer request-rate windows.
+    :param hydra: the Hydra log's fold (``HydraBooster.summary``); the
+        campaign hands its monitors' folds over as it builds them.
+    :param bitswap: the Bitswap log's fold (``BitswapMonitor.summary``).
     :param provider_of: ``ip -> provider slug or None`` (the cloud
         database lookup); ``None`` classifies everything non-cloud.
-    :param is_gateway: ``PeerID -> bool`` classifier evaluated at
-        observe time (senders are online when they send); ``None``
-        classifies nothing as a gateway.
+    :param gateway_peers: ``() -> peer IDs`` of the gateway-class nodes
+        (Fig. 10's set), called when the gateway share is read; ``None``
+        counts no sender as a gateway.
     :param topk_capacity: Space-Saving capacity per keyed summary.
         While fewer distinct keys than this have been seen, counts —
         and therefore the fixture-scale accuracy pins — are exact.
@@ -96,21 +99,23 @@ class StreamAnalytics:
         self,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         *,
+        hydra: Optional["LogSummary"] = None,
+        bitswap: Optional["LogSummary"] = None,
         provider_of: Optional[Callable[[str], Optional[str]]] = None,
-        is_gateway: Optional[Callable[[object], bool]] = None,
+        gateway_peers: Optional[Callable[[], Collection[object]]] = None,
         topk_capacity: int = 1024,
         quantile_k: int = 256,
         cardinality_bits: int = 1 << 15,
     ) -> None:
+        from repro.core.traffic import LogSummary
+
         self.window_seconds = window_seconds
         self.topk_capacity = topk_capacity
+        self.hydra = hydra if hydra is not None else LogSummary()
+        self.bitswap = bitswap if bitswap is not None else LogSummary()
         self._provider_of = provider_of
-        self._is_gateway = is_gateway
+        self._gateway_peers = gateway_peers
         # -- hydra (DHT request) side -----------------------------------
-        self.hydra_total = 0
-        self.classes = WindowedCounters(window_seconds)
-        self.provider_volumes: Dict[str, int] = {}
-        self.gateway_volume = 0
         self.peer_hitters = SpaceSaving(topk_capacity)
         self.ip_hitters = SpaceSaving(topk_capacity)
         self.peer_distinct = LinearCounter(cardinality_bits)
@@ -121,7 +126,6 @@ class StreamAnalytics:
         self._rate_window: Optional[int] = None
         self._rate_counts: Dict[str, int] = {}
         # -- bitswap (content request) side ------------------------------
-        self.bitswap_total = 0
         self.cid_hitters = SpaceSaving(topk_capacity)
         self.cid_distinct = LinearCounter(cardinality_bits)
         # -- crawl side (merged from worker states) ----------------------
@@ -137,14 +141,9 @@ class StreamAnalytics:
         self._peer_keys: Dict[bytes, str] = {}
         self._cid_keys: Dict[object, str] = {}
         self._providers: Dict[str, str] = {}
-        self._gateways: Dict[object, bool] = {}
-        #: enum member -> label, saving the ``.value`` descriptor walk on
-        #: the per-event hot path (enum members hash by identity).
-        self._class_labels: Dict[object, str] = {}
         # Bound-method caches for the per-event hot path (observe_hydra
         # runs once per monitor event; each saves an attribute walk and
         # a method bind per call).
-        self._classes_update = self.classes.update
         self._peer_hitters_update = self.peer_hitters.update
         self._ip_hitters_update = self.ip_hitters.update
 
@@ -152,7 +151,7 @@ class StreamAnalytics:
 
     @property
     def events(self) -> int:
-        return self.hydra_total + self.bitswap_total
+        return self.hydra.total + self.bitswap.total
 
     def _peer_key(self, peer) -> str:
         key = self._peer_keys.get(peer.digest)
@@ -164,44 +163,31 @@ class StreamAnalytics:
             self.peer_distinct.update(key)
         return key
 
+    def _provider(self, ip: str) -> str:
+        looked_up = self._provider_of(ip) if self._provider_of else None
+        return looked_up or "non-cloud"
+
     def observe_hydra(self, envelope) -> None:
         """Fold one logged DHT request (a ``MessageEnvelope``) in.
 
         This runs once per monitor event, so it is written flat: memo
         dicts bound to locals, slow work (``str()``, BLAKE2b hashing,
-        cloud lookups, ``.value`` descriptor walks) only on memo
-        misses.  The end-to-end budget (streaming-on campaign within
-        1.10x of off) is gated by ``bench_obs_stream.py``.
+        cloud lookups) only on memo misses.  The end-to-end budget
+        (streaming-on campaign within 1.10x of off) is gated by
+        ``bench_obs_stream.py``.
         """
-        timestamp = envelope.timestamp
         ip = envelope.sender_ip
-        self.hydra_total += 1
-        traffic_class = envelope.traffic_class
-        label = self._class_labels.get(traffic_class)
-        if label is None:
-            label = self._class_labels[traffic_class] = traffic_class.value
-        self._classes_update(timestamp, label)
-        provider = self._providers.get(ip)
-        if provider is None:
-            looked_up = self._provider_of(ip) if self._provider_of else None
-            provider = self._providers[ip] = looked_up or "non-cloud"
+        if ip not in self._providers:
+            self._providers[ip] = self._provider(ip)
             # First sighting of this IP (see _peer_key on idempotence).
             self.ip_distinct.update(ip)
-        self.provider_volumes[provider] = self.provider_volumes.get(provider, 0) + 1
         sender = envelope.sender
-        gateway = self._gateways.get(sender)
-        if gateway is None:
-            gateway = self._gateways[sender] = bool(
-                self._is_gateway(sender) if self._is_gateway else False
-            )
-        if gateway:
-            self.gateway_volume += 1
         peer_key = self._peer_keys.get(sender.digest)
         if peer_key is None:
             peer_key = self._peer_key(sender)
         self._peer_hitters_update(peer_key)
         self._ip_hitters_update(ip)
-        window = int(timestamp // self.window_seconds)
+        window = int(envelope.timestamp // self.window_seconds)
         if self._rate_window is None:
             self._rate_window = window
         elif window != self._rate_window:
@@ -211,7 +197,6 @@ class StreamAnalytics:
 
     def observe_bitswap(self, timestamp: float, node, cid) -> None:
         """Fold one logged Bitswap want broadcast in."""
-        self.bitswap_total += 1
         key = self._cid_keys.get(cid)
         if key is None:
             key = self._cid_keys[cid] = str(cid)
@@ -271,39 +256,42 @@ class StreamAnalytics:
         top_count = max(1, math.ceil(fraction * population - 1e-9))
         return hitters.top_sum(top_count) / hitters.total
 
-    def top_providers(self) -> List[Tuple[str, float]]:
-        """Cloud providers by volume share, descending (ties by name)."""
-        total = self.hydra_total
-        if not total:
-            return []
-        ranked = sorted(
-            (
-                (label, volume / total)
-                for label, volume in self.provider_volumes.items()
-                if label != "non-cloud"
-            ),
+    def headline(self) -> Dict[str, object]:
+        """The paper's headline shares, so far.
+
+        The exact shares are one pass over the Hydra fold's distinct
+        (class, sender, IP) keys.  Read-only (no window flush), so the
+        heartbeat and the live endpoints can call it freely without
+        perturbing sketch state.
+        """
+        hydra = self.hydra
+        total = hydra.total
+        providers = self._providers
+        # No record, no gateway share (and the campaign's gateway set
+        # needs the overlay, which exists once the monitors do).
+        gateways = self._gateway_peers() if total and self._gateway_peers else ()
+        volumes: Dict[str, int] = {}
+        gateway_volume = 0
+        for (_, sender, ip), count in hydra.counts.items():
+            provider = providers.get(ip) or self._provider(ip)
+            volumes[provider] = volumes.get(provider, 0) + count
+            if sender in gateways:
+                gateway_volume += count
+        non_cloud = volumes.pop("non-cloud", 0)
+        # Cloud providers by volume share, descending (ties by name).
+        shares = sorted(
+            ((label, volume / total) for label, volume in volumes.items()),
             key=lambda item: (-item[1], item[0]),
         )
-        return ranked
-
-    def headline(self) -> Dict[str, object]:
-        """The paper's headline shares, estimated from the stream so far.
-
-        Read-only (no window flush), so the heartbeat and the live
-        endpoints can call it freely without perturbing sketch state.
-        """
-        total = self.hydra_total
-        providers = self.top_providers()
-        non_cloud = self.provider_volumes.get("non-cloud", 0)
         return {
             "events": self.events,
             "hydra_requests": total,
-            "bitswap_broadcasts": self.bitswap_total,
+            "bitswap_broadcasts": self.bitswap.total,
             "cloud_share_by_volume": (total - non_cloud) / total if total else 0.0,
-            "gateway_share_by_volume": self.gateway_volume / total if total else 0.0,
-            "top_provider": providers[0][0] if providers else None,
-            "provider_shares_by_volume": dict(providers),
-            "class_shares": self.classes.shares(),
+            "gateway_share_by_volume": gateway_volume / total if total else 0.0,
+            "top_provider": shares[0][0] if shares else None,
+            "provider_shares_by_volume": dict(shares),
+            "class_shares": dict(sorted(hydra.class_shares.items())),
             "top1pct_peer_share": self._top_fraction_share(
                 self.peer_hitters, self.peer_distinct, 0.01
             ),
@@ -349,12 +337,9 @@ class StreamAnalytics:
                 "cid_hitters": self.cid_hitters.to_state(),
                 "peer_rates": self.peer_rates.to_state(),
                 "crawl_degree": self.crawl_degree.to_state(),
-                "classes": self.classes.to_state(),
                 "peer_distinct": self.peer_distinct.to_state(),
                 "ip_distinct": self.ip_distinct.to_state(),
                 "cid_distinct": self.cid_distinct.to_state(),
-                "provider_volumes": dict(sorted(self.provider_volumes.items())),
-                "gateway_volume": self.gateway_volume,
             },
             "runtime": dict(sorted(self.notes.items())),
         }

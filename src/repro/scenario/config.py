@@ -49,14 +49,14 @@ class ScenarioConfig:
     traffic_enabled: bool = True
     #: storage spec for the monitor logs (see :mod:`repro.store`):
     #: ``memory`` (default), or e.g. ``sqlite:out/run1`` / ``jsonl:out/run1``
-    #: / ``sharded:4:sqlite:out/run1`` to spill logs to disk, with the
-    #: path used as a directory holding one log file per monitor.
+    #: to spill logs to disk, with the path used as a directory holding
+    #: one log file per monitor.
     storage: str = "memory"
     #: worker processes for the crawl phase (see :mod:`repro.exec`).
     #: ``1`` runs everything inline; any value produces bit-identical
-    #: datasets because every crawl derives its own seed.  Disk-backed
-    #: monitor logs are automatically sharded ``workers`` ways (merged
-    #: back through the order-preserving ShardedBackend heap-merge).
+    #: datasets because every crawl derives its own seed.  The monitor
+    #: logs are written by the campaign process alone, one file per log
+    #: at any worker count.
     workers: int = 1
     #: collect observability metrics (see :mod:`repro.obs`) during the
     #: campaign; the snapshot lands in ``CampaignResult.metrics``.  Off by
@@ -86,14 +86,14 @@ class ScenarioConfig:
     progress: bool = False
     #: maintain streaming analytics sketches (see :mod:`repro.obs.stream`)
     #: over the monitor event stream: heavy-hitter peers/IPs/CIDs,
-    #: quantile sketches, windowed class shares and live headline
-    #: estimates.  Off by default — the disabled path is a no-op null
-    #: stream and campaign outputs are bit-identical either way; with
-    #: streaming on the sketch snapshot lands in
-    #: ``CampaignResult.sketches``.
+    #: quantile sketches and distinct counts, next to live headline
+    #: shares read from the monitors' exact §5 fold.  Off by default —
+    #: the disabled path is a no-op null stream and campaign outputs are
+    #: bit-identical either way; with streaming on the sketch snapshot
+    #: lands in ``CampaignResult.sketches``.
     stream: bool = False
-    #: sketch window length in seconds (defaults to one campaign tick at
-    #: 4 ticks/day, matching ``detect_window``).
+    #: per-peer request-rate window length in seconds (defaults to one
+    #: campaign tick at 4 ticks/day, matching ``detect_window``).
     stream_window: float = 21_600.0
     #: optional path the final sketch snapshot JSON is written to; the
     #: path lands in ``CampaignResult.sketches_path``.  Implies

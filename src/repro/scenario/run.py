@@ -173,15 +173,14 @@ class MeasurementCampaign:
             )
         stream = None
         if config.stream_enabled:
-            # The streaming classifiers mirror the exact batch analyses:
-            # cloud attribution is the same memoized CloudIPDatabase
-            # lookup the traffic reports use, and gateway-ness is decided
-            # at observe time (senders are online when they send) against
-            # the same node-class the batch gateway_peers set reflects.
+            # The live shares mirror the exact batch analyses: cloud
+            # attribution is the same CloudIPDatabase lookup the traffic
+            # reports use, and the gateway set is Fig. 10's.  The
+            # monitors' folds are handed over in _build.
             stream = StreamAnalytics(
                 config.stream_window,
                 provider_of=self._cloud_provider,
-                is_gateway=self._is_gateway,
+                gateway_peers=partial(self._peers_of_class, NodeClass.GATEWAY),
             )
         return Observer(metrics, tracer, stream)
 
@@ -191,10 +190,6 @@ class MeasurementCampaign:
 
     def _cloud_provider(self, ip: str) -> Optional[str]:
         return self.world.cloud_db.lookup(ip)
-
-    def _is_gateway(self, peer: PeerID) -> bool:
-        node = self.overlay.online_by_peer.get(peer)
-        return node is not None and node.spec.node_class is NodeClass.GATEWAY
 
     def _observed(self):
         """Install the campaign observer while it collects anything.
@@ -312,7 +307,7 @@ class MeasurementCampaign:
         # Attack-off campaigns must not even create an attack store
         # (byte-identical on-disk layout to previous releases).
         log_names = ("hydra", "bitswap", "attack") if config.attacks else ("hydra", "bitswap")
-        stores = campaign_stores(config.storage, names=log_names, workers=config.workers)
+        stores = campaign_stores(config.storage, names=log_names)
         for store in stores.values():
             # A campaign starts at simulated t=0; records left over from a
             # previous run into the same path would silently skew every
@@ -322,6 +317,10 @@ class MeasurementCampaign:
         self.monitor = BitswapMonitor(
             random.Random(config.seed + 102), store=stores["bitswap"]
         )
+        stream = self.observer.stream
+        if stream.enabled:
+            stream.hydra = self.hydra.summary
+            stream.bitswap = self.monitor.summary
         self.engine = TrafficEngine(
             self.overlay, self.catalog, self.hydra, self.monitor, config.workload
         )

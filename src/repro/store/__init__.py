@@ -1,4 +1,4 @@
-"""Storage subsystem: pluggable, shardable event-log backends.
+"""Storage subsystem: pluggable event-log backends.
 
 Spec strings name a backend; :func:`parse_spec` is the single parser and
 :func:`open_store` the single factory everything routes through
@@ -9,7 +9,6 @@ task rebasing and the CLI)::
     jsonl:/data/hydra.jsonl     # append-only JSON lines
     sqlite:/data/hydra.sqlite   # stdlib sqlite3, WAL, indexed timestamps
     sqlite::memory:             # sqlite without a file
-    sharded:4:sqlite:/data/hydra.sqlite   # round-robin over 4 shards
 
 ``campaign_stores`` maps one spec onto the per-log backends a
 measurement campaign needs (treating the spec's path as a directory).
@@ -49,7 +48,6 @@ from repro.store.codecs import (
     IdTable,
 )
 from repro.store.eventlog import EventLog
-from repro.store.shard import ShardedBackend
 
 __all__ = [
     "ATTACK_CODEC",
@@ -63,7 +61,6 @@ __all__ = [
     "JsonlBackend",
     "MemoryBackend",
     "Record",
-    "ShardedBackend",
     "SqliteBackend",
     "StorageBackend",
     "StorageSpec",
@@ -80,7 +77,7 @@ __all__ = [
 #: the conventional extension for JSONL trace-record streams).
 _SUFFIX_KINDS = {".jsonl": "jsonl", ".sqlite": "sqlite", ".db": "sqlite", ".trace": "jsonl"}
 
-#: Spec kinds that store records in files (shardable, rebasable).
+#: Spec kinds that store records in files (rebasable).
 _FILE_KINDS = ("jsonl", "sqlite")
 
 
@@ -88,15 +85,13 @@ _FILE_KINDS = ("jsonl", "sqlite")
 class StorageSpec:
     """A parsed storage spec (see module docs for the string forms).
 
-    ``kind`` is ``memory``, ``jsonl`` or ``sqlite``; ``shards > 1``
-    round-robins over that many backends of the same kind.  ``path`` is
+    ``kind`` is ``memory``, ``jsonl`` or ``sqlite``.  ``path`` is
     ``None`` for the memory backend and may be SQLite's anonymous
     ``:memory:`` marker.
     """
 
     kind: str
     path: Optional[str] = None
-    shards: int = 1
 
     @property
     def is_memory(self) -> bool:
@@ -104,7 +99,7 @@ class StorageSpec:
 
     @property
     def on_disk(self) -> bool:
-        """Whether the spec names actual files (shardable, rebasable)."""
+        """Whether the spec names actual files (rebasable)."""
         return self.kind in _FILE_KINDS and self.path != ":memory:"
 
     def with_path(self, path) -> "StorageSpec":
@@ -114,8 +109,6 @@ class StorageSpec:
         """The canonical spec string (round-trips through parse_spec)."""
         if self.is_memory:
             return "memory"
-        if self.shards > 1:
-            return f"sharded:{self.shards}:{self.kind}:{self.path}"
         return f"{self.kind}:{self.path}"
 
 
@@ -138,24 +131,7 @@ def parse_spec(spec: Union[str, StorageSpec]) -> StorageSpec:
         if rest == ":memory:" and kind != "sqlite":
             raise ValueError(f"only sqlite supports :memory:: {spec!r}")
         return StorageSpec(kind=kind, path=rest)
-    if kind == "sharded":
-        count_text, _, inner = rest.partition(":")
-        try:
-            shards = int(count_text)
-        except ValueError:
-            raise ValueError(f"sharded spec needs a shard count: {spec!r}") from None
-        if shards < 1 or not inner:
-            raise ValueError(f"bad sharded spec: {spec!r}")
-        parsed = parse_spec(inner)
-        if parsed.kind not in _FILE_KINDS:
-            raise ValueError(f"cannot shard backend spec: {inner!r}")
-        return replace(parsed, shards=shards)
     raise ValueError(f"unknown storage backend spec: {spec!r}")
-
-
-def _sharded_path(path: str, shard: int) -> str:
-    pure = Path(path)
-    return str(pure.with_name(f"{pure.stem}-shard{shard}{pure.suffix}"))
 
 
 def open_store(
@@ -175,12 +151,6 @@ def open_store(
     if parsed.is_memory:
         return MemoryBackend()
     opener = JsonlBackend if parsed.kind == "jsonl" else SqliteBackend
-    if parsed.shards > 1:
-        if parsed.path == ":memory:":
-            return ShardedBackend([SqliteBackend(":memory:") for _ in range(parsed.shards)])
-        return ShardedBackend(
-            [opener(_sharded_path(parsed.path, i)) for i in range(parsed.shards)]
-        )
     return opener(parsed.path)
 
 
@@ -218,24 +188,17 @@ def task_storage_spec(spec: str, task: object) -> str:
 def campaign_stores(
     spec: Union[str, StorageSpec],
     names: Tuple[str, ...] = ("hydra", "bitswap"),
-    workers: int = 1,
 ) -> Dict[str, StorageBackend]:
     """Per-log backends for a campaign from a single storage spec.
 
     ``memory`` yields independent in-memory backends; for disk specs the
     path is a *directory* and each log gets its own file in it, e.g.
     ``sqlite:out/run1`` → ``out/run1/hydra.sqlite`` and
-    ``out/run1/bitswap.sqlite``.
-
-    ``workers > 1`` shards each disk-backed log ``workers`` ways (one
-    file per worker slot); readers see the single ordered log through
-    the :class:`~repro.store.shard.ShardedBackend` heap-merge, so a
-    parallel campaign's stored state is indistinguishable from a serial
-    one.  Already-sharded and in-memory specs are left untouched.
+    ``out/run1/bitswap.sqlite``.  Only the campaign process appends to
+    these logs (crawl workers never write them), so the layout is the
+    same at any worker count.
     """
     parsed = parse_spec(spec)
-    if workers > 1 and parsed.shards == 1 and parsed.on_disk:
-        parsed = replace(parsed, shards=workers)
     if parsed.is_memory:
         return {name: MemoryBackend() for name in names}
     if parsed.path == ":memory:":

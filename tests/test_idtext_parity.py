@@ -34,7 +34,6 @@ from repro.store import (
     IdTable,
     JsonlBackend,
     MemoryBackend,
-    ShardedBackend,
     SqliteBackend,
 )
 
@@ -187,10 +186,6 @@ def make_backend(kind: str, tmp_path):
         return JsonlBackend(tmp_path / "log.jsonl", batch_size=7)
     if kind == "sqlite":
         return SqliteBackend(tmp_path / "log.sqlite", batch_size=7)
-    if kind == "sharded-4":
-        return ShardedBackend(
-            [SqliteBackend(tmp_path / f"s{i}.sqlite", batch_size=5) for i in range(4)]
-        )
     raise AssertionError(kind)
 
 
@@ -201,7 +196,7 @@ def stored_count(backend) -> int:
 
 
 class TestEventLogParity:
-    @pytest.fixture(params=("memory", "jsonl", "sqlite", "sharded-4"))
+    @pytest.fixture(params=("memory", "jsonl", "sqlite"))
     def kind(self, request):
         return request.param
 
@@ -289,7 +284,7 @@ class TestWorkGuards:
         monkeypatch.setattr(owner, name, counting)
         return calls
 
-    @pytest.mark.parametrize("kind", ("jsonl", "sqlite", "sharded-4"))
+    @pytest.mark.parametrize("kind", ("jsonl", "sqlite"))
     def test_one_parse_per_distinct_id_per_read(self, kind, tmp_path, monkeypatch):
         events = make_events(random.Random(21), 200, start=0.0)
         log = EventLog(HYDRA_CODEC, make_backend(kind, tmp_path))

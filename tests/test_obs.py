@@ -332,7 +332,7 @@ class TestCampaignMetrics:
 
     def test_worker_count_metric_merge_parity(self, metric_campaigns):
         """workers=1 and workers=4 must produce identical deterministic
-        metrics — the merge mirrors the sharded-log heap-merge."""
+        metrics — the merge mirrors the crawl-order snapshot merge."""
         serial, parallel = metric_campaigns
         assert deterministic_view(serial.metrics) == deterministic_view(
             parallel.metrics

@@ -465,8 +465,8 @@ class TestXorMetricProperties:
         assert table.closest_keys(target, 7) == [peer.dht_key for peer in expected[:7]]
 
 
-class TestShardMergeProperties:
-    """The sharded store is indistinguishable from a single log."""
+class TestSqliteScanProperties:
+    """A SQLite log reads back exactly what was appended, flushed or not."""
 
     records = st.lists(
         st.tuples(st.floats(min_value=0, max_value=100), st.integers()),
@@ -474,41 +474,37 @@ class TestShardMergeProperties:
     )
 
     @settings(max_examples=30)
-    @given(records, st.integers(min_value=1, max_value=5))
-    def test_scan_restores_append_order(self, entries, num_shards):
+    @given(records, st.integers(min_value=1, max_value=12))
+    def test_scan_restores_append_order(self, entries, batch_size):
         from repro.store.backend import SqliteBackend
-        from repro.store.shard import ShardedBackend
 
-        sharded = ShardedBackend([SqliteBackend() for _ in range(num_shards)])
+        backend = SqliteBackend(batch_size=batch_size)
         appended = []
         for ts, value in entries:
             record = {"ts": ts, "value": value}
-            sharded.append(record)
+            backend.append(record)
             appended.append(record)
-        sharded.flush()
-        assert list(sharded.scan()) == appended
-        assert list(sharded.scan_reversed()) == appended[::-1]
-        assert len(sharded) == len(appended)
-        sharded.close()
+        assert list(backend.scan()) == appended
+        assert list(backend.scan_reversed()) == appended[::-1]
+        assert len(backend) == len(appended)
+        backend.close()
 
     @settings(max_examples=20)
-    @given(records, st.integers(min_value=1, max_value=4),
+    @given(records, st.integers(min_value=1, max_value=12),
            st.floats(min_value=0, max_value=100), st.floats(min_value=0, max_value=100))
-    def test_scan_range_matches_reference_filter(self, entries, num_shards, lo, hi):
+    def test_scan_range_matches_reference_filter(self, entries, batch_size, lo, hi):
         from repro.store.backend import SqliteBackend
-        from repro.store.shard import ShardedBackend
 
         start, end = min(lo, hi), max(lo, hi)
-        sharded = ShardedBackend([SqliteBackend() for _ in range(num_shards)])
+        backend = SqliteBackend(batch_size=batch_size)
         appended = []
         for ts, value in entries:
             record = {"ts": ts, "value": value}
-            sharded.append(record)
+            backend.append(record)
             appended.append(record)
-        sharded.flush()
         expected = [r for r in appended if start <= r["ts"] < end]
-        assert list(sharded.scan_range(start, end)) == expected
-        sharded.close()
+        assert list(backend.scan_range(start, end)) == expected
+        backend.close()
 
 
 class TestSeedDerivationProperties:

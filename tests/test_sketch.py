@@ -21,7 +21,6 @@ from repro.obs.sketch import (
     LinearCounter,
     QuantileSketch,
     SpaceSaving,
-    WindowedCounters,
     _fraction_label,
 )
 
@@ -337,48 +336,3 @@ class TestLinearCounter:
         with pytest.raises(ValueError):
             LinearCounter(100)
 
-
-# ---------------------------------------------------------------------------
-# WindowedCounters
-# ---------------------------------------------------------------------------
-
-
-class TestWindowedCounters:
-    def test_exact_totals_and_shares(self):
-        counters = WindowedCounters(10.0)
-        for timestamp, label in [(1, "a"), (5, "b"), (12, "a"), (25, "a")]:
-            counters.update(float(timestamp), label)
-        assert counters.total == 4
-        assert counters.totals == {"a": 3, "b": 1}
-        assert counters.shares() == {"a": 0.75, "b": 0.25}
-        assert counters.window_shares(0) == {"a": 0.5, "b": 0.5}
-        assert counters.window_shares(2) == {"a": 1.0}
-        assert counters.window_shares(9) == {}
-        assert counters.latest_window() == 2
-
-    def test_merge_adds(self):
-        a = WindowedCounters(10.0)
-        b = WindowedCounters(10.0)
-        a.update(1.0, "x")
-        b.update(2.0, "x")
-        b.update(15.0, "y")
-        a.merge(b)
-        assert a.totals == {"x": 2, "y": 1}
-        assert a.windows == {0: {"x": 2}, 1: {"y": 1}}
-        with pytest.raises(ValueError):
-            a.merge(WindowedCounters(5.0))
-
-    def test_state_round_trips_through_json(self):
-        counters = WindowedCounters(60.0)
-        for timestamp in range(0, 600, 7):
-            counters.update(float(timestamp), f"label-{timestamp % 3}")
-        restored = WindowedCounters.from_state(
-            json.loads(json.dumps(counters.to_state()))
-        )
-        assert restored.totals == counters.totals
-        assert restored.windows == counters.windows
-        assert restored.shares() == counters.shares()
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            WindowedCounters(0.0)

@@ -1,10 +1,9 @@
-"""The storage subsystem: backends, the EventLog facade, sharding."""
+"""The storage subsystem: backends, the EventLog facade, spec parsing."""
 
 import random
-from itertools import islice
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
@@ -16,7 +15,6 @@ from repro.store import (
     EventLog,
     JsonlBackend,
     MemoryBackend,
-    ShardedBackend,
     SqliteBackend,
     StorageSpec,
     campaign_stores,
@@ -49,14 +47,10 @@ def backend_for(kind, tmp_path):
         return JsonlBackend(tmp_path / "log.jsonl", batch_size=7)
     if kind == "sqlite":
         return SqliteBackend(tmp_path / "log.sqlite", batch_size=7)
-    if kind == "sharded":
-        return ShardedBackend(
-            [SqliteBackend(tmp_path / f"s{i}.sqlite", batch_size=5) for i in range(3)]
-        )
     raise AssertionError(kind)
 
 
-BACKENDS = ("memory", "jsonl", "sqlite", "sharded")
+BACKENDS = ("memory", "jsonl", "sqlite")
 
 
 class TestEventLogContract:
@@ -158,104 +152,6 @@ class TestPersistence:
         final = EventLog(HYDRA_CODEC, SqliteBackend(path))
         assert [e.timestamp for e in final] == [1.0, 2.0]
 
-    def test_sharded_reopen_preserves_order(self, tmp_path):
-        def build():
-            return ShardedBackend(
-                [SqliteBackend(tmp_path / f"s{i}.sqlite") for i in range(2)]
-            )
-
-        rng = random.Random(7)
-        log = EventLog(HYDRA_CODEC, build())
-        for i in range(9):
-            log.append(make_envelope(rng, float(i)))
-        log.close()
-        reopened = EventLog(HYDRA_CODEC, build())
-        assert [e.timestamp for e in reopened] == [float(i) for i in range(9)]
-        reopened.append(make_envelope(rng, 9.0))
-        assert [e.timestamp for e in reopened] == [float(i) for i in range(10)]
-
-
-class TestShardedBackend:
-    def test_balanced_round_robin(self):
-        shards = [MemoryBackendRecords() for _ in range(3)]
-        backend = ShardedBackend(shards)
-        for i in range(9):
-            backend.append({"ts": float(i)})
-        assert [len(shard) for shard in shards] == [3, 3, 3]
-
-    def test_rejects_object_native_shards(self):
-        with pytest.raises(ValueError):
-            ShardedBackend([MemoryBackend()])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ShardedBackend([])
-
-    def test_merge_strips_seq_field(self):
-        backend = ShardedBackend([MemoryBackendRecords(), MemoryBackendRecords()])
-        backend.append({"ts": 1.0})
-        records = list(backend.scan())
-        assert records == [{"ts": 1.0}]
-
-    @settings(max_examples=120, deadline=None)
-    @given(
-        shards=st.integers(min_value=1, max_value=4),
-        records=st.integers(min_value=0, max_value=40),
-        batch_size=st.integers(min_value=1, max_value=12),
-        start=st.integers(min_value=0, max_value=45),
-        stop=st.one_of(st.none(), st.integers(min_value=0, max_value=45)),
-    )
-    def test_slice_equals_merge_scan(self, shards, records, batch_size, start, stop):
-        # Batches larger than a shard's share leave unflushed tails.
-        backend = ShardedBackend(
-            [ScanCountingSqlite(batch_size=batch_size) for _ in range(shards)]
-        )
-        for i in range(records):
-            backend.append({"ts": float(i), "i": i})
-        rows = backend.slice(start, stop)
-        assert [shard.scans for shard in backend.shards] == [0] * shards
-        assert rows == list(islice(backend.scan(), start, stop))
-
-    def test_slice_reads_only_the_rows_it_returns(self):
-        backend = ShardedBackend([ScanCountingSqlite(batch_size=4) for _ in range(3)])
-        for i in range(30):
-            backend.append({"ts": float(i)})
-        assert backend.slice(25, None) == [{"ts": float(i)} for i in range(25, 30)]
-        assert [shard.sliced for shard in backend.shards] == [[(9, 10)], [(8, 10)], [(8, 10)]]
-
-    def test_slice_of_shards_not_in_round_robin_shape_merges(self):
-        shards = [MemoryBackendRecords(), MemoryBackendRecords()]
-        for seq in (0, 1, 2):
-            shards[0].append({"ts": float(seq), "_seq": seq})
-        shards[1].append({"ts": 3.0, "_seq": 3})
-        backend = ShardedBackend(shards)
-        assert backend.slice(1, 4) == [{"ts": 1.0}, {"ts": 2.0}, {"ts": 3.0}]
-        assert backend.slice(0, None) == list(backend.scan())
-
-
-class ScanCountingSqlite(SqliteBackend):
-    """An in-memory SQLite shard that counts full scans and records the
-    index slices it serves."""
-
-    def __init__(self, batch_size: int) -> None:
-        super().__init__(":memory:", batch_size=batch_size)
-        self.scans = 0
-        self.sliced = []
-
-    def scan(self):
-        self.scans += 1
-        return super().scan()
-
-    def slice(self, start, stop):
-        self.sliced.append((start, stop))
-        return super().slice(start, stop)
-
-
-class MemoryBackendRecords(MemoryBackend):
-    """A MemoryBackend that takes dict records (shardable in tests)."""
-
-    stores_objects = False
-
 
 class TestStorageSpec:
     def test_parse_memory(self):
@@ -270,14 +166,9 @@ class TestStorageSpec:
         assert spec.on_disk
         assert not parse_spec("sqlite::memory:").on_disk
 
-    def test_parse_sharded(self):
-        spec = parse_spec("sharded:4:jsonl:/tmp/run/x.jsonl")
-        assert spec == StorageSpec(kind="jsonl", path="/tmp/run/x.jsonl", shards=4)
-
     @pytest.mark.parametrize(
         "text",
-        ["memory", "jsonl:/tmp/x.jsonl", "sqlite::memory:",
-         "sharded:3:sqlite:/tmp/x.sqlite"],
+        ["memory", "jsonl:/tmp/x.jsonl", "sqlite::memory:", "sqlite:/tmp/x.sqlite"],
     )
     def test_to_string_round_trips(self, text):
         spec = parse_spec(text)
@@ -306,11 +197,6 @@ class TestStorageSpec:
         backend = MemoryBackend()
         assert open_store(backend) is backend
 
-    def test_open_store_sharded(self, tmp_path):
-        backend = open_store(StorageSpec(kind="sqlite", path=f"{tmp_path}/x.sqlite", shards=3))
-        assert isinstance(backend, ShardedBackend)
-        assert len(backend.shards) == 3
-
 
 class TestFactory:
     def test_memory(self):
@@ -321,15 +207,10 @@ class TestFactory:
         assert isinstance(open_store(f"sqlite:{tmp_path}/x.sqlite"), SqliteBackend)
         assert isinstance(open_store("sqlite::memory:"), SqliteBackend)
 
-    def test_sharded(self, tmp_path):
-        backend = open_store(f"sharded:4:sqlite:{tmp_path}/x.sqlite")
-        assert isinstance(backend, ShardedBackend)
-        assert len(backend.shards) == 4
-
     @pytest.mark.parametrize(
         "spec",
         ["", "bogus", "memory:path", "jsonl:", "sqlite:", "sharded:x:sqlite:/p",
-         "sharded:0:sqlite:/p", "sharded:2:memory"],
+         "sharded:0:sqlite:/p", "sharded:2:memory", "sharded:2:sqlite:/p"],
     )
     def test_rejects_bad_specs(self, spec):
         with pytest.raises(ValueError):
@@ -353,10 +234,34 @@ class TestFactory:
         assert str(stores["hydra"].path).endswith("hydra.sqlite")
         assert str(stores["bitswap"].path).endswith("bitswap.sqlite")
 
-    def test_campaign_stores_sharded(self, tmp_path):
-        stores = campaign_stores(f"sharded:2:jsonl:{tmp_path}/run")
-        assert isinstance(stores["hydra"], ShardedBackend)
-        assert len(stores["hydra"].shards) == 2
+
+class TestSniffCampaignLogs:
+    """``repro detect score DIR`` re-opens what ``campaign_stores`` laid out."""
+
+    @pytest.mark.parametrize("kind", ["sqlite", "jsonl"])
+    @pytest.mark.parametrize(
+        "names",
+        [("hydra",), ("hydra", "bitswap"), ("hydra", "attack"), ("hydra", "bitswap", "attack")],
+    )
+    def test_round_trips_the_layout(self, tmp_path, kind, names):
+        from repro.cli import _sniff_campaign_logs
+
+        directory = tmp_path / "run"
+        for backend in campaign_stores(f"{kind}:{directory}", names=names).values():
+            backend.append({"ts": 0.0})
+            backend.close()
+        spec, found = _sniff_campaign_logs(directory)
+        assert spec == f"{kind}:{directory}"
+        assert found == names
+        reopened = campaign_stores(spec, names=found)
+        assert [len(reopened[name]) for name in names] == [1] * len(names)
+
+    def test_no_hydra_log_names_the_directory(self, tmp_path):
+        from repro.cli import _sniff_campaign_logs
+
+        campaign_stores(f"sqlite:{tmp_path}", names=("bitswap",))["bitswap"].close()
+        with pytest.raises(ValueError, match=f"under {re.escape(str(tmp_path))}$"):
+            _sniff_campaign_logs(tmp_path)
 
 
 class TestCopyAndConvert:
@@ -385,13 +290,11 @@ RECORDS = [{"ts": float(i), "v": i, "tag": f"r{i}"} for i in range(25)]
 
 class TestWriteAndReadRecords:
     @pytest.mark.parametrize(
-        "name", ["out.jsonl", "out.trace", "out.sqlite", "memory", "sharded"]
+        "name", ["out.jsonl", "out.trace", "out.sqlite", "memory"]
     )
     def test_second_write_replaces(self, tmp_path, name):
         if name == "memory":
             destination = MemoryBackend()
-        elif name == "sharded":
-            destination = open_store(f"sharded:3:jsonl:{tmp_path}/x.jsonl")
         else:
             destination = tmp_path / name
         assert write_records(RECORDS, destination) == len(RECORDS)

@@ -2,10 +2,12 @@
 
 Three contracts, mirroring the repo's observability pattern (PR 4/5):
 
-1. **Accuracy** — the live headline estimates (cloud share, provider
-   split, gateway share, class shares, top-1% concentration) match the
-   batch analyses over the full hydra log; at fixture scale the
-   memoized classifications make them *exact*, so the pins are tight.
+1. **Accuracy** — the live headline shares (cloud share, provider
+   split, gateway share, class shares) are read from the monitors'
+   folds at any point of the run, and the sketch estimates (top-1%
+   concentration, heavy hitters, distinct counts) match the batch
+   analyses over the full hydra log; at fixture scale the Space-Saving
+   summaries are not full, so those pins are tight too.
 2. **Null path** — streaming off is the default no-op null stream and
    campaigns are bit-identical with streaming on or off.
 3. **Parallel parity** — crawl workers return plain sketch state merged
@@ -13,11 +15,18 @@ Three contracts, mirroring the repo's observability pattern (PR 4/5):
    identical deterministic sketch view.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
 
 from repro.core.pareto import top_share
+from repro.core.traffic import peerid_pareto
+from repro.ids.cid import CID
+from repro.ids.peerid import PeerID
+from repro.kademlia.messages import MessageType
+from repro.monitors.bitswap_monitor import BitswapMonitor
+from repro.monitors.hydra import HydraBooster
 from repro.obs import deterministic_trace_view, deterministic_view
 from repro.obs.observer import Observer, get_observer, use_observer
 from repro.obs.progress import ProgressReporter
@@ -31,7 +40,6 @@ from repro.obs.stream import (
 )
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
-from repro.world.profiles import WorldProfile
 
 from test_parallel_determinism import parity_config, snapshot_fingerprint
 
@@ -111,6 +119,9 @@ class TestStreamingAccuracy:
     @pytest.fixture(scope="class")
     def log(self, streamed_result):
         return list(streamed_result.hydra.log)
+
+    def test_campaign_ran_clean(self, streamed_result):
+        assert not streamed_result.exec_errors
 
     def test_event_count_is_exact(self, streamed_result, log):
         sketches = streamed_result.sketches
@@ -271,25 +282,105 @@ class TestRendering:
         assert "0" in report
 
 
+def replayed_stream(entries, **kwargs) -> StreamAnalytics:
+    """A standalone stream over a fresh Hydra that re-records ``entries``."""
+    hydra = HydraBooster()
+    analytics = StreamAnalytics(3600.0, hydra=hydra.summary, **kwargs)
+    with use_observer(Observer(stream=analytics)):
+        for e in entries:
+            hydra.record(
+                e.timestamp, e.sender, e.sender_ip, e.message_type,
+                e.target_cid, e.target_key, e.via_relay,
+            )
+    return analytics
+
+
+class TestFoldRead:
+    """The headline reads the monitors' folds whenever it is read."""
+
+    def expected(self, hydra, monitor, cloud_db, gateways):
+        summary = hydra.summary
+        report = summary.cloud_report(cloud_db)
+        return {
+            "events": summary.total + monitor.summary.total,
+            "hydra_requests": summary.total,
+            "bitswap_broadcasts": monitor.summary.total,
+            "cloud_share_by_volume": report.cloud_share_by_volume,
+            "provider_shares_by_volume": {
+                provider: share
+                for provider, share in report.provider_shares_by_volume.items()
+                if provider != "non-cloud"
+            },
+            "class_shares": summary.class_shares,
+            "gateway_share_by_volume": peerid_pareto(
+                summary.peer_volumes(), gateways
+            ).subgroup_share,
+        }
+
+    def test_headline_equals_the_fold_after_every_batch(self, small_overlay):
+        rng = random.Random(31)
+        cloud_db = small_overlay.world.cloud_db
+        nodes = small_overlay.online_servers()[:40]
+        gateway_node = nodes[0]
+        old_id, new_id = gateway_node.peer, PeerID.generate(rng)
+        gateways = {old_id}
+        hydra = HydraBooster(num_heads=2)
+        monitor = BitswapMonitor(random.Random(32))
+        analytics = StreamAnalytics(
+            3600.0,
+            hydra=hydra.summary,
+            bitswap=monitor.summary,
+            provider_of=cloud_db.lookup,
+            gateway_peers=lambda: gateways,
+        )
+        kinds = (MessageType.GET_PROVIDERS, MessageType.ADD_PROVIDER, MessageType.FIND_NODE)
+        sender_of = {node.spec.index: node.peer for node in nodes}
+        timestamp = 0.0
+        with use_observer(Observer(stream=analytics)):
+            for batch in range(4):
+                if batch == 2:
+                    # The gateway node takes a new peer ID: Fig. 10's set
+                    # (current IDs of gateway-class nodes) drops the old one.
+                    sender_of[gateway_node.spec.index] = new_id
+                    gateways = {new_id}
+                for _ in range(60):
+                    timestamp += 97.0
+                    node = rng.choice(nodes)
+                    kind = rng.choice(kinds)
+                    cid = CID.generate(rng)
+                    hydra.record(
+                        timestamp, sender_of[node.spec.index], node.primary_ip_str,
+                        kind, None if kind is MessageType.FIND_NODE else cid,
+                        target_key=7 if kind is MessageType.FIND_NODE else None,
+                    )
+                    monitor.observe_broadcast(timestamp, node, cid)
+                headline = analytics.headline()
+                for key, want in self.expected(hydra, monitor, cloud_db, gateways).items():
+                    assert headline[key] == pytest.approx(want, abs=1e-12), (batch, key)
+        volumes = hydra.summary.peer_volumes()
+        assert volumes[old_id] and volumes[new_id]
+        assert headline["gateway_share_by_volume"] == pytest.approx(
+            volumes[new_id] / hydra.summary.total, abs=1e-12
+        )
+        assert monitor.summary.total > 0
+
+
 class TestHeartbeat:
     def test_stream_extras_absent_without_analytics(self):
         assert ProgressReporter._stream_extras(None) == []
         assert ProgressReporter._stream_extras(NullStream()) == []
 
     def test_stream_extras_from_live_analytics(self, streamed_result):
-        analytics = StreamAnalytics(
-            3600.0, provider_of=streamed_result.world.cloud_db.lookup
+        analytics = replayed_stream(
+            streamed_result.hydra.log[:500],
+            provider_of=streamed_result.world.cloud_db.lookup,
         )
-        for entry in streamed_result.hydra.log[:500]:
-            analytics.observe_hydra(entry)
         extras = ProgressReporter._stream_extras(analytics)
         assert extras[0] == "500 ev"
         assert any(extra.startswith("cloud ") for extra in extras)
 
     def test_headline_is_read_only(self, streamed_result):
-        analytics = StreamAnalytics(3600.0)
-        for entry in streamed_result.hydra.log[:200]:
-            analytics.observe_hydra(entry)
+        analytics = replayed_stream(streamed_result.hydra.log[:200])
         before = analytics.snapshot()
         analytics.headline()
         assert analytics.snapshot() == before
@@ -305,11 +396,10 @@ class TestHeartbeat:
             def flush(self):
                 pass
 
-        analytics = StreamAnalytics(
-            3600.0, provider_of=streamed_result.world.cloud_db.lookup
+        analytics = replayed_stream(
+            streamed_result.hydra.log[:300],
+            provider_of=streamed_result.world.cloud_db.lookup,
         )
-        for entry in streamed_result.hydra.log[:300]:
-            analytics.observe_hydra(entry)
         out = FakeStream()
         reporter = ProgressReporter(
             stream=out,

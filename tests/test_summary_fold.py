@@ -61,7 +61,7 @@ def assert_same_summary(folded: LogSummary, oracle: LogSummary) -> None:
 # the fold equals one pass over the stored log
 # ---------------------------------------------------------------------------
 
-STORAGES = ("memory", "jsonl", "sqlite", "sharded:2:sqlite")
+STORAGES = ("memory", "jsonl", "sqlite")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -70,6 +70,14 @@ def test_folded_summaries_equal_a_pass_over_the_stored_log(kind, workers, tmp_pa
     storage = "memory" if kind == "memory" else f"{kind}:{tmp_path / 'logs'}"
     result = run_campaign(small_config(storage, workers))
     assert not result.exec_errors
+    if kind != "memory":
+        # Only the campaign process writes the logs: one file per log at
+        # any worker count.
+        files = sorted(path.name for path in (tmp_path / "logs").iterdir())
+        assert [name for name in files if not name.endswith(("-wal", "-shm"))] == [
+            f"bitswap.{kind}",
+            f"hydra.{kind}",
+        ]
     for monitor, summary in (
         (result.hydra, result.hydra_summary),
         (result.bitswap_monitor, result.bitswap_summary),
