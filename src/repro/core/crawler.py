@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -246,6 +247,28 @@ def freeze_crawl_task(
     )
 
 
+def _own_prefix_ranges(
+    table_keys: List[int], own_key: int, k: int, deepest: int
+) -> List[Tuple[int, int]]:
+    """Entry ``p`` is the ``(low, high)`` slice of ``table_keys`` (sorted)
+    sharing ``own_key``'s first ``p`` bits, for ``p = 0, 1, ...`` while
+    the slice holds at least ``min(k, len(table_keys))`` keys, up to
+    ``p = deepest``."""
+    want = min(k, len(table_keys))
+    low, high = 0, len(table_keys)
+    ranges = [(low, high)]
+    for prefix_len in range(1, deepest + 1):
+        shift = KEY_BITS - prefix_len
+        range_base = (own_key >> shift) << shift
+        new_low = bisect_left(table_keys, range_base, low, high)
+        new_high = bisect_left(table_keys, range_base + (1 << shift), new_low, high)
+        if new_high - new_low < want:
+            break
+        low, high = new_low, new_high
+        ranges.append((low, high))
+    return ranges
+
+
 def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
     """Run one crawl as a pure function of its frozen task.
 
@@ -274,6 +297,8 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
     timeouts = 0
     had_unresponsive = False
     depth = int(math.log2(max(task.oracle_size, 2))) + 6
+    sweep = min(depth, KEY_BITS)
+    k = task.k
 
     tracer = obs.get_tracer()
     with tracer.span("crawl", crawl=task.crawl_id) as crawl_span:
@@ -294,17 +319,29 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
             # an aligned-prefix slice, in the same XOR order a full sort
             # gives (keys are unique), so ``neighbors`` fills identically.
             table_keys = sorted(map(keys.__getitem__, task.tables.get(index, ())))
+            # Bucket b's crafted key shares exactly b leading bits with
+            # ``own_key``, so its selection starts from range b; past the
+            # last range it shares the next bit too, whose range holds too
+            # few keys, so it starts from the last range.  Once every
+            # table key is in, an answer adds nothing: the key is still
+            # drawn, the selection skipped.
+            ranges = _own_prefix_ranges(table_keys, own_key, k, sweep - 1)
+            last = len(ranges) - 1
+            table_size = len(table_keys)
             neighbors: Set[int] = set()
             previous_size = -1
-            for bucket_idx in range(min(depth, KEY_BITS)):
+            for bucket_idx in range(sweep):
                 crafted = random_key_in_bucket(own_key, bucket_idx, rng)
-                closest = select_closest(table_keys, crafted, task.k)
-                neighbors.update(map(index_of_key.__getitem__, closest))
+                if previous_size < table_size:  # a table key is not in yet
+                    start = min(bucket_idx, last)
+                    low, high = ranges[start]
+                    closest = select_closest(table_keys, crafted, k, low, high, start + 1)
+                    neighbors.update(map(index_of_key.__getitem__, closest))
                 if len(neighbors) == previous_size and bucket_idx > depth - 4:
                     break
                 previous_size = len(neighbors)
             neighbors.discard(index)
-            requests_sent += max(1, len(neighbors) // task.k)
+            requests_sent += max(1, len(neighbors) // k)
             observations[index] = True
             edges[index] = tuple(neighbors)
             if tracer.enabled:
@@ -324,22 +361,14 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
             )
 
     snapshot = CrawlSnapshot(crawl_id=task.crawl_id, started_at=task.started_at)
-    peer_cache: Dict[int, PeerID] = {}
-
-    def peer_at(index: int) -> PeerID:
-        peer = peer_cache.get(index)
-        if peer is None:
-            peer = PeerID(task.peer_digests[index])
-            peer_cache[index] = peer
-        return peer
-
+    # Every edge endpoint was queued, so it is observed.
+    digests = task.peer_digests
+    peers = {index: PeerID(digests[index]) for index in observations}
     for index, crawlable in observations.items():
-        peer = peer_at(index)
+        peer = peers[index]
         snapshot.observations[peer] = CrawlObservation(peer, task.ips[index], crawlable)
     for index, neighbor_indices in edges.items():
-        snapshot.edges[peer_at(index)] = tuple(
-            peer_at(neighbor) for neighbor in neighbor_indices
-        )
+        snapshot.edges[peers[index]] = tuple(map(peers.__getitem__, neighbor_indices))
     snapshot.requests_sent = requests_sent
     # Duration model: responsive work spreads over the worker pool; the
     # final worker batch waits out one full timeout on unresponsive

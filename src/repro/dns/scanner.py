@@ -26,19 +26,22 @@ PUBLIC_SUFFIXES = (
 )
 
 
+#: The suffix list split by label count (every suffix has one or two).
+_ONE_LABEL_SUFFIXES = frozenset(s for s in PUBLIC_SUFFIXES if "." not in s)
+_TWO_LABEL_SUFFIXES = frozenset(s for s in PUBLIC_SUFFIXES if s.count(".") == 1)
+
+
 def registrable_domain(name: str) -> Optional[str]:
     """Reduce a name to its registrable (root) domain using the suffix
     list, e.g. ``a.b.example.co.uk -> example.co.uk``.  Returns ``None``
-    for bare suffixes or unknown TLDs."""
+    for bare suffixes or unknown TLDs.  The longest matching suffix
+    wins."""
     labels = name.lower().strip(".").split(".")
-    best: Optional[str] = None
-    for suffix in PUBLIC_SUFFIXES:
-        suffix_labels = suffix.split(".")
-        if len(labels) > len(suffix_labels) and labels[-len(suffix_labels):] == suffix_labels:
-            candidate = ".".join(labels[-len(suffix_labels) - 1 :])
-            if best is None or len(suffix_labels) > len(best.split(".")) - 1:
-                best = candidate
-    return best
+    if len(labels) > 2 and ".".join(labels[-2:]) in _TWO_LABEL_SUFFIXES:
+        return ".".join(labels[-3:])
+    if len(labels) > 1 and labels[-1] in _ONE_LABEL_SUFFIXES:
+        return ".".join(labels[-2:])
+    return None
 
 
 @dataclass

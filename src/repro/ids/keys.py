@@ -62,7 +62,9 @@ def bucket_index(own: Key, other: Key) -> int:
     return common_prefix_len(own, other)
 
 
-def select_closest(sorted_keys, target: Key, count: int):
+def select_closest(
+    sorted_keys, target: Key, count: int, low: int = 0, high=None, start_prefix: int = 1
+):
     """The ``count`` keys XOR-closest to ``target``, from a sorted list.
 
     Exploits a property of the metric: every key sharing at least ``p``
@@ -72,6 +74,12 @@ def select_closest(sorted_keys, target: Key, count: int):
     to contain the true closest set — and prefix ranges are contiguous
     in sorted order, so the subtree is one slice.
 
+    A caller that already knows an enclosing range starts the narrowing
+    there: ``sorted_keys[low:high]`` must be the keys sharing
+    ``target``'s first ``start_prefix - 1`` bits, and hold at least
+    ``min(count, len(sorted_keys))`` of them.  The defaults start from
+    the whole list.
+
     :param sorted_keys: keys in ascending order (no duplicates).
     :returns: the closest ``count`` keys, ordered by XOR distance.
     """
@@ -79,13 +87,14 @@ def select_closest(sorted_keys, target: Key, count: int):
     if not keys or count <= 0:
         return []
     want = min(len(keys), count)
-    low, high = 0, len(keys)
+    if high is None:
+        high = len(keys)
     # Shrink the aligned range while it still holds enough keys.
-    for prefix_len in range(1, KEY_BITS + 1):
+    for prefix_len in range(start_prefix, KEY_BITS + 1):
         shift = KEY_BITS - prefix_len
         range_base = (target >> shift) << shift
         new_low = bisect_left(keys, range_base, low, high)
-        new_high = bisect_left(keys, range_base + (1 << shift), low, high)
+        new_high = bisect_left(keys, range_base + (1 << shift), new_low, high)
         if new_high - new_low < want:
             break
         low, high = new_low, new_high

@@ -434,7 +434,7 @@ class LinearCounter:
         self._map[position >> 3] |= 1 << (position & 7)
 
     def _ones(self) -> int:
-        return sum(bin(byte).count("1") for byte in self._map)
+        return int.from_bytes(self._map, "little").bit_count()
 
     @property
     def saturated(self) -> bool:

@@ -1,5 +1,7 @@
 """The DNS substrate: records, zones, resolution, scanning, passive DNS."""
 
+import random
+
 import pytest
 
 from repro.dns.passive import PassiveDNSFeed
@@ -13,7 +15,20 @@ from repro.dns.records import (
     parse_dnslink_txt,
 )
 from repro.dns.resolver import ResolutionError, Resolver
-from repro.dns.scanner import ActiveScanner, registrable_domain
+from repro.dns.scanner import PUBLIC_SUFFIXES, ActiveScanner, registrable_domain
+
+
+def _suffix_loop(name):
+    """The reduction as a loop over every suffix (the oracle)."""
+    labels = name.lower().strip(".").split(".")
+    best = None
+    for suffix in PUBLIC_SUFFIXES:
+        suffix_labels = suffix.split(".")
+        if len(labels) > len(suffix_labels) and labels[-len(suffix_labels):] == suffix_labels:
+            candidate = ".".join(labels[-len(suffix_labels) - 1 :])
+            if best is None or len(suffix_labels) > len(best.split(".")) - 1:
+                best = candidate
+    return best
 
 
 class TestDNSLinkRecords:
@@ -126,6 +141,19 @@ class TestRegistrableDomain:
     )
     def test_reduction(self, name, expected):
         assert registrable_domain(name) == expected
+
+    def test_matches_suffix_loop(self):
+        """Generated names (suffixes, unknown TLDs, empty labels, mixed
+        case, trailing dots) reduce as the per-suffix loop reduces them."""
+        rng = random.Random(11)
+        pool = list(PUBLIC_SUFFIXES) + ["uk", "br", "link", "eth", "zz", "", "Co.UK"]
+        for _ in range(5000):
+            labels = [
+                rng.choice(["www", "a", "Example", "co", "com", ""])
+                for _ in range(rng.randrange(4))
+            ]
+            name = ".".join(labels + [rng.choice(pool)]) + rng.choice(["", "."])
+            assert registrable_domain(name) == _suffix_loop(name), name
 
 
 class TestActiveScanner:

@@ -1,9 +1,10 @@
 """Property-based tests on core data structures and invariants."""
 
 import random
+from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exec.seeds import derive_seed
 from repro.ids import encoding, keys
@@ -146,6 +147,60 @@ class TestSelectClosestProperties:
         target = (target_parts[0] << 253) | target_parts[1]
         expected = sorted(key_list, key=lambda k: k ^ target)[:count]
         assert keys.select_closest(key_list, target, count) == expected
+
+    @settings(max_examples=80)
+    @example(members=[], target_parts=(0, 0), count=20, data=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=7),
+                              st.integers(min_value=0, max_value=255)),
+                    max_size=60),
+           st.tuples(st.integers(min_value=0, max_value=7),
+                     st.integers(min_value=0, max_value=255)),
+           st.integers(min_value=0, max_value=30),
+           st.data())
+    def test_any_enclosing_start_range_matches_full_sort(
+        self, members, target_parts, count, data
+    ):
+        """Started from any aligned range around the target that holds
+        enough keys, the selection is the full XOR sort's (small tables,
+        deep shared prefixes and the empty table included)."""
+        key_list = sorted({(high << 253) | low for high, low in members})
+        target = (target_parts[0] << 253) | target_parts[1]
+        expected = sorted(key_list, key=lambda k: k ^ target)[:count]
+        want = min(len(key_list), count)
+        valid = [
+            (bits, low, high)
+            for bits in range(keys.KEY_BITS + 1)
+            for low, high in [_prefix_slice(key_list, target, bits)]
+            if high - low >= want
+        ]
+        bits, low, high = valid[-1] if data is None else data.draw(st.sampled_from(valid))
+        assert keys.select_closest(key_list, target, count, low, high, bits + 1) == expected
+
+    @pytest.mark.parametrize("deeper", [0, 5, 19, 40])
+    def test_start_range_with_a_full_bucket(self, deeper):
+        """A bucket holding exactly k keys, queried from its own range on
+        with a crafted key of that bucket (the crawler's sweep step)."""
+        k, bucket = 20, 3
+        rng = random.Random(deeper)
+        own = rng.getrandbits(keys.KEY_BITS)
+        table = {keys.random_key_in_bucket(own, bucket, rng) for _ in range(k)}
+        table |= {keys.random_key_in_bucket(own, bucket + 1 + i % 4, rng) for i in range(deeper)}
+        key_list = sorted(table)
+        assert sum(keys.bucket_index(own, key) == bucket for key in key_list) == k
+        low, high = _prefix_slice(key_list, own, bucket)
+        for _ in range(10):
+            crafted = keys.random_key_in_bucket(own, bucket, rng)
+            expected = sorted(key_list, key=lambda key: key ^ crafted)[:k]
+            assert keys.select_closest(key_list, crafted, k, low, high, bucket + 1) == expected
+
+
+def _prefix_slice(sorted_keys, target, bits):
+    """The ``(low, high)`` slice of keys sharing ``target``'s first ``bits`` bits."""
+    if bits == 0:
+        return 0, len(sorted_keys)
+    shift = keys.KEY_BITS - bits
+    base = (target >> shift) << shift
+    return bisect_left(sorted_keys, base), bisect_left(sorted_keys, base + (1 << shift))
 
 
 class _ReferenceWalk:

@@ -314,6 +314,17 @@ class TestLinearCounter:
         with pytest.raises(ValueError):
             LinearCounter(1 << 12).merge(LinearCounter(1 << 13))
 
+    @pytest.mark.parametrize("fill", ["empty", "random", "saturated"])
+    def test_set_bit_count_matches_per_byte_count(self, fill):
+        counter = LinearCounter(1 << 12)
+        if fill == "random":
+            counter._map = bytearray(random.Random(3).randbytes(len(counter._map)))
+        elif fill == "saturated":
+            counter._map = bytearray(b"\xff" * len(counter._map))
+        expected = sum(bin(byte).count("1") for byte in counter._map)
+        assert counter._ones() == expected
+        assert counter.saturated == (fill == "saturated")
+
     def test_state_round_trips_through_json(self):
         counter = LinearCounter(1 << 10)
         for index in range(100):

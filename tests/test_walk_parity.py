@@ -12,6 +12,7 @@ servers and servers slower than the timeout.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from bisect import bisect_left, insort
@@ -29,6 +30,8 @@ from repro.core.crawler import (
     DHTCrawler,
     execute_crawl_task,
 )
+from repro.core import crawler as crawler_module
+from repro.ids import keys as keys_module
 from repro.ids.cid import CID
 from repro.ids.keys import KEY_BITS, random_key_in_bucket
 from repro.ids.peerid import PeerID
@@ -377,6 +380,12 @@ def overlay_and_cids():
     return churned_overlay(seed=31, servers=150)
 
 
+@pytest.fixture(scope="module")
+def large_crawl_task():
+    overlay, _ = churned_overlay(seed=5, servers=600)
+    return DHTCrawler(overlay, seed=5).task(0)
+
+
 # ---------------------------------------------------------------------------
 # parity
 # ---------------------------------------------------------------------------
@@ -475,6 +484,59 @@ class TestCrawlParity:
             assert list(new.edges) == list(old.edges)
             assert new.requests_sent == old.requests_sent
             assert new.duration == old.duration
+
+    def test_empty_and_small_tables_match_oracle(self):
+        """Tables with no key or fewer than k keys sweep as the oracle does."""
+        overlay, _ = churned_overlay(3)
+        task = DHTCrawler(overlay, seed=3).task(0)
+        tables = dict(task.tables)
+        for position, index in enumerate(list(tables)[:20]):
+            tables[index] = () if position % 2 else tables[index][:5]
+        task = dataclasses.replace(task, tables=tables)
+        new = execute_crawl_task(task)
+        old = oracle_execute_crawl_task(task)
+        assert list(new.edges.items()) == list(old.edges.items())
+        assert list(new.observations.items()) == list(old.observations.items())
+        assert new.requests_sent == old.requests_sent
+        assert any(not neighbors for neighbors in new.edges.values())
+
+    def test_large_crawl_matches_oracle_in_insertion_order(self, large_crawl_task):
+        """At 600 servers peer indices exceed the neighbour sets' hash
+        table size, so each edge tuple's order depends on the order its
+        indices went in: a sweep that inserts a bucket's answer out of
+        XOR order shows (at 90 servers every tuple is in index order)."""
+        new = execute_crawl_task(large_crawl_task)
+        old = oracle_execute_crawl_task(large_crawl_task)
+        assert list(new.observations.items()) == list(old.observations.items())
+        assert list(new.edges.items()) == list(old.edges.items())
+        assert new.requests_sent == old.requests_sent
+        assert new.duration == old.duration
+        position = {digest: index for index, digest in enumerate(large_crawl_task.peer_digests)}
+        assert any(
+            [position[peer.digest] for peer in neighbors]
+            != sorted(position[peer.digest] for peer in neighbors)
+            for neighbors in new.edges.values()
+        )
+
+
+class TestCrawlWorkGuard:
+    #: bisect calls allowed per crawled peer, per bucket of sweep depth
+    #: (a selection that re-narrows the peer's own prefix on every
+    #: bucket makes ~8.6 at 600 servers: quadratic in the depth).
+    PER_BUCKET = 4
+
+    def test_bisects_per_peer_linear_in_depth(self, large_crawl_task, monkeypatch):
+        calls = [0]
+
+        def counting_bisect_left(*args):
+            calls[0] += 1
+            return bisect_left(*args)
+
+        monkeypatch.setattr(crawler_module, "bisect_left", counting_bisect_left)
+        monkeypatch.setattr(keys_module, "bisect_left", counting_bisect_left)
+        snapshot = execute_crawl_task(large_crawl_task)
+        depth = int(math.log2(max(large_crawl_task.oracle_size, 2))) + 6
+        assert calls[0] <= self.PER_BUCKET * depth * len(snapshot.edges)
 
 
 FETCH_TRACE_NAMES = ("providers.fetch", "lookup.find_providers", "lookup.round", "msg.query")
