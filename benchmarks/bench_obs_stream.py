@@ -4,13 +4,13 @@
 
 Three layers, mirroring ``bench_obs_overhead.py``:
 
-* **sketch primitives** — raw update throughput of the Space-Saving,
-  KLL-quantile and linear-counting sketches (the per-event budget).
+* **sketch primitive** — raw update throughput of the KLL-quantile
+  sketch, the one sketch the stream still updates.
 * **hook dispatch** — the monitor hook (``observe_hydra`` /
   ``observe_bitswap``) replayed over a real campaign's logs, in both
   states: the null path (streaming off, one global read + no-op call)
-  and the live path (all sketches updating).  The live number is the
-  headline **events/s**.
+  and the live path (the rate window and the per-CID count updating).
+  The live number is the headline **events/s**.
 * **end-to-end campaigns** — the same campaign with streaming off and
   on.  The ratio is the overhead budget: streaming-on must stay within
   ``--budget`` (default 1.10x) of streaming-off, enforced whenever
@@ -42,7 +42,7 @@ from _bench_utils import BenchReport, best_of, compare_to_baseline
 
 from repro.obs import observer as obs
 from repro.obs.observer import Observer, use_observer
-from repro.obs.sketch import LinearCounter, QuantileSketch, SpaceSaving
+from repro.obs.sketch import QuantileSketch
 from repro.obs.stream import StreamAnalytics
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
@@ -67,29 +67,16 @@ def bench_config(stream: bool) -> ScenarioConfig:
 
 
 def bench_sketch_primitives(report: BenchReport, updates: int = 200_000) -> None:
-    """Raw per-update cost of each sketch (synthetic zipf-ish keys)."""
+    """Raw per-update cost of the quantile sketch (synthetic values)."""
     rng = random.Random(13)
-    keys = [f"peer-{int(rng.paretovariate(1.1)) % 4096}" for _ in range(updates)]
     values = [rng.paretovariate(1.2) for _ in range(updates)]
-
-    def space_saving():
-        sketch = SpaceSaving(capacity=1024)
-        for key in keys:
-            sketch.update(key)
 
     def quantile():
         sketch = QuantileSketch(256)
         for value in values:
             sketch.update(value)
 
-    def linear_counter():
-        counter = LinearCounter(1 << 15)
-        for key in keys:
-            counter.update(key)
-
-    report.record("space_saving_update", best_of(space_saving), updates)
     report.record("quantile_update", best_of(quantile), updates)
-    report.record("linear_counter_update", best_of(linear_counter), updates)
 
 
 def bench_hook_dispatch(report: BenchReport, result) -> float:

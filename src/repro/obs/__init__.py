@@ -19,9 +19,9 @@ holds up to three sinks:
   trees in a bounded ring buffer, with a Chrome trace-event / Perfetto
   exporter (:func:`chrome_trace`) and a trace-replaying invariant
   auditor (:func:`audit_trace`, ``repro obs audit``);
-* ``stream`` — a :class:`StreamAnalytics` engine: mergeable sketches
-  (heavy hitters, quantiles, distinct counts) next to exact headline
-  shares read from the monitors' §5 fold, live on the
+* ``stream`` — a :class:`StreamAnalytics` engine: exact headline
+  shares, top lists and distinct counts read from the monitors' §5
+  fold, plus mergeable quantile sketches, live on the
   :class:`ControlServer` (``--live``).
 
 A missing sink is its null object, and :data:`NULL_OBSERVER` — every
@@ -65,11 +65,7 @@ from repro.obs.metrics import (
     NullRegistry,
     deterministic_view,
 )
-from repro.obs.sketch import (
-    LinearCounter,
-    QuantileSketch,
-    SpaceSaving,
-)
+from repro.obs.sketch import QuantileSketch
 from repro.obs.stream import (
     DEFAULT_WINDOW_SECONDS,
     NULL_STREAM,
@@ -117,7 +113,6 @@ __all__ = [
     "DEFAULT_WINDOW_SECONDS",
     "Gauge",
     "Histogram",
-    "LinearCounter",
     "MetricsRegistry",
     "NONDETERMINISTIC_COUNTERS",
     "NONDETERMINISTIC_EVENT_PREFIXES",
@@ -132,7 +127,6 @@ __all__ = [
     "ProgressReporter",
     "QuantileSketch",
     "SKETCHES_SCHEMA",
-    "SpaceSaving",
     "StreamAnalytics",
     "StreamPublisher",
     "TIME_BUCKETS",

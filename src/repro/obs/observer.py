@@ -111,7 +111,7 @@ class Observer:
         metrics.inc("bitswap.broadcasts_seen")
         if logged:
             metrics.inc("bitswap.broadcasts_logged")
-            self.stream.observe_bitswap(timestamp, node, cid)
+            self.stream.observe_bitswap(cid)
         tracer = self.tracer
         if tracer.enabled:
             tracer.event("bitswap.request", logged=logged)

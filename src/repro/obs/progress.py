@@ -12,7 +12,7 @@ update in the common (suppressed) case::
 The events/s rate and ring-buffer occupancy come from the observer's
 tracer when tracing is enabled; with streaming analytics on
 (``--stream`` / ``--live``, see :mod:`repro.obs.stream`) the line grows
-sketch-derived headline fields (running cloud share and top provider)::
+stream headline fields (running cloud share and top provider)::
 
     [simulate] day 3/8 · tick 98/288 | 61,021 ev · cloud 62% · top aws · eta 1m42s
 
@@ -86,7 +86,7 @@ class ProgressReporter:
 
     @staticmethod
     def _stream_extras(analytics) -> list:
-        """Sketch-derived heartbeat fields (read-only; see module docs)."""
+        """Stream headline heartbeat fields (read-only; see module docs)."""
         if analytics is None or not getattr(analytics, "enabled", False):
             return []
         extras = []
@@ -131,7 +131,7 @@ class ProgressReporter:
         ``step``/``total`` drive the ETA (elapsed time scaled by the
         remaining fraction); ``day`` and ``crawls`` are optional
         ``(current, total)`` pairs for the phase-specific detail.  With
-        streaming enabled the stream's headline estimates (event count,
+        streaming enabled the stream's headline fields (event count,
         running cloud share, top provider) are appended.
         """
         now = self._clock()

@@ -221,7 +221,7 @@ DASHBOARD_HTML = """<!DOCTYPE html>
 <div class="charts">
   <div class="chart"><h2>Request classes (share of DHT log)</h2><div id="classes"></div></div>
   <div class="chart"><h2>Cloud providers (share of volume)</h2><div id="providers"></div></div>
-  <div class="chart"><h2>Top peers (space-saving count)</h2><div id="peers"></div></div>
+  <div class="chart"><h2>Top peers (requests)</h2><div id="peers"></div></div>
   <div class="chart"><h2>Top requested CIDs</h2><div id="cids"></div></div>
 </div>
 <script>

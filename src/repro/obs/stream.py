@@ -4,21 +4,24 @@ Batch campaigns answer the paper's questions *after* the run; this
 module answers them *during* it.  A :class:`StreamAnalytics` engine
 reads the paper's headline quantities (§4-§6) while the monitors log:
 
-* exact headline shares — events, cloud % by volume, the per-provider
-  split, the gateway share and the download / advertisement / other
-  class split — read from the Hydra and Bitswap
+* exact §5 numbers read from the Hydra and Bitswap
   :class:`~repro.core.traffic.LogSummary` folds the monitors keep as
-  they append (the same fold the batch §5 figures use);
-* Space-Saving top-K heavy hitters over sender peer IDs, sender IPs and
-  requested CIDs, with top-1 % concentration from them;
+  they append (the same fold the batch §5 figures use): events, cloud %
+  by volume, the per-provider split, the gateway share, the download /
+  advertisement / other class split, top-1 % peer and IP concentration
+  (Figs. 10-11), the top peers and IPs by volume and the distinct peer,
+  IP and CID counts (Fig. 9);
+* an exact per-CID count of the Bitswap broadcasts (the top CIDs),
+  which the fold does not keep;
 * a mergeable quantile sketch over per-window per-peer request volumes
   (the Fig. 10/11 Pareto tail, live) and — fed by the crawl workers —
-  over per-crawled-peer routing-table out-degrees (Fig. 7's CCDF);
-* linear-counting distinct-count estimates of peers, IPs and CIDs.
+  over per-crawled-peer routing-table out-degrees (Fig. 7's CCDF).
 
-The engine itself holds only the approximate sketches; the exact
-shares are derived from the folds when :meth:`StreamAnalytics.headline`
-or :meth:`~StreamAnalytics.snapshot` is read.
+The per-event hooks keep only the CID counts and the open rate window;
+everything else is derived from the folds when
+:meth:`StreamAnalytics.headline` or :meth:`~StreamAnalytics.snapshot` is
+read.  The simulated network bounds the number of distinct senders, so
+exact volumes cost no more memory than the folds already hold.
 
 The monitors reach the engine through the ``observe_hydra`` /
 ``observe_bitswap`` / ``note`` hooks of :mod:`repro.obs.observer`; an
@@ -28,11 +31,9 @@ inside the perf gate.  Campaigns build a real engine when
 :attr:`ScenarioConfig.stream` (or ``--sketches-out`` / ``--live``) asks
 for one.
 
-Sketches are approximate *by design*; the exact batch analyses remain
-the source of truth for final figures.  Their accuracy contracts —
-top-10 recall 1.0 on fixture campaigns, quantile rank error within the
-declared ``epsilon``, distinct counts within 5 % — are pinned by
-``tests/test_stream.py``.
+Only the two quantile blocks are approximate (rank error within the
+declared ``epsilon``); ``tests/test_stream.py`` pins every other number
+``==`` to the batch analyses.
 
 Cross-worker determinism: the monitor-side stream runs in the campaign
 process, and crawl workers return compact sketch states
@@ -44,10 +45,10 @@ snapshot and trace-record merges.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional
+import heapq
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional, Tuple
 
-from repro.obs.sketch import LinearCounter, QuantileSketch, SpaceSaving
+from repro.obs.sketch import QuantileSketch
 
 if TYPE_CHECKING:  # repro.core imports the observer, which imports this
     from repro.core.traffic import LogSummary
@@ -68,7 +69,7 @@ DEFAULT_WINDOW_SECONDS = 21_600.0
 
 #: Schema marker on sketch snapshots, so ``repro obs report`` can tell a
 #: sketches file/endpoint from a metrics snapshot.
-SKETCHES_SCHEMA = "repro.obs.sketches/1"
+SKETCHES_SCHEMA = "repro.obs.sketches/2"
 
 #: Quantile fractions reported for every quantile sketch.
 _REPORT_FRACTIONS = (0.5, 0.9, 0.99)
@@ -86,11 +87,6 @@ class StreamAnalytics:
     :param gateway_peers: ``() -> peer IDs`` of the gateway-class nodes
         (Fig. 10's set), called when the gateway share is read; ``None``
         counts no sender as a gateway.
-    :param topk_capacity: Space-Saving capacity per keyed summary.
-        While fewer distinct keys than this have been seen, counts —
-        and therefore the fixture-scale accuracy pins — are exact.
-    :param quantile_k: :class:`QuantileSketch` size parameter.
-    :param cardinality_bits: :class:`LinearCounter` bitmap width.
     """
 
     enabled = True
@@ -103,49 +99,36 @@ class StreamAnalytics:
         bitswap: Optional["LogSummary"] = None,
         provider_of: Optional[Callable[[str], Optional[str]]] = None,
         gateway_peers: Optional[Callable[[], Collection[object]]] = None,
-        topk_capacity: int = 1024,
-        quantile_k: int = 256,
-        cardinality_bits: int = 1 << 15,
     ) -> None:
         from repro.core.traffic import LogSummary
 
         self.window_seconds = window_seconds
-        self.topk_capacity = topk_capacity
         self.hydra = hydra if hydra is not None else LogSummary()
         self.bitswap = bitswap if bitswap is not None else LogSummary()
         self._provider_of = provider_of
         self._gateway_peers = gateway_peers
         # -- hydra (DHT request) side -----------------------------------
-        self.peer_hitters = SpaceSaving(topk_capacity)
-        self.ip_hitters = SpaceSaving(topk_capacity)
-        self.peer_distinct = LinearCounter(cardinality_bits)
-        self.ip_distinct = LinearCounter(cardinality_bits)
-        #: per-window per-peer request counts, flushed into the rate
-        #: sketch when the stream crosses a window boundary.
-        self.peer_rates = QuantileSketch(quantile_k)
-        self._rate_window: Optional[int] = None
-        self._rate_counts: Dict[str, int] = {}
+        #: per-window request counts by sender digest, flushed into the
+        #: rate sketch when the stream crosses a window boundary.
+        self.peer_rates = QuantileSketch()
+        self._rate_window: Optional[float] = None
+        self._rate_counts: Dict[bytes, int] = {}
         # -- bitswap (content request) side ------------------------------
-        self.cid_hitters = SpaceSaving(topk_capacity)
-        self.cid_distinct = LinearCounter(cardinality_bits)
+        #: logged broadcasts per CID, in first-seen order.
+        self.cid_counts: Dict[object, int] = {}
         # -- crawl side (merged from worker states) ----------------------
-        self.crawl_degree = QuantileSketch(quantile_k)
+        self.crawl_degree = QuantileSketch()
         self.crawls = 0
         self.crawl_discovered = 0
         self.crawl_crawlable = 0
         # -- runtime notes (never part of the deterministic view) --------
         self.notes: Dict[str, int] = {}
-        # memoised classifications: every cache is keyed by a value
-        # object (str / PeerID / CID with a digest-derived hash), never
-        # iterated, so PYTHONHASHSEED cannot reach any output.
+        # memoised lookups: every cache is keyed by a value object (str
+        # or digest bytes), never iterated, so PYTHONHASHSEED cannot
+        # reach any output.  _peer_keys maps a sender digest to
+        # str(peer), the rate flush's sort key.
         self._peer_keys: Dict[bytes, str] = {}
-        self._cid_keys: Dict[object, str] = {}
         self._providers: Dict[str, str] = {}
-        # Bound-method caches for the per-event hot path (observe_hydra
-        # runs once per monitor event; each saves an attribute walk and
-        # a method bind per call).
-        self._peer_hitters_update = self.peer_hitters.update
-        self._ip_hitters_update = self.ip_hitters.update
 
     # -- event intake -----------------------------------------------------
 
@@ -153,72 +136,54 @@ class StreamAnalytics:
     def events(self) -> int:
         return self.hydra.total + self.bitswap.total
 
-    def _peer_key(self, peer) -> str:
-        key = self._peer_keys.get(peer.digest)
-        if key is None:
-            key = self._peer_keys[peer.digest] = str(peer)
-            # Linear counting is idempotent per key, so the distinct
-            # sketch only needs to hash each peer once — on the memo
-            # miss — which keeps the per-event hot path hash-free.
-            self.peer_distinct.update(key)
-        return key
-
     def _provider(self, ip: str) -> str:
         looked_up = self._provider_of(ip) if self._provider_of else None
         return looked_up or "non-cloud"
 
     def observe_hydra(self, envelope) -> None:
-        """Fold one logged DHT request (a ``MessageEnvelope``) in.
+        """Count one logged DHT request (a ``MessageEnvelope``) in the
+        open rate window.
 
-        This runs once per monitor event, so it is written flat: memo
-        dicts bound to locals, slow work (``str()``, BLAKE2b hashing,
-        cloud lookups) only on memo misses.  The end-to-end budget
-        (streaming-on campaign within 1.10x of off) is gated by
-        ``bench_obs_stream.py``.
+        This runs once per monitor event, so it is written flat: one
+        dict update per event, ``str()`` of the sender only the first
+        time it is seen.  The end-to-end budget (streaming-on campaign
+        within 1.10x of off) is gated by ``bench_obs_stream.py``.
         """
-        ip = envelope.sender_ip
-        if ip not in self._providers:
-            self._providers[ip] = self._provider(ip)
-            # First sighting of this IP (see _peer_key on idempotence).
-            self.ip_distinct.update(ip)
-        sender = envelope.sender
-        peer_key = self._peer_keys.get(sender.digest)
-        if peer_key is None:
-            peer_key = self._peer_key(sender)
-        self._peer_hitters_update(peer_key)
-        self._ip_hitters_update(ip)
-        window = int(envelope.timestamp // self.window_seconds)
-        if self._rate_window is None:
-            self._rate_window = window
-        elif window != self._rate_window:
+        window = envelope.timestamp // self.window_seconds
+        if window != self._rate_window:
             self._flush_rate_window()
             self._rate_window = window
-        self._rate_counts[peer_key] = self._rate_counts.get(peer_key, 0) + 1
+        sender = envelope.sender
+        digest = sender.digest
+        counts = self._rate_counts
+        count = counts.get(digest)
+        if count is None:
+            if digest not in self._peer_keys:
+                self._peer_keys[digest] = str(sender)
+            counts[digest] = 1
+        else:
+            counts[digest] = count + 1
 
-    def observe_bitswap(self, timestamp: float, node, cid) -> None:
-        """Fold one logged Bitswap want broadcast in."""
-        key = self._cid_keys.get(cid)
-        if key is None:
-            key = self._cid_keys[cid] = str(cid)
-            # First sighting of this CID (see _peer_key on idempotence).
-            self.cid_distinct.update(key)
-        self.cid_hitters.update(key)
+    def observe_bitswap(self, cid) -> None:
+        """Count one logged Bitswap want broadcast."""
+        counts = self.cid_counts
+        counts[cid] = counts.get(cid, 0) + 1
 
     def _flush_rate_window(self) -> None:
         """Move the closed window's per-peer volumes into the rate sketch.
 
-        Sorted by peer key so the sketch state is a pure function of the
-        window's *contents*, independent of event arrival order within
-        the window.
+        Sorted by ``str(peer)`` so the sketch state is a pure function
+        of the window's *contents*, independent of event arrival order
+        within the window.
         """
-        for key in sorted(self._rate_counts):
-            self.peer_rates.update(float(self._rate_counts[key]))
-        self._rate_counts.clear()
+        counts = self._rate_counts
+        for digest in sorted(counts, key=self._peer_keys.__getitem__):
+            self.peer_rates.update(float(counts[digest]))
+        counts.clear()
 
     def finalize(self, now: Optional[float] = None) -> None:
         """Flush the open aggregation window (end of campaign)."""
-        if self._rate_counts:
-            self._flush_rate_window()
+        self._flush_rate_window()
         self._rate_window = None
 
     def merge_crawl_state(self, state: Dict[str, object]) -> None:
@@ -234,36 +199,17 @@ class StreamAnalytics:
         never enter the deterministic snapshot view)."""
         self.notes[name] = self.notes.get(name, 0) + amount
 
-    # -- live estimates ----------------------------------------------------
+    # -- live reads ---------------------------------------------------------
 
-    def _top_fraction_share(
-        self, hitters: SpaceSaving, distinct: LinearCounter, fraction: float
-    ) -> float:
-        """Estimated share of volume held by the top ``fraction`` of keys.
+    def _read(self) -> Tuple[Dict[str, object], Dict[object, int], Dict[str, int]]:
+        """The headline, with the peer and IP volumes it was derived from.
 
-        While the summary is not full it tracks *every* key seen, so the
-        key count — and the share — is exact, matching the batch
-        :func:`repro.core.pareto.top_share` (same ceil semantics); once
-        keys have been evicted the linear counter supplies the
-        denominator estimate.
+        One pass over the Hydra fold's distinct (class, sender, IP) keys.
+        Read-only for the analytics (no window flush), so the heartbeat
+        and the live endpoints can call it freely.
         """
-        if not hitters.total:
-            return 0.0
-        if len(hitters) < hitters.capacity:
-            population = len(hitters)
-        else:
-            population = max(len(hitters), int(round(distinct.estimate())))
-        top_count = max(1, math.ceil(fraction * population - 1e-9))
-        return hitters.top_sum(top_count) / hitters.total
+        from repro.core.pareto import top_share
 
-    def headline(self) -> Dict[str, object]:
-        """The paper's headline shares, so far.
-
-        The exact shares are one pass over the Hydra fold's distinct
-        (class, sender, IP) keys.  Read-only (no window flush), so the
-        heartbeat and the live endpoints can call it freely without
-        perturbing sketch state.
-        """
         hydra = self.hydra
         total = hydra.total
         providers = self._providers
@@ -271,10 +217,16 @@ class StreamAnalytics:
         # needs the overlay, which exists once the monitors do).
         gateways = self._gateway_peers() if total and self._gateway_peers else ()
         volumes: Dict[str, int] = {}
+        peer_volumes: Dict[object, int] = {}
+        ip_volumes: Dict[str, int] = {}
         gateway_volume = 0
         for (_, sender, ip), count in hydra.counts.items():
-            provider = providers.get(ip) or self._provider(ip)
+            provider = providers.get(ip)
+            if provider is None:
+                provider = providers[ip] = self._provider(ip)
             volumes[provider] = volumes.get(provider, 0) + count
+            peer_volumes[sender] = peer_volumes.get(sender, 0) + count
+            ip_volumes[ip] = ip_volumes.get(ip, 0) + count
             if sender in gateways:
                 gateway_volume += count
         non_cloud = volumes.pop("non-cloud", 0)
@@ -283,7 +235,7 @@ class StreamAnalytics:
             ((label, volume / total) for label, volume in volumes.items()),
             key=lambda item: (-item[1], item[0]),
         )
-        return {
+        headline = {
             "events": self.events,
             "hydra_requests": total,
             "bitswap_broadcasts": self.bitswap.total,
@@ -292,16 +244,17 @@ class StreamAnalytics:
             "top_provider": shares[0][0] if shares else None,
             "provider_shares_by_volume": dict(shares),
             "class_shares": dict(sorted(hydra.class_shares.items())),
-            "top1pct_peer_share": self._top_fraction_share(
-                self.peer_hitters, self.peer_distinct, 0.01
-            ),
-            "top1pct_ip_share": self._top_fraction_share(
-                self.ip_hitters, self.ip_distinct, 0.01
-            ),
-            "distinct_peers_est": round(self.peer_distinct.estimate(), 1),
-            "distinct_ips_est": round(self.ip_distinct.estimate(), 1),
-            "distinct_cids_est": round(self.cid_distinct.estimate(), 1),
+            "top1pct_peer_share": top_share(peer_volumes, 0.01),
+            "top1pct_ip_share": top_share(ip_volumes, 0.01),
+            "distinct_peers_est": len(hydra.days_by_peer),
+            "distinct_ips_est": len(hydra.days_by_ip),
+            "distinct_cids_est": len(self.bitswap.days_by_cid),
         }
+        return headline, peer_volumes, ip_volumes
+
+    def headline(self) -> Dict[str, object]:
+        """The paper's headline shares and counts, so far (exact)."""
+        return self._read()[0]
 
     def _quantile_block(self, sketch: QuantileSketch) -> Dict[str, object]:
         block: Dict[str, object] = dict(sketch.quantiles(_REPORT_FRACTIONS))
@@ -312,19 +265,20 @@ class StreamAnalytics:
     def snapshot(self) -> Dict[str, object]:
         """The full JSON-compatible sketch snapshot (see also
         :func:`deterministic_sketches_view`)."""
+        headline, peer_volumes, ip_volumes = self._read()
         return {
             "schema": SKETCHES_SCHEMA,
             "window_seconds": self.window_seconds,
             "events": self.events,
-            "headline": self.headline(),
+            "headline": headline,
             "quantiles": {
                 "peer_requests_per_window": self._quantile_block(self.peer_rates),
                 "crawl_out_degree": self._quantile_block(self.crawl_degree),
             },
             "top": {
-                "peers": [list(entry) for entry in self.peer_hitters.top(10)],
-                "ips": [list(entry) for entry in self.ip_hitters.top(10)],
-                "cids": [list(entry) for entry in self.cid_hitters.top(10)],
+                "peers": _top(peer_volumes),
+                "ips": _top(ip_volumes),
+                "cids": _top(self.cid_counts),
             },
             "crawl": {
                 "crawls": self.crawls,
@@ -332,17 +286,20 @@ class StreamAnalytics:
                 "crawlable": self.crawl_crawlable,
             },
             "sketches": {
-                "peer_hitters": self.peer_hitters.to_state(),
-                "ip_hitters": self.ip_hitters.to_state(),
-                "cid_hitters": self.cid_hitters.to_state(),
                 "peer_rates": self.peer_rates.to_state(),
                 "crawl_degree": self.crawl_degree.to_state(),
-                "peer_distinct": self.peer_distinct.to_state(),
-                "ip_distinct": self.ip_distinct.to_state(),
-                "cid_distinct": self.cid_distinct.to_state(),
             },
             "runtime": dict(sorted(self.notes.items())),
         }
+
+
+def _top(volumes: Dict[object, int]) -> List[List[object]]:
+    """The 10 largest volumes as ``[str(key), count]`` pairs, by
+    descending count (ties by the key's string)."""
+    ranked = heapq.nsmallest(
+        10, volumes.items(), key=lambda item: (-item[1], str(item[0]))
+    )
+    return [[str(key), count] for key, count in ranked]
 
 
 class NullStream:
@@ -353,7 +310,7 @@ class NullStream:
     def observe_hydra(self, envelope) -> None:
         pass
 
-    def observe_bitswap(self, timestamp, node, cid) -> None:
+    def observe_bitswap(self, cid) -> None:
         pass
 
     def note(self, name: str, amount: int = 1) -> None:
@@ -407,7 +364,7 @@ def render_stream_report(snapshot: Dict[str, object]) -> str:
     headline = snapshot.get("headline") or {}
     if headline:
         lines.append("")
-        lines.append("headline estimates")
+        lines.append("headline")
         for key in (
             "cloud_share_by_volume",
             "gateway_share_by_volume",
@@ -452,9 +409,9 @@ def render_stream_report(snapshot: Dict[str, object]) -> str:
         if not entries:
             continue
         lines.append("")
-        lines.append(f"top {kind} (space-saving; count is an upper bound)")
-        for key, count, error in entries:
-            lines.append(f"  {str(key):<56} {count:>9,} (±{error:,})")
+        lines.append(f"top {kind}")
+        for key, count in entries:
+            lines.append(f"  {str(key):<56} {count:>9,}")
     crawl = snapshot.get("crawl") or {}
     if crawl.get("crawls"):
         lines.append("")

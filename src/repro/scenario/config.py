@@ -84,10 +84,10 @@ class ScenarioConfig:
     #: render a live single-line progress heartbeat to stderr (wall-clock
     #: throttled; never feeds back into the simulation).
     progress: bool = False
-    #: maintain streaming analytics sketches (see :mod:`repro.obs.stream`)
-    #: over the monitor event stream: heavy-hitter peers/IPs/CIDs,
-    #: quantile sketches and distinct counts, next to live headline
-    #: shares read from the monitors' exact §5 fold.  Off by default —
+    #: maintain streaming analytics (see :mod:`repro.obs.stream`) over
+    #: the monitor event stream: live headline shares, top peers/IPs/CIDs
+    #: and distinct counts read from the monitors' exact §5 fold, next
+    #: to per-window request-rate quantile sketches.  Off by default —
     #: the disabled path is a no-op null stream and campaign outputs are
     #: bit-identical either way; with streaming on the sketch snapshot
     #: lands in ``CampaignResult.sketches``.

@@ -1,13 +1,12 @@
-"""Streaming analytics estimate what the batch pipeline computes.
+"""Streaming analytics read what the batch pipeline computes.
 
 Three contracts, mirroring the repo's observability pattern (PR 4/5):
 
 1. **Accuracy** — the live headline shares (cloud share, provider
-   split, gateway share, class shares) are read from the monitors'
-   folds at any point of the run, and the sketch estimates (top-1%
-   concentration, heavy hitters, distinct counts) match the batch
-   analyses over the full hydra log; at fixture scale the Space-Saving
-   summaries are not full, so those pins are tight too.
+   split, gateway share, class shares), top-1% concentration, the top
+   peers / IPs / CIDs and the distinct counts are exact: they are read
+   from the monitors' folds (and the stream's per-CID count) at any
+   point of the run and equal the batch analyses over the full logs.
 2. **Null path** — streaming off is the default no-op null stream and
    campaigns are bit-identical with streaming on or off.
 3. **Parallel parity** — crawl workers return plain sketch state merged
@@ -16,7 +15,9 @@ Three contracts, mirroring the repo's observability pattern (PR 4/5):
 """
 
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import groupby
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.monitors.hydra import HydraBooster
 from repro.obs import deterministic_trace_view, deterministic_view
 from repro.obs.observer import Observer, get_observer, use_observer
 from repro.obs.progress import ProgressReporter
+from repro.obs.sketch import QuantileSketch
 from repro.obs.stream import (
     NULL_STREAM,
     SKETCHES_SCHEMA,
@@ -89,7 +91,7 @@ class TestNullDispatch:
         assert stream is NULL_STREAM
         assert not stream.enabled
         # Hooks are safe no-ops on the null object.
-        stream.observe_bitswap(0.0, None, None)
+        stream.observe_bitswap(None)
         stream.note("exec.submitted")
         stream.finalize()
         stream.merge_crawl_state({})
@@ -107,6 +109,13 @@ class TestNullDispatch:
         assert plain_result.sketches_path is None
         assert plain_result.live_url is None
         assert plain_result.stopped_early is False
+
+
+def ranked(volumes):
+    """The 10 largest volumes as ``[str(key), count]``, by descending
+    count (ties by the key's string): the snapshot's ``top`` lists."""
+    order = sorted(volumes.items(), key=lambda item: (-item[1], str(item[0])))
+    return [[str(key), count] for key, count in order[:10]]
 
 
 class TestStreamingAccuracy:
@@ -163,32 +172,43 @@ class TestStreamingAccuracy:
         assert headline["gateway_share_by_volume"] == pytest.approx(expected, abs=1e-9)
 
     def test_top1pct_concentration_matches_batch(self, streamed_result, headline):
-        peer_volumes = streamed_result.hydra_summary.peer_volumes()
-        ip_volumes = streamed_result.hydra_summary.ip_volumes()
-        assert headline["top1pct_peer_share"] == pytest.approx(
-            top_share(peer_volumes, 0.01), abs=0.01
-        )
-        assert headline["top1pct_ip_share"] == pytest.approx(
-            top_share(ip_volumes, 0.01), abs=0.01
-        )
+        summary = streamed_result.hydra_summary
+        assert headline["top1pct_peer_share"] == top_share(summary.peer_volumes(), 0.01)
+        assert headline["top1pct_ip_share"] == top_share(summary.ip_volumes(), 0.01)
 
-    def test_top10_peer_recall_is_perfect(self, streamed_result):
-        volumes = streamed_result.hydra_summary.peer_volumes()
-        truth = sorted(volumes.items(), key=lambda kv: (-kv[1], str(kv[0])))[:10]
-        live = streamed_result.sketches["top"]["peers"]
-        assert {key for key, _count, _err in live} == {str(p) for p, _v in truth}
-        # Volumes themselves are exact while the summary is not full.
-        live_counts = {key: count for key, count, _err in live}
-        for peer, volume in truth:
-            assert live_counts[str(peer)] == volume
+    def test_top_peers_and_ips_equal_fold_volumes(self, streamed_result):
+        summary = streamed_result.hydra_summary
+        top = streamed_result.sketches["top"]
+        assert top["peers"] == ranked(summary.peer_volumes())
+        assert top["ips"] == ranked(summary.ip_volumes())
 
-    def test_distinct_estimates_are_close(self, streamed_result, headline):
-        true_peers = len(streamed_result.hydra_summary.peer_volumes())
-        true_ips = len(streamed_result.hydra_summary.ip_volumes())
-        true_cids = streamed_result.bitswap_summary.unique_cids
-        assert headline["distinct_peers_est"] == pytest.approx(true_peers, rel=0.05)
-        assert headline["distinct_ips_est"] == pytest.approx(true_ips, rel=0.05)
-        assert headline["distinct_cids_est"] == pytest.approx(true_cids, rel=0.05)
+    def test_top_cids_equal_bitswap_log_counts(self, streamed_result):
+        counts = Counter(entry.cid for entry in streamed_result.bitswap_monitor.log)
+        assert streamed_result.sketches["top"]["cids"] == ranked(counts)
+
+    def test_distinct_counts_are_fold_lengths(self, streamed_result, headline):
+        hydra = streamed_result.hydra_summary
+        assert headline["distinct_peers_est"] == len(hydra.days_by_peer)
+        assert headline["distinct_ips_est"] == len(hydra.days_by_ip)
+        bitswap = streamed_result.bitswap_summary
+        assert headline["distinct_cids_est"] == len(bitswap.days_by_cid)
+
+    def test_peer_rates_are_window_counts_in_peer_order(self, streamed_result, log):
+        """The rate sketch sees, window after window, each sender's
+        request count ordered by ``str(peer)``.  The last window is still
+        open: the closing re-provide passes log after ``finalize``."""
+        width = streamed_result.sketches["window_seconds"]
+        windows = [
+            list(entries)
+            for _, entries in groupby(log, key=lambda entry: entry.timestamp // width)
+        ]
+        reference = QuantileSketch()
+        for entries in windows[:-1]:
+            counts = Counter(str(entry.sender) for entry in entries)
+            for peer in sorted(counts):
+                reference.update(float(counts[peer]))
+        sketches = streamed_result.sketches["sketches"]
+        assert sketches["peer_rates"] == reference.to_state()
 
     def test_crawl_rollup_matches_dataset(self, streamed_result):
         crawl = streamed_result.sketches["crawl"]
@@ -315,6 +335,11 @@ class TestFoldRead:
             "gateway_share_by_volume": peerid_pareto(
                 summary.peer_volumes(), gateways
             ).subgroup_share,
+            "top1pct_peer_share": top_share(summary.peer_volumes(), 0.01),
+            "top1pct_ip_share": top_share(summary.ip_volumes(), 0.01),
+            "distinct_peers_est": len(summary.days_by_peer),
+            "distinct_ips_est": len(summary.days_by_ip),
+            "distinct_cids_est": len(monitor.summary.days_by_cid),
         }
 
     def test_headline_equals_the_fold_after_every_batch(self, small_overlay):
@@ -357,6 +382,12 @@ class TestFoldRead:
                 headline = analytics.headline()
                 for key, want in self.expected(hydra, monitor, cloud_db, gateways).items():
                     assert headline[key] == pytest.approx(want, abs=1e-12), (batch, key)
+                top = analytics.snapshot()["top"]
+                assert top["peers"] == ranked(hydra.summary.peer_volumes()), batch
+                assert top["ips"] == ranked(hydra.summary.ip_volumes()), batch
+                assert top["cids"] == ranked(
+                    Counter(entry.cid for entry in monitor.log)
+                ), batch
         volumes = hydra.summary.peer_volumes()
         assert volumes[old_id] and volumes[new_id]
         assert headline["gateway_share_by_volume"] == pytest.approx(
