@@ -805,8 +805,8 @@ def _run_store_command(args) -> int:
     codec = HYDRA_CODEC if args.kind == "hydra" else BITSWAP_CODEC
     summary = summarize(codec.decode_all(read_records(args.path)))
     print(f"{args.kind} log at {args.path}: {summary.total} records")
-    print(f"  unique peer IDs: {len(summary.days_by_peer)}")
-    print(f"  unique IPs: {len(summary.days_by_ip)}")
+    print(f"  unique peer IDs: {summary.unique_peers}")
+    print(f"  unique IPs: {summary.unique_ips}")
     print(f"  unique CIDs: {summary.unique_cids}")
     if summary.first_timestamp is not None:
         span = (summary.last_timestamp - summary.first_timestamp) / 86400.0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.pareto import pareto_curve, top_share
@@ -32,33 +33,50 @@ from repro.world.rdns import ReverseDNS
 #: entries, which carry none.
 SenderKey = Tuple[Optional[TrafficClass], PeerID, str]
 
+#: Traffic class by fold code: ``TrafficClass.X.code`` indexes it, and
+#: the last code stands for a Bitswap entry's missing class.
+_CLASS_OF_CODE: Tuple[Optional[TrafficClass], ...] = (*TrafficClass, None)
+_NO_CLASS = len(TrafficClass)
+
 
 # ---------------------------------------------------------------------------
 # The fold
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LogSummary:
     """What the §5 figures need from one DHT or Bitswap log.
 
+    The monitors fold every entry in as they log it, so :meth:`add` keys
+    its dicts on values that hash in C: the class's int code, the
+    sender's digest bytes (their hash is cached), the IP string and the
+    CID's digest.  ``PeerID``, ``CID`` and the enums hash in Python.  The
+    first-seen ``PeerID`` and ``CID`` objects are kept so that the public
+    views (:attr:`counts`, :attr:`days_by_cid`, :attr:`days_by_ip`,
+    :attr:`days_by_peer`) read as if the dicts were keyed on them.
+
     Every dict keeps the log's first-seen order, and so does every
     aggregate derived from it: the Pareto curves and the reports' top-N
-    lists break ties in that order.
+    lists break ties in that order.  The days an identifier was seen on
+    (Fig. 9) are a bit set: bit ``d`` is set when it was seen on day
+    ``d``.  An int costs a fraction of a ``set`` per identifier, and a
+    campaign keeps its summaries for as long as it keeps its result.
     """
 
-    #: message count per (class, sender, IP), in first-seen order.
-    counts: Dict[SenderKey, int] = field(default_factory=dict)
-    #: the sim-time days each identifier was seen on (Fig. 9), as a bit
-    #: set: bit ``d`` is set when it was seen on day ``d``.  An int costs
-    #: a fraction of a ``set`` per identifier, and a campaign keeps its
-    #: summaries for as long as it keeps its result.
-    days_by_cid: Dict[CID, int] = field(default_factory=dict)
-    days_by_ip: Dict[str, int] = field(default_factory=dict)
-    days_by_peer: Dict[PeerID, int] = field(default_factory=dict)
-    total: int = 0
-    first_timestamp: Optional[float] = None
-    last_timestamp: Optional[float] = None
+    def __init__(self) -> None:
+        #: message count per (class code, sender digest, IP).
+        self._counts: Dict[Tuple[int, bytes, str], int] = {}
+        #: sender digest → the first ``PeerID`` seen with it.
+        self._peers: Dict[bytes, PeerID] = {}
+        self._peer_days: Dict[bytes, int] = {}
+        self._ip_days: Dict[str, int] = {}
+        #: the first ``CID`` seen per digest, in ``_cid_days`` order (CIDs
+        #: are the most numerous identifier: a list costs 8 B a CID).
+        self._cids: List[CID] = []
+        self._cid_days: Dict[bytes, int] = {}
+        self.total = 0
+        self.first_timestamp: Optional[float] = None
+        self.last_timestamp: Optional[float] = None
 
     def add(
         self,
@@ -69,61 +87,128 @@ class LogSummary:
         timestamp: float,
     ) -> None:
         """Fold one log entry in (the monitors call this as they append)."""
-        key = (traffic_class, sender, sender_ip)
-        counts = self.counts
+        digest = sender.digest
+        key = (_NO_CLASS if traffic_class is None else traffic_class.code, digest, sender_ip)
+        counts = self._counts
         counts[key] = counts.get(key, 0) + 1
         day_bit = 1 << int(timestamp // SECONDS_PER_DAY)
+        # Most entries repeat a day already set: those skip the write.
         if cid is not None:
-            days = self.days_by_cid
-            days[cid] = days.get(cid, 0) | day_bit
-        days = self.days_by_ip
-        days[sender_ip] = days.get(sender_ip, 0) | day_bit
-        days = self.days_by_peer
-        days[sender] = days.get(sender, 0) | day_bit
+            cid_digest = cid.digest
+            days = self._cid_days.get(cid_digest)
+            if days is None:
+                self._cids.append(cid)
+                self._cid_days[cid_digest] = day_bit
+            elif not days & day_bit:
+                self._cid_days[cid_digest] = days | day_bit
+        days = self._ip_days.get(sender_ip)
+        if days is None or not days & day_bit:
+            self._ip_days[sender_ip] = (days or 0) | day_bit
+        days = self._peer_days.get(digest)
+        if days is None:
+            self._peers[digest] = sender
+            self._peer_days[digest] = day_bit
+        elif not days & day_bit:
+            self._peer_days[digest] = days | day_bit
         self.total += 1
         if self.first_timestamp is None:
             self.first_timestamp = timestamp
         self.last_timestamp = timestamp
 
+    # -- public views, built on each read (the reports below read the
+    # -- fold's own dicts instead) -------------------------------------
+
+    @property
+    def counts(self) -> Dict[SenderKey, int]:
+        """Message count per (class, sender, IP), in first-seen order."""
+        peers = self._peers
+        return {
+            (_CLASS_OF_CODE[code], peers[digest], ip): count
+            for (code, digest, ip), count in self._counts.items()
+        }
+
+    @property
+    def days_by_cid(self) -> Dict[CID, int]:
+        return dict(zip(self._cids, self._cid_days.values()))
+
+    @property
+    def days_by_ip(self) -> Dict[str, int]:
+        return dict(self._ip_days)
+
+    @property
+    def days_by_peer(self) -> Dict[PeerID, int]:
+        return dict(zip(self._peers.values(), self._peer_days.values()))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal public views (in any order, as dicts compare)."""
+        if not isinstance(other, LogSummary):
+            return NotImplemented
+        return all(
+            getattr(self, view) == getattr(other, view)
+            for view in (
+                "counts",
+                "days_by_cid",
+                "days_by_ip",
+                "days_by_peer",
+                "total",
+                "first_timestamp",
+                "last_timestamp",
+            )
+        )
+
     @property
     def unique_cids(self) -> int:
-        return len(self.days_by_cid)
+        return len(self._cid_days)
+
+    @property
+    def unique_ips(self) -> int:
+        return len(self._ip_days)
+
+    @property
+    def unique_peers(self) -> int:
+        return len(self._peer_days)
 
     # -- §5 headline: message-class split -------------------------------
 
     @property
     def class_shares(self) -> Dict[str, float]:
         """Download / advertisement / other shares of a DHT log."""
-        tallies = self._tally(lambda traffic_class, sender, ip: traffic_class)
-        tallies.pop(None, None)
+        tallies = self._tally(itemgetter(0))
+        tallies.pop(_NO_CLASS, None)
         return {
-            traffic_class.value: count / self.total
-            for traffic_class, count in tallies.items()
+            _CLASS_OF_CODE[code].value: count / self.total
+            for code, count in tallies.items()
         }
 
     # -- Figs. 10-11: volumes behind the Pareto charts ------------------
 
     def _tally(
         self,
-        key: Callable[[Optional[TrafficClass], PeerID, str], Hashable],
+        key: Callable[[Tuple[int, bytes, str]], Hashable],
         traffic_class: Optional[TrafficClass] = None,
     ) -> Dict[Hashable, int]:
-        """Message counts regrouped by ``key``, in first-seen order,
-        optionally for one traffic class only."""
+        """Message counts regrouped by ``key`` of the fold's (class code,
+        sender digest, IP) keys, in first-seen order, optionally for one
+        traffic class only."""
+        code = None if traffic_class is None else traffic_class.code
         tallies: Dict[Hashable, int] = {}
-        for (entry_class, sender, ip), count in self.counts.items():
-            if traffic_class is None or entry_class is traffic_class:
-                label = key(entry_class, sender, ip)
+        for fold_key, count in self._counts.items():
+            if code is None or fold_key[0] == code:
+                label = key(fold_key)
                 tallies[label] = tallies.get(label, 0) + count
         return tallies
 
     def peer_volumes(
         self, traffic_class: Optional[TrafficClass] = None
     ) -> Dict[PeerID, int]:
-        return self._tally(lambda _, sender, ip: sender, traffic_class)
+        peers = self._peers
+        return {
+            peers[digest]: count
+            for digest, count in self._tally(itemgetter(1), traffic_class).items()
+        }
 
     def ip_volumes(self, traffic_class: Optional[TrafficClass] = None) -> Dict[str, int]:
-        return self._tally(lambda _, sender, ip: ip, traffic_class)
+        return self._tally(itemgetter(2), traffic_class)
 
     # -- Fig. 9: identifier lifetimes -----------------------------------
 
@@ -133,9 +218,9 @@ class LogSummary:
         ``identifier`` is one of ``"cid"``, ``"ip"``, ``"peerid"``.
         """
         days_by_id = {
-            "cid": self.days_by_cid,
-            "ip": self.days_by_ip,
-            "peerid": self.days_by_peer,
+            "cid": self._cid_days,
+            "ip": self._ip_days,
+            "peerid": self._peer_days,
         }.get(identifier)
         if days_by_id is None:
             raise ValueError(f"unknown identifier kind: {identifier}")
@@ -146,7 +231,7 @@ class LogSummary:
         showing that long-lived IPs skew cloud."""
         totals: Counter = Counter()
         cloud: Counter = Counter()
-        for ip, days in self.days_by_ip.items():
+        for ip, days in self._ip_days.items():
             bucket = days.bit_count()
             totals[bucket] += 1
             if cloud_db.is_cloud(ip):
@@ -172,10 +257,11 @@ class LogSummary:
         traffic_class: Optional[TrafficClass] = None,
     ) -> Dict[str, float]:
         """Share of (class-filtered) traffic per platform."""
-        pairs = self._tally(lambda _, sender, ip: (sender, ip), traffic_class)
+        peers = self._peers
+        pairs = self._tally(itemgetter(1, 2), traffic_class)
         tallies: Counter = Counter()
-        for (sender, ip), count in pairs.items():
-            tallies[attribute_platform(ip, sender, rdns, hydra_peers)] += count
+        for (digest, ip), count in pairs.items():
+            tallies[attribute_platform(ip, peers[digest], rdns, hydra_peers)] += count
         total = sum(tallies.values())
         return {label: count / total for label, count in tallies.items()}
 

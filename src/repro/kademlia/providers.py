@@ -8,8 +8,7 @@ TTL with 12 h re-provides) so stale providers eventually disappear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.ids.cid import CID
 from repro.ids.multiaddr import Multiaddr
@@ -19,14 +18,18 @@ from repro.ids.peerid import PeerID
 DEFAULT_RECORD_TTL = 24 * 3600.0
 
 
-@dataclass(frozen=True, slots=True)
-class ProviderRecord:
-    """One advertised provider for one CID."""
-
+class _RecordFields(NamedTuple):
     cid: CID
     provider: PeerID
     addrs: Tuple[Multiaddr, ...]
     published_at: float
+
+
+class ProviderRecord(_RecordFields):
+    """One advertised provider for one CID (an immutable tuple: one is
+    built per provide)."""
+
+    __slots__ = ()
 
     @property
     def is_relayed(self) -> bool:

@@ -14,8 +14,7 @@ monitor; the churning fringe less so.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
 
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
@@ -40,14 +39,17 @@ CONNECTION_PROBABILITY = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class BitswapLogEntry:
-    """One logged incoming want broadcast."""
-
+class _EntryFields(NamedTuple):
     timestamp: float
     sender: PeerID
     sender_ip: str
     cid: CID
+
+
+class BitswapLogEntry(_EntryFields):
+    """One logged incoming want broadcast (an immutable tuple)."""
+
+    __slots__ = ()
 
 
 class BitswapMonitor:
@@ -90,7 +92,8 @@ class BitswapMonitor:
         logged = self.is_connected(node) and node.peer is not None and bool(node.ips)
         if logged:
             sender, sender_ip = node.peer, node.primary_ip_str
-            self.log.append(BitswapLogEntry(timestamp, sender, sender_ip, cid))
+            # All fields given: skip the keyword-capable constructor.
+            self.log.append(tuple.__new__(BitswapLogEntry, (timestamp, sender, sender_ip, cid)))
             self.summary.add(None, sender, sender_ip, cid, timestamp)
         obs.observe_bitswap(timestamp, node, cid, logged)
         return logged

@@ -117,13 +117,13 @@ class HydraBooster:
         and one observer dispatch (this runs once per captured message)."""
         if target_key is None and target_cid is not None:
             target_key = target_cid.dht_key
-        envelope = MessageEnvelope(
-            timestamp, sender, sender_ip, message_type, target_key, target_cid, via_relay
+        # All fields given: skip the keyword-capable constructor.
+        envelope = tuple.__new__(
+            MessageEnvelope,
+            (timestamp, sender, sender_ip, message_type, target_key, target_cid, via_relay),
         )
         self.log.append(envelope)
-        # The envelope classified itself; its slot is cheaper to read
-        # than the class table (enum hashes run in Python).
-        self.summary.add(envelope.traffic_class, sender, sender_ip, target_cid, timestamp)
+        self.summary.add(message_type.traffic_class, sender, sender_ip, target_cid, timestamp)
         obs.observe_hydra(envelope)
         return envelope
 

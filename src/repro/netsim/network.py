@@ -865,7 +865,8 @@ class Overlay:
         addrs = node.addr_tuple()
         if not addrs:
             return None
-        record = ProviderRecord(cid, peer, addrs, self.scheduler.clock.now)
+        # All fields given: skip the keyword-capable constructor.
+        record = tuple.__new__(ProviderRecord, (cid, peer, addrs, self.scheduler.clock.now))
         self.providers.add(record)
         node.provided_cids.add(cid)
         return record

@@ -114,8 +114,10 @@ class StreamAnalytics:
         self._rate_window: Optional[float] = None
         self._rate_counts: Dict[bytes, int] = {}
         # -- bitswap (content request) side ------------------------------
-        #: logged broadcasts per CID, in first-seen order.
-        self.cid_counts: Dict[object, int] = {}
+        #: logged broadcasts per CID digest, in first-seen order, and the
+        #: first CID seen per digest (``CID.__hash__`` runs in Python).
+        self.cid_counts: Dict[bytes, int] = {}
+        self._cids: Dict[bytes, object] = {}
         # -- crawl side (merged from worker states) ----------------------
         self.crawl_degree = QuantileSketch()
         self.crawls = 0
@@ -166,8 +168,14 @@ class StreamAnalytics:
 
     def observe_bitswap(self, cid) -> None:
         """Count one logged Bitswap want broadcast."""
+        digest = cid.digest
         counts = self.cid_counts
-        counts[cid] = counts.get(cid, 0) + 1
+        count = counts.get(digest)
+        if count is None:
+            self._cids[digest] = cid
+            counts[digest] = 1
+        else:
+            counts[digest] = count + 1
 
     def _flush_rate_window(self) -> None:
         """Move the closed window's per-peer volumes into the rate sketch.
@@ -204,9 +212,9 @@ class StreamAnalytics:
     def _read(self) -> Tuple[Dict[str, object], Dict[object, int], Dict[str, int]]:
         """The headline, with the peer and IP volumes it was derived from.
 
-        One pass over the Hydra fold's distinct (class, sender, IP) keys.
-        Read-only for the analytics (no window flush), so the heartbeat
-        and the live endpoints can call it freely.
+        Two passes over the Hydra fold's distinct (class, sender, IP)
+        keys.  Read-only for the analytics (no window flush), so the
+        heartbeat and the live endpoints can call it freely.
         """
         from repro.core.pareto import top_share
 
@@ -216,19 +224,17 @@ class StreamAnalytics:
         # No record, no gateway share (and the campaign's gateway set
         # needs the overlay, which exists once the monitors do).
         gateways = self._gateway_peers() if total and self._gateway_peers else ()
+        peer_volumes = hydra.peer_volumes()
+        ip_volumes = hydra.ip_volumes()
         volumes: Dict[str, int] = {}
-        peer_volumes: Dict[object, int] = {}
-        ip_volumes: Dict[str, int] = {}
-        gateway_volume = 0
-        for (_, sender, ip), count in hydra.counts.items():
+        for ip, count in ip_volumes.items():
             provider = providers.get(ip)
             if provider is None:
                 provider = providers[ip] = self._provider(ip)
             volumes[provider] = volumes.get(provider, 0) + count
-            peer_volumes[sender] = peer_volumes.get(sender, 0) + count
-            ip_volumes[ip] = ip_volumes.get(ip, 0) + count
-            if sender in gateways:
-                gateway_volume += count
+        gateway_volume = sum(
+            count for sender, count in peer_volumes.items() if sender in gateways
+        )
         non_cloud = volumes.pop("non-cloud", 0)
         # Cloud providers by volume share, descending (ties by name).
         shares = sorted(
@@ -246,9 +252,9 @@ class StreamAnalytics:
             "class_shares": dict(sorted(hydra.class_shares.items())),
             "top1pct_peer_share": top_share(peer_volumes, 0.01),
             "top1pct_ip_share": top_share(ip_volumes, 0.01),
-            "distinct_peers_est": len(hydra.days_by_peer),
-            "distinct_ips_est": len(hydra.days_by_ip),
-            "distinct_cids_est": len(self.bitswap.days_by_cid),
+            "distinct_peers_est": hydra.unique_peers,
+            "distinct_ips_est": hydra.unique_ips,
+            "distinct_cids_est": self.bitswap.unique_cids,
         }
         return headline, peer_volumes, ip_volumes
 
@@ -278,7 +284,7 @@ class StreamAnalytics:
             "top": {
                 "peers": _top(peer_volumes),
                 "ips": _top(ip_volumes),
-                "cids": _top(self.cid_counts),
+                "cids": _top(self.cid_counts, lambda digest: str(self._cids[digest])),
             },
             "crawl": {
                 "crawls": self.crawls,
@@ -293,13 +299,13 @@ class StreamAnalytics:
         }
 
 
-def _top(volumes: Dict[object, int]) -> List[List[object]]:
-    """The 10 largest volumes as ``[str(key), count]`` pairs, by
-    descending count (ties by the key's string)."""
+def _top(volumes: Dict[object, int], label=str) -> List[List[object]]:
+    """The 10 largest volumes as ``[label(key), count]`` pairs, by
+    descending count (ties by the label)."""
     ranked = heapq.nsmallest(
-        10, volumes.items(), key=lambda item: (-item[1], str(item[0]))
+        10, volumes.items(), key=lambda item: (-item[1], label(item[0]))
     )
-    return [[str(key), count] for key, count in ranked]
+    return [[label(key), count] for key, count in ranked]
 
 
 class NullStream:
