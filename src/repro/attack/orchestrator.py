@@ -41,13 +41,11 @@ from repro.ids.peerid import PeerID
 from repro.kademlia.messages import MessageType
 from repro.kademlia.providers import ProviderRecord
 from repro.monitors.bitswap_monitor import BitswapMonitor
-from repro.monitors.hydra import HydraBooster
 from repro.netsim.clock import SECONDS_PER_HOUR
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
 from repro.netsim.sampling import poisson
 from repro.obs import observer as obs
-from repro.world.ipspace import format_ip
 from repro.world.population import NodeClass, NodeSpec
 from repro.world.profiles import BehaviorProfile
 
@@ -358,7 +356,6 @@ class AttackOrchestrator:
         self,
         overlay: Overlay,
         engine: TrafficEngine,
-        hydra: HydraBooster,
         monitor: BitswapMonitor,
         catalog,
         attacks: Sequence[AttackConfig],
@@ -367,7 +364,6 @@ class AttackOrchestrator:
     ) -> None:
         self.overlay = overlay
         self.engine = engine
-        self.hydra = hydra
         self.monitor = monitor
         self.catalog = catalog
         self.ground_truth = GroundTruthLog(store)
@@ -417,27 +413,14 @@ class AttackOrchestrator:
     ) -> None:
         """Capture-sample an attack walk into the Hydra log.
 
-        Mirrors the honest engine's ``_log_dht`` geometry (the monitor
-        sees ``heads/servers`` of every walk's messages) but draws from
-        the attack RNG.
+        The honest engine's capture (the monitor sees ``heads/servers``
+        of every walk's messages), drawn from the attack RNG.
         """
-        captured = self.hydra.capture_count(
-            contacts, max(len(self.overlay.oracle), 1), rng
+        captured = self.engine._log_dht(
+            node, message_type, cid, contacts, rng=rng, target_key=target_key
         )
-        if captured <= 0 or node.peer is None or not node.ips:
-            return
-        now = self.overlay.now
-        for _ in range(captured):
-            sender_ip = format_ip(rng.choice(node.ips))
-            self.hydra.record(
-                timestamp=now,
-                sender=node.peer,
-                sender_ip=sender_ip,
-                message_type=message_type,
-                target_cid=cid,
-                target_key=target_key,
-            )
-        obs.inc("attack.walks_logged", captured)
+        if captured:
+            obs.inc("attack.walks_logged", captured)
 
     def tag_attacker(
         self, config: AttackConfig, peer: PeerID, timestamp: Optional[float] = None

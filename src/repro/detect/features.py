@@ -82,11 +82,6 @@ class PeerWindowFeatures:
         """Active time span inside the window (inter-arrival summary)."""
         return self.last_ts - self.first_ts
 
-    @property
-    def mean_interarrival(self) -> float:
-        events = self.messages + self.bitswap_broadcasts
-        return self.span / (events - 1) if events > 1 else 0.0
-
 
 @dataclass
 class _Acc:

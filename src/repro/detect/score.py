@@ -61,12 +61,6 @@ class ScoreCard:
     overall_recall: float
     overall_f1: float
 
-    def score_for(self, detector_name: str) -> Optional[DetectorScore]:
-        for score in self.per_detector:
-            if score.detector == detector_name:
-                return score
-        return None
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "num_alerts": self.num_alerts,

@@ -130,19 +130,13 @@ class EthRegistrar:
 
 
 class PublicResolver:
-    """A resolver contract with addr and EIP-1577 contenthash records."""
+    """A resolver contract with EIP-1577 contenthash records."""
 
     def __init__(self, chain: Chain, registry: ENSRegistry, address: str) -> None:
         self.chain = chain
         self.registry = registry
         self.address = address
-        self._addr: Dict[str, str] = {}
         self._contenthash: Dict[str, Contenthash] = {}
-
-    def set_addr(self, node: str, addr: str, caller: str) -> None:
-        self._require_owner(node, caller)
-        self._addr[node] = addr
-        self.chain.emit(self.address, "AddrChanged", (node,), {"addr": addr})
 
     def set_contenthash(self, node: str, contenthash: Contenthash, caller: str) -> None:
         """The EIP-1577 ``setContenthash`` call the paper filters for."""
@@ -154,9 +148,6 @@ class PublicResolver:
             (node,),
             {"hash": contenthash.encode()},
         )
-
-    def addr(self, node: str) -> Optional[str]:
-        return self._addr.get(node)
 
     def contenthash(self, node: str) -> Optional[Contenthash]:
         return self._contenthash.get(node)

@@ -64,10 +64,6 @@ class IndexerService:
     def unblock(self, cid: CID) -> None:
         self._blocklist.discard(cid)
 
-    @property
-    def blocked_cids(self) -> Set[CID]:
-        return set(self._blocklist)
-
     # -- resolution -------------------------------------------------------------
 
     def _ingested(self, cid: CID) -> bool:

@@ -77,21 +77,10 @@ class FindNodeRequest:
 
 
 @dataclass(frozen=True)
-class FindNodeResponse:
-    closer_peers: Tuple[PeerInfo, ...]
-
-
-@dataclass(frozen=True)
 class GetProvidersRequest:
     """Ask a peer for provider records for ``cid`` plus closer peers."""
 
     cid: CID
-
-
-@dataclass(frozen=True)
-class GetProvidersResponse:
-    providers: Tuple[PeerInfo, ...]
-    closer_peers: Tuple[PeerInfo, ...]
 
 
 @dataclass(frozen=True)

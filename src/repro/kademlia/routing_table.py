@@ -188,7 +188,3 @@ class RoutingTable:
         """Deepest non-empty bucket (0 when the table is empty)."""
         indices = self.nonempty_buckets()
         return indices[-1] if indices else 0
-
-    @staticmethod
-    def num_possible_buckets() -> int:
-        return KEY_BITS

@@ -31,10 +31,6 @@ class ProviderObservation:
     resolvers_queried: int
     walk_messages: int
 
-    @property
-    def num_providers(self) -> int:
-        return len(self.records)
-
 
 class ProviderRecordFetcher:
     """Runs exhaustive FindProviders walks against the live overlay."""

@@ -669,13 +669,6 @@ class Overlay:
                 insort(self._relay_known, entry)
         self._relay_unsampled = remaining
 
-    def _relay_pool(self) -> List[Node]:
-        """The current relay candidates, in registration order (no RNG is
-        drawn for servers whose capability is already sampled)."""
-        if self._relay_unsampled:
-            self._drain_relay_unsampled(exclude=None)
-        return [node for _, node in self._relay_known]
-
     def pick_relay(self, exclude: Optional[Node] = None) -> Optional[Node]:
         """A NAT-ed peer connects to a random relay-capable DHT server."""
         obs.inc("netsim.relay_picks")

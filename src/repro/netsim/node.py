@@ -212,10 +212,6 @@ class Node:
         return cached
 
     @property
-    def primary_ip(self) -> Optional[int]:
-        return self.ips[0] if self.ips else None
-
-    @property
     def primary_ip_str(self) -> str:
         if not self.ips:
             raise ValueError("node has no address")

@@ -90,11 +90,9 @@ class ScenarioConfig:
     #: to per-window request-rate quantile sketches.  Off by default —
     #: the disabled path is a no-op null stream and campaign outputs are
     #: bit-identical either way; with streaming on the sketch snapshot
-    #: lands in ``CampaignResult.sketches``.
+    #: lands in ``CampaignResult.sketches``.  Its per-peer request-rate
+    #: windows are one campaign tick long (21,600 s at 4 ticks/day).
     stream: bool = False
-    #: per-peer request-rate window length in seconds (defaults to one
-    #: campaign tick at 4 ticks/day, matching ``detect_window``).
-    stream_window: float = 21_600.0
     #: optional path the final sketch snapshot JSON is written to; the
     #: path lands in ``CampaignResult.sketches_path``.  Implies
     #: ``stream``.

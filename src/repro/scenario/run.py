@@ -178,7 +178,7 @@ class MeasurementCampaign:
             # reports use, and the gateway set is Fig. 10's.  The
             # monitors' folds are handed over in _build.
             stream = StreamAnalytics(
-                config.stream_window,
+                SECONDS_PER_DAY / config.ticks_per_day,
                 provider_of=self._cloud_provider,
                 gateway_peers=partial(self._peers_of_class, NodeClass.GATEWAY),
             )
@@ -337,7 +337,6 @@ class MeasurementCampaign:
             self.attack_orchestrator = AttackOrchestrator(
                 self.overlay,
                 self.engine,
-                self.hydra,
                 self.monitor,
                 self.catalog,
                 config.attacks,

@@ -10,7 +10,7 @@ fields, so files written by older code still load.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, Optional, Protocol
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
@@ -46,18 +46,6 @@ class IdTable:
     def __init__(self) -> None:
         self.peers: Dict[str, PeerID] = _Parsed(PeerID.from_base58)
         self.cids: Dict[str, CID] = _Parsed(CID.from_base32)
-
-
-class EventCodec(Protocol):
-    """Encode events to JSON records and back."""
-
-    def encode(self, event) -> Record: ...
-
-    def decode(self, record: Record, ids: IdTable) -> object: ...
-
-    def decode_all(self, records: Iterable[Record]) -> Iterator: ...
-
-    def timestamp(self, event) -> float: ...
 
 
 class _RecordCodec:

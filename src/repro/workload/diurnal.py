@@ -26,8 +26,3 @@ def diurnal_factor(hour_of_day: float, amplitude: float, peak_hour: float) -> fl
     if amplitude <= 0.0:
         return 1.0
     return 1.0 + amplitude * math.cos((hour_of_day - peak_hour) / 24.0 * TWO_PI)
-
-
-def mean_factor() -> float:
-    """The curve's analytic daily mean (the cosine integrates to zero)."""
-    return 1.0

@@ -15,10 +15,10 @@ Two request-generation models share the engine:
   ``ScenarioConfig.workload_spec``): an attached session-based driver
   generates the user request stream — ON/OFF sessions, Zipf CID
   popularity, diurnal rates — and feeds it through
-  :meth:`TrafficEngine.open_download` / :meth:`TrafficEngine.publish`,
-  while indexer-fleet and join/maintenance traffic stay closed-loop
-  (:meth:`TrafficEngine._run_background_tick`); infrastructure load is
-  not part of the user workload model.
+  :meth:`TrafficEngine.open_download` / :meth:`TrafficEngine.publish`.
+  Indexer-fleet and join/maintenance traffic stay closed-loop in the
+  same :meth:`TrafficEngine.run_tick` loop: infrastructure load is not
+  part of the user workload model.
 
 Capture sampling: a DHT walk touches ~50 of ~25 000 servers, so the
 monitoring Hydra sees each message with probability ``heads/servers``
@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.content.catalog import ContentCatalog, ContentItem
 from repro.ids.cid import CID
 from repro.kademlia.messages import MessageType
 from repro.monitors.bitswap_monitor import BitswapMonitor
 from repro.monitors.hydra import HydraBooster
-from repro.netsim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node, OrderedCIDSet
 from repro.netsim.sampling import poisson
@@ -170,9 +169,6 @@ class WorkloadConfig:
     #: Per-item popularity damping for platform content: the pinned sets
     #: are long-tail (billions of rarely-requested NFT assets).
     platform_weight_scale: float = 0.35
-    #: Daily re-provide fraction logged for platforms (they re-announce
-    #: every CID; capture keeps a sample).
-    platform_reprovide_share: float = 1.0
     #: "Other" (join/maintenance) walks per online server per hour.
     other_rate: float = 0.45
 
@@ -233,19 +229,24 @@ class TrafficEngine:
         cid: Optional[CID],
         walk_messages: int,
         via_relay=None,
-    ) -> None:
+        rng: Optional[random.Random] = None,
+        target_key: Optional[int] = None,
+    ) -> int:
         """Log the captured subset of a walk's messages at the Hydra.
 
         One capture draw per walk, then one ``record`` per captured
-        message; nothing else is looked up per message.
+        message; nothing else is looked up per message.  Honest traffic
+        draws on the engine RNG; attack walks pass their own ``rng`` (and
+        a Sybil scout its ``target_key``).  Returns the messages logged.
         """
-        rng = self.rng
+        if rng is None:
+            rng = self.rng
         captured = self.hydra.capture_count(
             walk_messages, len(self.overlay.oracle) or 1, rng
         )
         sender = node.peer
         if captured <= 0 or sender is None or not node.ips:
-            return
+            return 0
         now = self.overlay.now
         record = self.hydra.record
         choice = rng.choice
@@ -255,7 +256,8 @@ class TrafficEngine:
         # interfaces.
         ip_strs = node.ip_strs()
         for _ in range(captured):
-            record(now, sender, choice(ip_strs), message_type, cid, None, via_relay)
+            record(now, sender, choice(ip_strs), message_type, cid, target_key, via_relay)
+        return captured
 
     # ------------------------------------------------------------------
     # the three activity types
@@ -317,12 +319,20 @@ class TrafficEngine:
         if item is not None and self.overlay.providers.has_records(cid, self.overlay.now):
             self._maybe_reprovide(node, cid)
 
-    def _hydra_amplification(self, cid: CID) -> None:
-        """Protocol-Labs hydra heads proactively look up cache misses."""
+    def _fleet_lookups(
+        self, cid: CID, rng: random.Random, visibility: Optional[float] = None
+    ) -> Iterator[Node]:
+        """The online PL hydra heads that look ``cid`` up, one per walk.
+
+        A request the fleet witnesses (probability ``visibility``; an
+        attacker aiming at the fleet passes ``None``) and misses in its
+        provider-record cache launches ``hydra_amplification_walks``
+        lookups on average, each from a random head.  A generator, so the
+        caller's own draws for a walk can come before the next head's.
+        """
         config = self.config
-        if not self._pl_hydra_nodes:
-            return
-        if self.rng.random() >= config.hydra_fleet_visibility:
+        fleet = self._pl_hydra_nodes
+        if not fleet or (visibility is not None and rng.random() >= visibility):
             return
         now = self.overlay.now
         last = self._amp_cache.get(cid)
@@ -330,15 +340,22 @@ class TrafficEngine:
             return  # fleet cache hit: no proactive lookup
         self._amp_cache[cid] = now
         walks = int(config.hydra_amplification_walks)
-        if self.rng.random() < config.hydra_amplification_walks - walks:
+        if rng.random() < config.hydra_amplification_walks - walks:
             walks += 1
         for _ in range(walks):
-            hydra_node = self.rng.choice(self._pl_hydra_nodes)
+            hydra_node = rng.choice(fleet)
             if hydra_node.online:
                 self.stats["amplified_walks"] += 1
-                self._log_dht(
-                    hydra_node, MessageType.GET_PROVIDERS, cid, config.download_walk_contacts
-                )
+                yield hydra_node
+
+    def _hydra_amplification(self, cid: CID) -> None:
+        """Protocol-Labs hydra heads proactively look up cache misses;
+        each head's walk is logged before the next head is chosen."""
+        contacts = self.config.download_walk_contacts
+        for hydra_node in self._fleet_lookups(
+            cid, self.rng, self.config.hydra_fleet_visibility
+        ):
+            self._log_dht(hydra_node, MessageType.GET_PROVIDERS, cid, contacts)
 
     def induced_amplification(self, cid: CID, rng: random.Random) -> List[Node]:
         """Fleet lookups triggered by a request aimed *at* the fleet.
@@ -347,28 +364,12 @@ class TrafficEngine:
         attacker sends its cache-missing request straight to the PL
         hydra heads (the §5 amplification vector), so no visibility draw
         applies, and all randomness comes from the caller's attack RNG —
-        the honest engine stream is untouched.  Returns the online fleet
-        nodes that launched a walk; the caller logs their traffic and
-        tags them as induced actors in the ground truth.
+        the honest engine stream is untouched.  Every head is chosen
+        before any is logged.  Returns the online fleet nodes that
+        launched a walk; the caller logs their traffic and tags them as
+        induced actors in the ground truth.
         """
-        config = self.config
-        if not self._pl_hydra_nodes:
-            return []
-        now = self.overlay.now
-        last = self._amp_cache.get(cid)
-        if last is not None and now - last < config.hydra_cache_ttl:
-            return []
-        self._amp_cache[cid] = now
-        walks = int(config.hydra_amplification_walks)
-        if rng.random() < config.hydra_amplification_walks - walks:
-            walks += 1
-        launched = []
-        for _ in range(walks):
-            hydra_node = rng.choice(self._pl_hydra_nodes)
-            if hydra_node.online:
-                self.stats["amplified_walks"] += 1
-                launched.append(hydra_node)
-        return launched
+        return list(self._fleet_lookups(cid, rng))
 
     def _maybe_reprovide(self, node: Node, cid: CID) -> None:
         if self.rng.random() >= self.config.reprovide_probs[node.node_class]:
@@ -478,7 +479,6 @@ class TrafficEngine:
         rng = self.rng
         publish = self.overlay.publish_provider_record
         log_dht = self._log_dht
-        share = self.config.platform_reprovide_share
         contacts = self.config.advert_walk_contacts
         for platform in self.overlay.world.profile.platforms:
             if platform.role not in ("storage", "pinning"):
@@ -490,8 +490,6 @@ class TrafficEngine:
             if not nodes:
                 continue
             for item in items:
-                if share < 1.0 and rng.random() >= share:
-                    continue
                 node = rng.choice(nodes)
                 publish(node, item.cid)
                 log_dht(node, MessageType.ADD_PROVIDER, item.cid, contacts)
@@ -538,14 +536,18 @@ class TrafficEngine:
         return self.overlay.scheduler.clock.day
 
     def run_tick(self, hours: float) -> None:
-        """Generate ``hours`` worth of traffic from the current online set."""
-        if self.open_loop is not None:
-            # The session driver owns the user request/publish stream;
-            # infrastructure traffic stays closed-loop.
-            self.open_loop.run_tick(self, hours)
-            self._run_background_tick(hours)
-            return
+        """Generate ``hours`` worth of traffic from the current online set.
+
+        An attached session driver runs first and owns the user
+        request/publish stream; the indexer fleets and the join /
+        maintenance walks are infrastructure, not users, so they keep
+        their closed-loop Poisson rates either way.
+        """
+        open_loop = self.open_loop
+        if open_loop is not None:
+            open_loop.run_tick(self, hours)
         config = self.config
+        rng = self.rng
         online = list(self.overlay.online_by_peer.values())
         # Gateways serve the web-user population: their volume grows with
         # the network, not with the (fixed, 119-node) gateway fleet.
@@ -556,60 +558,26 @@ class TrafficEngine:
             if platform in config.indexer_rates:
                 fleet = self._indexer_fleet_sizes.get(platform, 1)
                 rate = config.indexer_rates[platform] / fleet * gateway_scale * hours
+            elif open_loop is not None:
+                continue
             else:
                 rate = config.request_rates[node.node_class] * weight * hours
                 if node.node_class is NodeClass.GATEWAY:
                     rate *= gateway_scale * config.gateway_rate_multipliers.get(
                         platform, 1.0
                     )
-            for _ in range(poisson(rate, self.rng)):
+            for _ in range(poisson(rate, rng)):
                 self.download(node)
-            rate = config.publish_rates[node.node_class] * weight * hours
-            for _ in range(poisson(rate, self.rng)):
-                self.publish(node)
+            if open_loop is None:
+                rate = config.publish_rates[node.node_class] * weight * hours
+                for _ in range(poisson(rate, rng)):
+                    self.publish(node)
         # Join / maintenance traffic.
         servers = [node for node in online if node.is_dht_server]
         if servers:
-            walks = poisson(config.other_rate * len(servers) * hours, self.rng)
+            walks = poisson(config.other_rate * len(servers) * hours, rng)
             for _ in range(walks):
-                self.other_walk(self.rng.choice(servers))
-
-    def _run_background_tick(self, hours: float) -> None:
-        """Indexer-fleet and join/maintenance traffic for open-loop ticks.
-
-        The automated resolver platforms (``aws-mystery``/``cid-scraper``)
-        and the DHT's own FIND_NODE churn are infrastructure, not users,
-        so they keep their closed-loop Poisson rates when a session
-        driver is attached.
-        """
-        config = self.config
-        online = list(self.overlay.online_by_peer.values())
-        gateway_scale = max(len(self.overlay.oracle), 1) / 2500.0
-        for node in online:
-            platform = node.spec.platform or ""
-            if platform in config.indexer_rates:
-                fleet = self._indexer_fleet_sizes.get(platform, 1)
-                rate = config.indexer_rates[platform] / fleet * gateway_scale * hours
-                for _ in range(poisson(rate, self.rng)):
-                    self.download(node)
-        servers = [node for node in online if node.is_dht_server]
-        if servers:
-            walks = poisson(config.other_rate * len(servers) * hours, self.rng)
-            for _ in range(walks):
-                self.other_walk(self.rng.choice(servers))
-
-    def run_day(self, ticks_per_day: int = 4) -> None:
-        """One simulated day: index content, re-provide, then traffic ticks
-        interleaved with the churn events on the scheduler."""
-        day = self.overlay_clock_day
-        self.catalog.build_day_index(day)
-        self.platform_reprovide_pass()
-        self.user_reprovide_pass()
-        hours = 24.0 / ticks_per_day
-        for _ in range(ticks_per_day):
-            target = self.overlay.now + hours * SECONDS_PER_HOUR
-            self.run_tick(hours)
-            self.overlay.scheduler.run_until(min(target, (day + 1) * SECONDS_PER_DAY))
+                self.other_walk(rng.choice(servers))
 
 
 # Not a second engine.  Its only reason is that the campaign benchmark's

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exec.seeds import derive_rng
 from repro.netsim.clock import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -109,12 +109,19 @@ class OpenLoopDriver:
 
     def run_tick(self, engine, hours: float) -> None:
         """Generate ``hours`` of open-loop user traffic on ``engine``."""
-        spec = self.spec
         day = engine.overlay_clock_day
         if day != self._pop_day:
             self._rebuild_popularity(engine.catalog, day)
         now = engine.overlay.now
-        t_end = now + hours * SECONDS_PER_HOUR
+        self._arrive(now, hours, lambda: self._class_pools(engine))
+        self._drain_due(now + hours * SECONDS_PER_HOUR, engine)
+
+    def _arrive(self, now: float, hours: float, pools: Callable[[], Dict]) -> None:
+        """One arrival step: expire ended sessions, draw this tick's
+        diurnally scaled Poisson arrivals, then draw and schedule their
+        sessions over the node pools (``pools()`` is only built when
+        something arrives)."""
+        spec = self.spec
         while self._session_ends and self._session_ends[0] <= now:
             heapq.heappop(self._session_ends)
         factor = 1.0
@@ -125,11 +132,9 @@ class OpenLoopDriver:
         count = poisson(lam, self.rng)
         self.stats["arrivals"] += count
         if count:
-            pools = self._class_pools(engine)
-            sessions = self._draw_sessions(count, pools, now, hours)
+            sessions = self._draw_sessions(count, pools(), now, hours)
             self._schedule(sessions)
         self.stats["active_sessions"] = len(self._session_ends)
-        self._drain_due(engine, t_end)
 
     def _class_pools(self, engine) -> Dict[NodeClass, List[int]]:
         """Online spec indexes per session class, in spec order."""
@@ -228,26 +233,35 @@ class OpenLoopDriver:
         heapq.heappush(self._pending, (time, self._seq, kind, node_index, cls_name, item))
         self._seq += 1
 
-    def _drain_due(self, engine, t_end: float) -> None:
-        """Execute every scheduled event due by ``t_end``, in time order.
+    def _drain_due(self, t_end: float, engine=None) -> int:
+        """Execute every scheduled event due by ``t_end``, in time order,
+        and return how many requests ran.
 
-        The engine RNG draws happen here, in ``(time, seq)`` order.
+        The engine RNG draws happen here, in ``(time, seq)`` order.  With
+        no ``engine`` (a dry run) every event is only counted.
         """
         pending = self._pending
-        nodes = engine.overlay.nodes
+        stats = self.stats
+        nodes = engine.overlay.nodes if engine is not None else None
+        executed = 0
         while pending and pending[0][0] <= t_end:
             _, _, kind, node_index, cls_name, item = heapq.heappop(pending)
-            node = nodes[node_index]
-            if not node.online:
-                self.stats["requests_dropped_offline"] += 1
-                continue
+            if engine is not None:
+                node = nodes[node_index]
+                if not node.online:
+                    stats["requests_dropped_offline"] += 1
+                    continue
+                if kind == _PUBLISH:
+                    engine.publish(node)
+                else:
+                    engine.open_download(node, item)
             if kind == _PUBLISH:
-                engine.publish(node)
-                self.stats["open_publishes"] += 1
+                stats["open_publishes"] += 1
                 continue
-            engine.open_download(node, item)
-            self.stats["open_requests"] += 1
+            stats["open_requests"] += 1
             self._count_request(cls_name, item)
+            executed += 1
+        return executed
 
     def _count_request(self, cls_name: str, item) -> None:
         by_class = self.requests_by_class
@@ -313,8 +327,8 @@ def sample_workload(
 ) -> Dict:
     """Dry-run the driver against a synthetic catalog — no overlay.
 
-    Backs ``repro workload sample``: the full phase-1/phase-2 sampling
-    pipeline runs hour by hour with every "execution" just counted, so a
+    Backs ``repro workload sample``: the driver's own arrival step and
+    drain run hour by hour with every "execution" just counted, so a
     spec's calibrated shapes (request volume, diurnal curve, per-class
     mix, Zipf skew) can be inspected in milliseconds before committing
     to a campaign.
@@ -330,35 +344,10 @@ def sample_workload(
     driver._rebuild_popularity(catalog, 0)
     pools = {cls: list(range(pool_size)) for cls in driver._mix_classes}
     per_hour: List[int] = []
-    spec_diurnal = spec.diurnal
     for hour in range(int(hours)):
         now = hour * SECONDS_PER_HOUR
-        t_end = now + SECONDS_PER_HOUR
-        while driver._session_ends and driver._session_ends[0] <= now:
-            heapq.heappop(driver._session_ends)
-        factor = 1.0
-        if spec_diurnal:
-            hour_of_day = (now % SECONDS_PER_DAY) / SECONDS_PER_HOUR
-            factor = diurnal_factor(
-                hour_of_day, spec.diurnal_amplitude, spec.peak_hour
-            )
-        count = poisson(spec.users * spec.arrivals_per_user_hour * factor, driver.rng)
-        driver.stats["arrivals"] += count
-        if count:
-            sessions = driver._draw_sessions(count, pools, now, 1.0)
-            driver._schedule(sessions)
-        driver.stats["active_sessions"] = len(driver._session_ends)
-        executed = 0
-        pending = driver._pending
-        while pending and pending[0][0] <= t_end:
-            _, _, kind, _, cls_name, item = heapq.heappop(pending)
-            if kind == _PUBLISH:
-                driver.stats["open_publishes"] += 1
-                continue
-            driver.stats["open_requests"] += 1
-            driver._count_request(cls_name, item)
-            executed += 1
-        per_hour.append(executed)
+        driver._arrive(now, 1.0, lambda: pools)
+        per_hour.append(driver._drain_due(now + SECONDS_PER_HOUR))
     shares = driver.headline_shares()
     return {
         "hours": int(hours),

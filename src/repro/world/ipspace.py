@@ -9,7 +9,7 @@ locations).  Addresses are ints internally with dotted-quad rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 
 def parse_ip(text: str) -> int:
@@ -105,10 +105,6 @@ class IPAllocator:
         """A uniform address from ``block`` — models DHCP/NAT-pool reuse,
         where rotating clients may collide on previously seen addresses."""
         return block.base + rng.randrange(block.size)
-
-    def iter_addresses(self, block: IPBlock) -> Iterator[int]:
-        for offset in range(block.size):
-            yield block.base + offset
 
     def find_block(self, ip: int) -> Optional[IPBlock]:
         """The block containing ``ip``, if any (linear scan; block counts

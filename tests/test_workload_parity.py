@@ -195,10 +195,7 @@ def oracle_platform_reprovide_pass(self):
         nodes = oracle_platform_nodes(self, platform.name)
         if not nodes:
             continue
-        share = self.config.platform_reprovide_share
         for item in items:
-            if share < 1.0 and self.rng.random() >= share:
-                continue
             node = self.rng.choice(nodes)
             self.overlay.publish_provider_record(node, item.cid)
             self._log_dht(
