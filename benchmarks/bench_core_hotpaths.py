@@ -243,8 +243,10 @@ def bench_oracle_closest(report: BenchReport, overlay: Overlay, calls: int = 200
 
 
 def bench_refresh_passes(report: BenchReport, overlay: Overlay, passes: int = 5) -> None:
-    # Quiesce: after two full passes with no churn, most nodes' refreshes
-    # are provable no-ops, which is the steady state the skip exploits.
+    # Quiesce: after two passes with no churn, most under-full buckets
+    # hold a no-op certificate and no table holds a stale entry, so the
+    # quiescent passes exercise the certified-bucket skips; the reference
+    # passes visit every bucket and scan every table.
     overlay.refresh_all()
     overlay.refresh_all()
 

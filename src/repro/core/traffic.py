@@ -156,6 +156,10 @@ class LogSummary:
             )
         )
 
+    def has_cid(self, cid: CID) -> bool:
+        """Whether an entry for ``cid`` (by digest) was folded in."""
+        return cid.digest in self._cid_days
+
     @property
     def unique_cids(self) -> int:
         return len(self._cid_days)

@@ -182,17 +182,11 @@ class Overlay:
             self._index_node(node)
 
         # -- refresh-skip bookkeeping --------------------------------------
-        #: maintenance passes are skipped for nodes whose last refresh was
-        #: provably a no-op (zero RNG draws, zero table changes) and whose
-        #: observable inputs have not changed since; see ``refresh_node``.
+        #: maintenance passes skip the k-buckets whose last visit was
+        #: certified a no-op, and the stale-entry scan of tables holding
+        #: no stale entry (see ``refresh_node``); False runs every pass in
+        #: full.
         self.refresh_skip_enabled = True
-        self._refresh_clean: Set[Node] = set()
-        #: (prefix_len -> prefix_base -> clean nodes whose under-full
-        #: buckets cover that subtree): a server joining inside a watched
-        #: range invalidates the watchers.
-        self._watch_index: Dict[int, Dict[int, Set[Node]]] = {}
-        self._node_watches: Dict[Node, List[Tuple[int, int]]] = {}
-        self._refresh_depth = self._expected_depth()
 
     # ------------------------------------------------------------------
     # clock helpers
@@ -293,7 +287,12 @@ class Overlay:
             # ``seq`` is the largest so far: appending keeps the sort.
             self._relay_known.append((seq, node))
         self.oracle.add(peer)
-        self._note_oracle_change(added_key=key)
+        # Whoever still references the key holds a live entry again.
+        holders = self._holders.get(key)
+        if holders:
+            for holder in holders:
+                holder.stale_entries -= 1
+        self._void_certificates_covering(key)
 
     def _unregister_server(self, node: Node) -> None:
         self.oracle.remove(node.peer)
@@ -307,7 +306,6 @@ class Overlay:
                 and self._relay_known[position][0] == seq
             ):
                 del self._relay_known[position]
-        self._note_oracle_change()
 
     def bring_online(
         self, node: Node, rotate_ip: bool = False, regen_peer: bool = False
@@ -365,25 +363,28 @@ class Overlay:
             self.online_by_peer.pop(node.peer, None)
             if node.is_dht_server:
                 self._unregister_server(node)
+                # Everyone referencing the departed server now holds a
+                # stale entry.
+                holders = self._holders.get(node.peer.dht_key)
+                if holders:
+                    for holder in holders:
+                        holder.stale_entries += 1
             else:
                 self._online_clients.pop(node.peer, None)
-            # Everyone referencing the departed peer now has a stale table
-            # entry: their next maintenance pass is no longer a no-op.
-            holders = self._holders.get(node.peer.dht_key)
-            if holders:
-                for holder in list(holders):
-                    self._mark_refresh_dirty(holder)
         node.relay = None
-        # Routing-table state of the departed node is dropped; peers that
-        # reference it keep a stale entry until their next refresh.
-        if node.routing_table is not None:
+        # Routing-table state of the departed node is dropped, with its
+        # certificates and stale count; peers that reference it keep a
+        # stale entry until their next refresh.
+        table = node.routing_table
+        if table is not None:
             all_holders = self._holders
-            for key in node.routing_table.keys():
+            for key in table.keys():
                 holders = all_holders.get(key)
                 if holders is not None:
                     holders.discard(node)
             node.routing_table = None
-        self._mark_refresh_dirty(node)
+            node.stale_entries = 0
+            node.certified_buckets = 0
         obs.inc("netsim.sessions_ended")
 
     # ------------------------------------------------------------------
@@ -422,8 +423,12 @@ class Overlay:
     ) -> bool:
         """Top up ``node``'s bucket ``bucket_idx`` from ``keys`` (all of its
         subtree) and record ``node`` as the holder of each key stored;
-        returns whether any key was stored."""
+        returns whether any key was stored.  A store voids the bucket's
+        certificate: the bucket has less room, so its next visit may
+        sample."""
         stored = table.top_up(bucket_idx, keys)
+        if not stored:
+            return False
         holders = self._holders
         for key in stored:
             key_holders = holders.get(key)
@@ -431,7 +436,8 @@ class Overlay:
                 holders[key] = {node}
             else:
                 key_holders.add(node)
-        return bool(stored)
+        node.certified_buckets &= ~(1 << bucket_idx)
+        return True
 
     def _join_dht(self, node: Node) -> None:
         self._fill_routing_table(node)
@@ -467,19 +473,26 @@ class Overlay:
         if key in bucket:
             bucket.add(key)  # seen again: move to the most-recently-seen end
             return True
+        servers = self._online_servers
         if bucket.is_full:
             # Kademlia evicts an entry only if it is dead; check the oldest.
             # Table entries are all servers: dead means "no online server
             # holds the key".
             oldest = bucket.oldest()
-            if oldest in self._online_servers and self.rng.random() >= force_prob:
-                return False
+            if oldest in servers:
+                if self.rng.random() >= force_prob:
+                    return False
+            else:
+                holder.stale_entries -= 1
             table.remove(oldest)
             holders = self._holders.get(oldest)
             if holders is not None:
                 holders.discard(holder)
         self._store_keys(holder, table, index, (key,))
-        self._mark_refresh_dirty(holder)
+        if key not in servers:
+            # A key no online server holds (a NAT client's, say) is stale
+            # from the moment it is stored.
+            holder.stale_entries += 1
         return True
 
     def advertise_presence(self, node: Node, attempts: int = 40) -> int:
@@ -501,126 +514,95 @@ class Overlay:
 
     # -- refresh-skip bookkeeping --------------------------------------
 
-    def _mark_refresh_dirty(self, node: Node) -> None:
-        """Forget that ``node``'s next maintenance pass would be a no-op."""
-        if node not in self._refresh_clean:
-            return
-        self._refresh_clean.discard(node)
-        for prefix_len, base in self._node_watches.pop(node, ()):
-            by_base = self._watch_index.get(prefix_len)
-            if by_base is None:
-                continue
-            watchers = by_base.get(base)
-            if watchers is None:
-                continue
-            watchers.discard(node)
-            if not watchers:
-                del by_base[base]
-                if not by_base:
-                    del self._watch_index[prefix_len]
+    def _void_certificates_covering(self, key: int) -> None:
+        """A server joined with ``key``: void every certificate whose
+        bucket subtree now holds it.
 
-    def _note_oracle_change(self, added_key: Optional[int] = None) -> None:
-        """React to oracle membership changes.
-
-        A change of the expected trie depth alters which buckets a refresh
-        pass inspects, so every no-op certificate is voided.  A *join*
-        additionally invalidates the clean nodes whose under-full buckets
-        cover the newcomer's subtree (their next top-up would store it).
-        Departures need no extra handling: a clean node's under-full
-        buckets contain *every* server of their subtree, so a departure
-        from such a range is always a departure of a held peer — covered
-        by the holder invalidation in :meth:`take_offline`.
+        A certified bucket is under-full and holds its subtree's every
+        online server, so a subtree of ``k`` or more other servers backs
+        no certificate: the nodes whose bucket covers ``key`` with a
+        certifiable subtree all sit in the smallest aligned subtree whose
+        half on ``key``'s side holds at most ``k`` servers.
         """
-        depth = self._expected_depth()
-        if depth != self._refresh_depth:
-            self._refresh_depth = depth
-            if self._refresh_clean:
-                self._refresh_clean.clear()
-                self._node_watches.clear()
-                self._watch_index.clear()
-        if added_key is not None and self._watch_index:
-            for prefix_len, by_base in list(self._watch_index.items()):
-                shift = KEY_BITS - prefix_len
-                base = (added_key >> shift) << shift
-                watchers = by_base.get(base)
-                if watchers:
-                    for watcher in list(watchers):
-                        self._mark_refresh_dirty(watcher)
+        servers = self._online_servers
+        for other in self.oracle.subtree_around(key, self.k):
+            if other != key:
+                node = servers[other]
+                if node.certified_buckets:
+                    node.certified_buckets &= ~(1 << (KEY_BITS - (other ^ key).bit_length()))
 
     def refresh_node(self, node: Node) -> None:
         """One maintenance pass: evict dead entries, top up buckets.
 
-        The pass also determines whether it was a *no-op* — no RNG drawn,
-        no table change.  If so, the node is marked clean and its
-        under-full bucket ranges are registered as watches; until churn
-        touches the node's table, its depth assumptions or a watched
-        range, ``refresh_all`` may skip it without perturbing either the
-        network state or the shared RNG stream.
+        Every table key no online server holds draws once, in table
+        order, and is dropped with probability ``stale_detect_prob``; the
+        scan runs only while ``node.stale_entries`` counts such keys, and
+        stops at the last of them.
+        Every under-full bucket within the expected depth then samples up
+        to twice its free room from its subtree's online servers.
+
+        A bucket visit that draws no RNG and stores nothing *certifies*
+        the bucket: its subtree's online servers all sit in it and number
+        at most twice its free room.  Departures and stale removals keep
+        that true (they only empty the subtree or free room), so the
+        certificate stands until a store into the bucket or a server
+        joining its subtree voids it, and passes skip certified buckets
+        without perturbing either the network state or the shared RNG
+        stream.
         """
-        if not node.online or node.routing_table is None:
-            return
-        self._mark_refresh_dirty(node)
         table = node.routing_table
-        servers = self._online_servers
-        holders = self._holders
+        if not node.online or table is None:
+            return
         rng = self.rng
-        clean = True
-        for key in table.keys():
-            if key not in servers:
-                clean = False
-                if rng.random() < self.stale_detect_prob:
+        skip = self.refresh_skip_enabled
+        stale = node.stale_entries
+        if stale or not skip:
+            servers = self._online_servers
+            holders = self._holders
+            detect = self.stale_detect_prob
+            removed = 0
+            for key in table.keys():
+                if key in servers:
+                    continue
+                if rng.random() < detect:
                     table.remove(key)
                     key_holders = holders.get(key)
                     if key_holders is not None:
                         key_holders.discard(node)
+                    removed += 1
+                stale -= 1
+                if not stale and skip:
+                    break  # the rest of the table is live
+            node.stale_entries -= removed
         own = table.owner_key
-        watches: List[Tuple[int, int]] = []
-        depth = min(self._expected_depth() + 4, KEY_BITS)
+        certified = node.certified_buckets if skip else 0
         k = self.k
-        for bucket_idx in range(depth):
+        oracle = self.oracle
+        for bucket_idx in range(min(self._expected_depth() + 4, KEY_BITS)):
+            if certified >> bucket_idx & 1:
+                continue
             bucket = table.bucket(bucket_idx)
             missing = k - len(bucket)
             if missing <= 0:
                 continue
-            shift = KEY_BITS - bucket_idx - 1
-            prefix_base = (((own >> shift) ^ 1) << shift)
-            keys, consumed_rng = self.oracle.sample_range_info(
-                prefix_base, bucket_idx + 1, missing * 2, rng
+            prefix_len = bucket_idx + 1
+            shift = KEY_BITS - prefix_len
+            prefix_base = ((own >> shift) ^ 1) << shift
+            keys, consumed_rng = oracle.sample_range_info(
+                prefix_base, prefix_len, missing * 2, rng
             )
-            if consumed_rng:
-                clean = False
-            if self._store_keys(node, table, bucket_idx, keys):
-                clean = False
-            if len(bucket) < k:
-                watches.append((bucket_idx + 1, prefix_base))
-        if clean and self.refresh_skip_enabled:
-            self._refresh_clean.add(node)
-            self._node_watches[node] = watches
-            for prefix_len, base in watches:
-                self._watch_index.setdefault(prefix_len, {}).setdefault(
-                    base, set()
-                ).add(node)
+            if self._store_keys(node, table, bucket_idx, keys) or consumed_rng or not skip:
+                continue
+            node.certified_buckets |= 1 << bucket_idx
 
     def refresh_all(self) -> None:
-        """A network-wide maintenance pass (run periodically by scenarios).
-
-        Nodes whose previous pass was certified a no-op (see
-        :meth:`refresh_node`) are skipped; skipping them changes neither
-        the network state nor the RNG stream, so the simulation stays
-        bit-identical to an unconditional full pass.
-        """
-        clean = self._refresh_clean if self.refresh_skip_enabled else ()
-        refreshed = skipped = 0
-        for node in self.online_servers():
-            if node in clean:
-                skipped += 1
-                continue
+        """A network-wide maintenance pass (run periodically by scenarios)."""
+        servers = self.online_servers()
+        for node in servers:
             self.refresh_node(node)
-            refreshed += 1
         obs.inc("netsim.refresh_passes")
-        obs.inc("netsim.refresh_nodes", refreshed)
-        obs.inc("netsim.refresh_skips", skipped)
-        obs.set_gauge("netsim.online_servers", refreshed + skipped)
+        obs.inc("netsim.refresh_nodes", len(servers))
+        obs.set_gauge("netsim.online_servers", len(servers))
 
     def schedule_periodic_refresh(self) -> None:
         interval = self.refresh_interval_hours * SECONDS_PER_HOUR

@@ -100,6 +100,8 @@ class Node:
         "port",
         "online",
         "routing_table",
+        "certified_buckets",
+        "stale_entries",
         "relay",
         "reachable",
         "response_latency",
@@ -124,6 +126,11 @@ class Node:
         self.port = DEFAULT_PORT
         self.online = False
         self.routing_table: Optional[RoutingTable] = None
+        #: bit ``i`` set: a maintenance visit to k-bucket ``i`` is
+        #: certified a no-op (see :meth:`Overlay.refresh_node`).
+        self.certified_buckets = 0
+        #: how many routing-table keys name no online DHT server.
+        self.stale_entries = 0
         self.relay: Optional["Node"] = None  # for NAT clients
         self.reachable = False
         self.response_latency = 0.0

@@ -84,6 +84,23 @@ class KeyspaceOracle:
         high_index = bisect_left(self._keys, base + (1 << shift))
         return low_index, high_index
 
+    def subtree_around(self, key: int, max_size: int) -> List[int]:
+        """The keys of the smallest aligned subtree around ``key`` whose
+        half on ``key``'s side holds at most ``max_size`` keys."""
+        keys = self._keys
+        low, high = 0, len(keys)
+        for prefix_len in range(1, KEY_BITS + 1):
+            shift = KEY_BITS - prefix_len
+            middle = bisect_left(keys, ((key >> shift) | 1) << shift, low, high)
+            if key >> shift & 1:
+                half_low, half_high = middle, high
+            else:
+                half_low, half_high = low, middle
+            if half_high - half_low <= max_size:
+                break
+            low, high = half_low, half_high
+        return keys[low:high]
+
     def sample_range(self, prefix: int, prefix_len: int, count: int, rng) -> List[int]:
         """Up to ``count`` random online server keys sharing the given
         prefix — the population of one k-bucket subtree."""

@@ -147,3 +147,55 @@ class TestProber:
         prober.probe_once("gateway.pinata.cloud", service)
         fresh = set(provider_node.provided_cids) - before
         assert len(fresh) == 2  # each probe stores distinct random content
+
+
+class LogDecodeProber(GatewayProber):
+    """The prober as it was: it slices the Bitswap log after every probe
+    and decodes the suffix to look for the probe CID."""
+
+    def probe_once(self, domain, service):
+        if service is None:
+            return False, None
+        probe_cid = CID.generate(self.rng)
+        self.overlay.publish_provider_record(self.provider_node, probe_cid)
+        log_position = len(self.monitor.log)
+        response = service.http_get(probe_cid)
+        if response.status != 200 or response.served_by is None:
+            return False, None
+        for entry in self.monitor.log[log_position:]:
+            if entry.cid == probe_cid:
+                return True, response.served_by
+        return True, None
+
+
+class TestProberFold:
+    @staticmethod
+    def _campaign(prober_cls, store):
+        world = build_world(WorldProfile(online_servers=120, seed=43))
+        install_gateway_specs(world)
+        overlay = Overlay(world)
+        overlay.bootstrap()
+        monitor = BitswapMonitor(random.Random(9), store=store)
+        provider_node = next(n for n in overlay.online_servers() if n.reachable)
+        services = {
+            f"{name}.example": service_for(overlay, name, monitor)
+            for name in ("cloudflare", "pinata", "protocol-labs")
+        }
+        services["dead.example"] = None
+        prober = prober_cls(overlay, monitor, provider_node, random.Random(10))
+        reports = prober.run_campaign(services, probes_per_endpoint=12)
+        return reports, len(monitor.log)
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite"])
+    def test_fold_reports_match_log_decode(self, kind, tmp_path):
+        def store(name):
+            return None if kind == "memory" else f"sqlite:{tmp_path / name}.sqlite"
+
+        reports, logged = self._campaign(GatewayProber, store("fold"))
+        expected, expected_logged = self._campaign(LogDecodeProber, store("decode"))
+        assert reports == expected
+        assert logged == expected_logged
+        # Both outcomes occur: probes seen in the log and probes not seen.
+        probes = sum(report.probes_sent for report in reports.values())
+        found = sum(len(report.overlay_ids) for report in reports.values())
+        assert 0 < found and logged < probes

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.ids.cid import CID
+from repro.ids.keys import KEY_BITS
 from repro.netsim.network import Overlay, ProviderRegistry
 from repro.netsim.node import Node
 from repro.world.population import NodeClass, build_world
@@ -356,22 +357,65 @@ class TestRefreshSkip:
             assert fast.rng.getstate() == slow.rng.getstate()
             assert self._fingerprint(fast) == self._fingerprint(slow)
 
-    def test_quiescent_passes_mark_nodes_clean(self):
-        # Not every node can be certified: a bucket holding its whole
-        # range but still under-full keeps sampling (and consuming RNG)
-        # every pass, so skipping such a node would change the RNG
-        # stream.  Quiescence therefore yields a *partial* clean set —
-        # assert it is substantial and that it persists (never shrinks)
-        # across further churn-free passes.
+    @staticmethod
+    def _certificates(overlay):
+        return {node: node.certified_buckets for node in overlay.online_servers()}
+
+    @staticmethod
+    def _subtree_holds(node, bucket_idx, key):
+        """Whether ``key`` lies in the subtree of ``node``'s bucket."""
+        shift = KEY_BITS - bucket_idx - 1
+        own = node.routing_table.owner_key
+        return (key >> shift) == ((own >> shift) ^ 1)
+
+    def test_quiescent_passes_certify_buckets(self):
+        # Not every under-full bucket can be certified: one whose subtree
+        # holds more than twice its free room samples (and consumes RNG)
+        # every pass.  Quiescence therefore certifies a *share* of them —
+        # assert it is substantial and that it never shrinks across
+        # further churn-free passes.
         overlay = self._build(33, skip_enabled=True)
         overlay.refresh_all()
         overlay.refresh_all()
-        clean = set(overlay._refresh_clean)
-        assert len(clean) > 0.2 * len(overlay.online_servers())
+        depth = min(overlay._expected_depth() + 4, KEY_BITS)
+        underfull = certified = 0
+        for node in overlay.online_servers():
+            for bucket_idx in range(depth):
+                if len(node.routing_table.bucket(bucket_idx)) < overlay.k:
+                    underfull += 1
+                    certified += node.certified_buckets >> bucket_idx & 1
+        assert certified > 0.8 * underfull
+        before = self._certificates(overlay)
         overlay.refresh_all()
-        assert overlay._refresh_clean >= clean
+        for node, mask in self._certificates(overlay).items():
+            assert mask & before[node] == before[node]
 
-    def test_churn_dirties_affected_nodes(self):
+    def test_join_voids_only_covering_certificates(self):
+        overlay = self._build(35, skip_enabled=True)
+        returning = overlay.online_servers()[::9]
+        for node in returning:
+            overlay.take_offline(node)
+        overlay.refresh_all()
+        overlay.refresh_all()
+        voided = unstored = 0
+        for joiner in returning:
+            before = self._certificates(overlay)
+            overlay.bring_online(joiner)
+            key = joiner.peer.dht_key
+            for node, mask in before.items():
+                for bucket_idx in range(KEY_BITS):
+                    if not mask >> bucket_idx & 1:
+                        continue
+                    covers = self._subtree_holds(node, bucket_idx, key)
+                    assert (node.certified_buckets >> bucket_idx & 1) != covers
+                    voided += covers
+                    # The join's own insertions did not reach this bucket:
+                    # only the registration voided it.
+                    unstored += covers and key not in node.routing_table.bucket(bucket_idx)
+            assert not joiner.certified_buckets
+        assert voided and unstored
+
+    def test_departure_keeps_certificates(self):
         overlay = self._build(35, skip_enabled=True)
         overlay.refresh_all()
         overlay.refresh_all()
@@ -379,12 +423,33 @@ class TestRefreshSkip:
         holders = [
             n
             for n in overlay.online_servers()
-            if n is not victim
-            and n.routing_table is not None
-            and victim.peer.dht_key in n.routing_table
-            and n in overlay._refresh_clean
+            if n is not victim and victim.peer.dht_key in n.routing_table
         ]
         assert holders
+        stale = {holder: holder.stale_entries for holder in holders}
+        before = self._certificates(overlay)
         overlay.take_offline(victim)
+        del before[victim]
+        assert self._certificates(overlay) == before
+        assert any(before[holder] for holder in holders)
         for holder in holders:
-            assert holder not in overlay._refresh_clean
+            assert holder.stale_entries == stale[holder] + 1
+        assert victim.certified_buckets == 0 and victim.stale_entries == 0
+
+    def test_store_voids_certificate(self):
+        """A key stored into a certified bucket (here one no online server
+        holds) voids exactly that bucket's certificate."""
+        overlay = self._build(37, skip_enabled=True)
+        overlay.refresh_all()
+        overlay.refresh_all()
+        holder = next(n for n in overlay.online_servers() if n.certified_buckets)
+        mask = holder.certified_buckets
+        bucket_idx = (mask & -mask).bit_length() - 1
+        shift = KEY_BITS - bucket_idx - 1
+        own = holder.routing_table.owner_key
+        key = (((own >> shift) ^ 1) << shift) | 1
+        assert key not in overlay._online_servers
+        stale = holder.stale_entries
+        assert overlay._try_table_insert(holder, key)
+        assert holder.certified_buckets == mask & ~(1 << bucket_idx)
+        assert holder.stale_entries == stale + 1

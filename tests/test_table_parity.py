@@ -5,11 +5,11 @@ tables holding :class:`PeerID` objects, holder book-keeping keyed by peer
 ID, and the overlay maintenance paths on top of them (bucket fill on
 join, join-time insertion into neighbours' tables, eviction, aggressive
 self-insertion, refresh and departure).  ``ParentOverlay`` swaps exactly
-those paths into a live :class:`Overlay`; everything else (registration,
-refresh-skip book-keeping, churn drivers) is shared.  Driven from the
-same seed, both overlays must agree on every bucket in order, on the
-in-degrees, on the refresh-skip state, on the shared RNG stream and on
-what a crawl freezes.
+those paths into a live :class:`Overlay` and runs every refresh pass in
+full; everything else (registration, churn drivers) is shared.  Driven
+from the same seed, the live overlay (skipping certified buckets and
+clean tables) and the oracle must agree on every bucket in order, on the
+in-degrees, on the shared RNG stream and on what a crawl freezes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -167,7 +167,12 @@ def _sample_range_info(oracle, prefix, prefix_len, count, rng):
 
 
 class ParentOverlay(Overlay):
-    """An overlay whose tables, holders and maintenance run on peer IDs."""
+    """An overlay whose tables, holders and maintenance run on peer IDs,
+    refreshing every table in full."""
+
+    def __init__(self, world) -> None:
+        super().__init__(world)
+        self.refresh_skip_enabled = False
 
     def take_offline(self, node: Node) -> None:
         if not node.online:
@@ -179,10 +184,6 @@ class ParentOverlay(Overlay):
                 self._unregister_server(node)
             else:
                 self._online_clients.pop(node.peer, None)
-            holders = self._holders.get(node.peer)
-            if holders:
-                for holder in list(holders):
-                    self._mark_refresh_dirty(holder)
         node.relay = None
         if node.routing_table is not None:
             for peer in node.routing_table.peers():
@@ -190,7 +191,6 @@ class ParentOverlay(Overlay):
                 if holders is not None:
                     holders.discard(node)
             node.routing_table = None
-        self._mark_refresh_dirty(node)
         obs.inc("netsim.sessions_ended")
 
     def _fill_routing_table(self, node: Node) -> None:
@@ -241,15 +241,11 @@ class ParentOverlay(Overlay):
                 oldest not in self.online_by_peer or self.rng.random() < force_prob
             ):
                 table.remove(oldest)
-                self._mark_refresh_dirty(holder)
                 holders = self._holders.get(oldest)
                 if holders is not None:
                     holders.discard(holder)
-        newly_stored = peer not in table
         if table.add(peer):
             self._holders.setdefault(peer, set()).add(holder)
-            if newly_stored:
-                self._mark_refresh_dirty(holder)
             return True
         return False
 
@@ -268,21 +264,17 @@ class ParentOverlay(Overlay):
     def refresh_node(self, node: Node) -> None:
         if not node.online or node.routing_table is None:
             return
-        self._mark_refresh_dirty(node)
         table = node.routing_table
         online = self.online_by_peer
         rng = self.rng
-        clean = True
         for peer in table.peers():
             if peer not in online:
-                clean = False
                 if rng.random() < self.stale_detect_prob:
                     table.remove(peer)
                     holders = self._holders.get(peer)
                     if holders is not None:
                         holders.discard(node)
         own = node.peer.dht_key
-        watches: List[Tuple[int, int]] = []
         depth = min(self._expected_depth() + 4, KEY_BITS)
         for bucket_idx in range(depth):
             bucket = table.bucket(bucket_idx)
@@ -291,22 +283,12 @@ class ParentOverlay(Overlay):
                 continue
             shift = KEY_BITS - bucket_idx - 1
             prefix_base = (((own >> shift) ^ 1) << shift)
-            peers, consumed_rng = _sample_range_info(
+            peers, _ = _sample_range_info(
                 self.oracle, prefix_base, bucket_idx + 1, missing * 2, rng
             )
-            if consumed_rng:
-                clean = False
             for peer in peers:
                 if peer != node.peer and peer not in bucket and table.add(peer):
                     self._holders.setdefault(peer, set()).add(node)
-                    clean = False
-            if len(bucket) < self.k:
-                watches.append((bucket_idx + 1, prefix_base))
-        if clean and self.refresh_skip_enabled:
-            self._refresh_clean.add(node)
-            self._node_watches[node] = watches
-            for prefix_len, base in watches:
-                self._watch_index.setdefault(prefix_len, {}).setdefault(base, set()).add(node)
 
     def in_degrees(self) -> Dict[PeerID, int]:
         counts: Dict[PeerID, int] = {}
@@ -401,10 +383,6 @@ def _buckets(table, key_of) -> List[Tuple[int, List[int]]]:
             for index in table.nonempty_buckets()]
 
 
-def _nodes(nodes) -> Set[int]:
-    return {node.spec.index for node in nodes}
-
-
 def fingerprint(overlay: Overlay, crawl_id: int) -> dict:
     """Everything the table code decides, with peer IDs mapped to keys."""
     parent = isinstance(overlay, ParentOverlay)
@@ -418,20 +396,16 @@ def fingerprint(overlay: Overlay, crawl_id: int) -> dict:
     return {
         "tables": tables,
         "in_degrees": overlay.in_degrees(),
-        "refresh_clean": _nodes(overlay._refresh_clean),
-        "watch_index": {
-            prefix_len: {base: _nodes(watchers) for base, watchers in by_base.items()}
-            for prefix_len, by_base in overlay._watch_index.items()
-        },
         "rng": overlay.rng.getstate(),
         "task": freeze(overlay, crawl_id, seed=crawl_id),
     }
 
 
-def drive(overlay_cls, seed: int) -> List[dict]:
+def drive(overlay_cls, seed: int, probe: Callable[[Overlay], None] = lambda overlay: None) -> List[dict]:
     """Bootstrap, then a day and a half of churn, presence advertising,
     daily address rotation and 6-hourly refreshes, with a late injected
-    node that leaves and rejoins; fingerprint at each checkpoint."""
+    node that leaves and rejoins; fingerprint (and ``probe``) the overlay
+    at each checkpoint."""
     world = build_world(WorldProfile(online_servers=SERVERS, seed=seed))
     overlay = overlay_cls(world)
     overlay.bootstrap()
@@ -444,12 +418,18 @@ def drive(overlay_cls, seed: int) -> List[dict]:
     scheduler.schedule_in(7 * SECONDS_PER_HOUR, lambda: injected.append(_inject(overlay, seed)))
     scheduler.schedule_in(20 * SECONDS_PER_HOUR, lambda: overlay.take_offline(injected[0]))
     scheduler.schedule_in(29 * SECONDS_PER_HOUR, lambda: overlay.bring_online(injected[0]))
-    fingerprints = [fingerprint(overlay, 0)]
+    fingerprints = []
+
+    def checkpoint(crawl_id: int) -> None:
+        probe(overlay)
+        fingerprints.append(fingerprint(overlay, crawl_id))
+
+    checkpoint(0)
     for crawl_id, hours in enumerate((5, 13, 25, 36), start=1):
         scheduler.run_until(hours * SECONDS_PER_HOUR)
-        fingerprints.append(fingerprint(overlay, crawl_id))
+        checkpoint(crawl_id)
         overlay.refresh_all()
-        fingerprints.append(fingerprint(overlay, crawl_id))
+        checkpoint(crawl_id)
     return fingerprints
 
 
@@ -468,10 +448,18 @@ class TestTableParity:
 
     def test_scenario_reaches_stale_clean_and_injected_states(self):
         """The driven scenario reaches the states the parity test pins:
-        stale entries, certified-clean nodes with watches, and the
-        injected identity stored in other nodes' tables."""
+        stale entries, clean tables, certified buckets, and
+        the injected identity stored in other nodes' tables."""
         seed = 5
-        fingerprints = drive(Overlay, seed)
+        clean_tables: List[int] = []
+        certificates: List[int] = []
+
+        def probe(overlay: Overlay) -> None:
+            servers = overlay.online_servers()
+            clean_tables.append(sum(not node.stale_entries for node in servers))
+            certificates.append(sum(node.certified_buckets.bit_count() for node in servers))
+
+        fingerprints = drive(Overlay, seed, probe)
         injected_key = PeerID.generate(random.Random(seed)).dht_key
 
         def stale(fp) -> int:
@@ -482,8 +470,7 @@ class TestTableParity:
             )
 
         assert any(stale(fp) for fp in fingerprints)
-        assert any(fp["refresh_clean"] for fp in fingerprints)
-        assert any(fp["watch_index"] for fp in fingerprints)
+        assert any(clean_tables) and any(certificates)
         assert any(
             injected_key in entries
             for fp in fingerprints
