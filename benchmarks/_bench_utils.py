@@ -14,10 +14,12 @@ portable between a laptop and a CI runner.
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 def show(title: str, rows) -> None:
@@ -101,6 +103,36 @@ class BenchReport:
             json.dump(self.payload(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"\nwrote {path}")
+
+
+def add_report_options(parser: argparse.ArgumentParser, default_out: str) -> None:
+    """The ``--out`` / ``--check`` pair every regression harness takes."""
+    parser.add_argument(
+        "--out",
+        help=f"where to write the machine-readable report (default {default_out}; "
+        "a --check run writes one only when --out is given)",
+    )
+    parser.add_argument(
+        "--check",
+        metavar="BASELINE_JSON",
+        help="compare against a committed baseline; exit 1 on gross regression",
+    )
+
+
+def report_path(
+    parser: argparse.ArgumentParser, options: argparse.Namespace, default_out: str
+) -> Optional[str]:
+    """Where this run writes its report, if anywhere.
+
+    A ``--check`` run never writes the baseline it reads: without
+    ``--out`` it writes no report, and an ``--out`` naming the
+    ``--check`` file exits 2 (``parser.error``) before anything is timed.
+    """
+    if options.check is None:
+        return default_out if options.out is None else options.out
+    if options.out and os.path.realpath(options.out) == os.path.realpath(options.check):
+        parser.error(f"--out {options.out} would overwrite the --check baseline it reads")
+    return options.out
 
 
 def compare_to_baseline(

@@ -38,7 +38,13 @@ if __package__ in (None, ""):
         if entry not in sys.path:
             sys.path.insert(0, entry)
 
-from _bench_utils import BenchReport, best_of, compare_to_baseline
+from _bench_utils import (
+    BenchReport,
+    add_report_options,
+    best_of,
+    compare_to_baseline,
+    report_path,
+)
 
 from repro.obs import observer as obs
 from repro.obs.observer import Observer, use_observer
@@ -191,16 +197,7 @@ def run(out_path: Optional[str]) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--out",
-        default="BENCH_obs_stream.json",
-        help="where to write the machine-readable report",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE_JSON",
-        help="compare against a committed baseline; exit 1 on gross regression",
-    )
+    add_report_options(parser, "BENCH_obs_stream.json")
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -214,8 +211,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="max allowed streaming-on/off campaign wall-clock ratio in --check mode",
     )
     options = parser.parse_args(argv)
+    out_path = report_path(parser, options, "BENCH_obs_stream.json")
 
-    current = run(options.out)
+    current = run(out_path)
 
     if options.check:
         with open(options.check) as handle:

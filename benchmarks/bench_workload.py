@@ -41,7 +41,7 @@ if __package__ in (None, ""):
         if entry not in sys.path:
             sys.path.insert(0, entry)
 
-from _bench_utils import BenchReport, compare_to_baseline
+from _bench_utils import BenchReport, add_report_options, compare_to_baseline, report_path
 
 from repro.workload import parse_workload_spec, sample_workload
 
@@ -97,16 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--hours", type=int, default=0,
         help="override simulated hours for every size (0 = per-size default)",
     )
-    parser.add_argument(
-        "--out",
-        default="BENCH_workload.json",
-        help="where to write the machine-readable report ('' to skip)",
-    )
-    parser.add_argument(
-        "--check",
-        metavar="BASELINE_JSON",
-        help="compare against a committed baseline; exit 1 on gross regression",
-    )
+    add_report_options(parser, "BENCH_workload.json")
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -114,13 +105,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="allowed growth factor of normalized cost before failing --check",
     )
     options = parser.parse_args(argv)
+    out_path = report_path(parser, options, "BENCH_workload.json")
 
     default_hours = dict(DEFAULT_PLAN)
     plan = [
         (users, options.hours or default_hours.get(users, 2))
         for users in (int(token) for token in options.sizes.split(",") if token)
     ]
-    current = run(plan, options.out or None)
+    current = run(plan, out_path or None)
 
     if options.check:
         with open(options.check) as handle:

@@ -30,6 +30,8 @@ comes from the same report functions the benchmarks use.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         "/, JSON at /status /metrics /sketches, graceful stop at /stop",
     )
     obs_serve.add_argument(
-        "--addr", default="127.0.0.1:8377", metavar="HOST:PORT",
+        "--addr", dest="live", default="127.0.0.1:8377", metavar="HOST:PORT",
         help="bind address (default 127.0.0.1:8377; host:0 picks a free port)",
     )
     obs_serve.add_argument(
@@ -374,87 +376,67 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ScenarioConfig:
+    """The preset with every setting the command line gives.
+
+    Each output file implies the sink it persists: ``--metrics-out``
+    metrics, ``--trace-out`` tracing and ``--sketches-out`` streaming.
+    """
     if args.preset == "smoke":
         config = ScenarioConfig.smoke()
     elif args.preset == "paper-horizon":
         config = ScenarioConfig.paper_horizon()
     else:
         config = ScenarioConfig()
+
+    def flag(name, default=None):
+        # Each command defines only the flags it takes.
+        return getattr(args, name, default)
+
+    overrides = {}
+    profile = config.profile
     if args.servers:
-        config = config.scaled(args.servers)
-    if args.days:
-        import dataclasses
-
-        config = dataclasses.replace(config, days=args.days)
+        profile = profile.scaled(args.servers)
     if args.seed is not None:
-        import dataclasses
-
-        config = dataclasses.replace(
-            config,
-            seed=args.seed,
-            profile=dataclasses.replace(config.profile, seed=args.seed),
-        )
-    if getattr(args, "storage", "memory") not in (None, "memory"):
-        import dataclasses
-
-        config = dataclasses.replace(config, storage=args.storage)
-    if getattr(args, "workers", 1) > 1:
-        import dataclasses
-
-        config = dataclasses.replace(config, workers=args.workers)
-    if getattr(args, "metrics", False) or getattr(args, "metrics_out", None):
-        import dataclasses
-
-        config = dataclasses.replace(config, metrics=True)
-    if getattr(args, "trace", False) or getattr(args, "trace_out", None):
-        import dataclasses
-
-        config = dataclasses.replace(
-            config,
-            trace=getattr(args, "trace", False),
-            trace_sample=max(1, getattr(args, "trace_sample", 1)),
-            trace_out=getattr(args, "trace_out", None),
-        )
-    if getattr(args, "progress", False):
-        import dataclasses
-
-        config = dataclasses.replace(config, progress=True)
-    if (
-        getattr(args, "stream", False)
-        or getattr(args, "sketches_out", None)
-        or getattr(args, "live", None)
-    ):
-        import dataclasses
-
-        config = dataclasses.replace(
-            config,
-            stream=getattr(args, "stream", False),
-            sketches_out=getattr(args, "sketches_out", None),
-            live=getattr(args, "live", None),
-        )
-    if getattr(args, "workload", "closed") not in (None, "closed"):
-        import dataclasses
-
+        profile = dataclasses.replace(profile, seed=args.seed)
+        overrides["seed"] = args.seed
+    overrides["profile"] = profile
+    if args.days:
+        overrides["days"] = args.days
+    if flag("storage", "memory") not in (None, "memory"):
+        overrides["storage"] = args.storage
+    if flag("workers", 1) > 1:
+        overrides["workers"] = args.workers
+    if flag("metrics") or flag("metrics_out"):
+        overrides["metrics"] = True
+    if flag("trace") or flag("trace_out"):
+        overrides["trace"] = True
+        overrides["trace_sample"] = max(1, flag("trace_sample", 1))
+    if flag("progress"):
+        overrides["progress"] = True
+    if flag("stream") or flag("sketches_out"):
+        overrides["stream"] = True
+    if flag("live"):
+        overrides["live"] = args.live
+    if flag("workload", "closed") not in (None, "closed"):
         from repro.workload import parse_workload_spec
 
         # Parse now so a malformed spec fails before the world is built.
-        spec = parse_workload_spec(args.workload)
-        config = dataclasses.replace(config, workload_spec=spec.to_string())
-    if getattr(args, "attack", None):
-        import dataclasses
-
+        overrides["workload_spec"] = parse_workload_spec(args.workload).to_string()
+    if flag("attack"):
         from repro.attack import parse_attack_spec
 
-        config = dataclasses.replace(
-            config, attacks=tuple(parse_attack_spec(spec) for spec in args.attack)
-        )
-    if getattr(args, "detect", False) or getattr(args, "detect_window", None):
-        import dataclasses
+        overrides["attacks"] = tuple(parse_attack_spec(spec) for spec in args.attack)
+    if flag("detect") or flag("detect_window"):
+        overrides["detect"] = True
+        if flag("detect_window"):
+            overrides["detect_window"] = args.detect_window
+    return dataclasses.replace(config, **overrides)
 
-        config = dataclasses.replace(config, detect=True)
-        if getattr(args, "detect_window", None):
-            config = dataclasses.replace(config, detect_window=args.detect_window)
-    return config
+
+def _write_sketches(snapshot, path: str) -> None:
+    destination = Path(path)
+    destination.parent.mkdir(parents=True, exist_ok=True)
+    destination.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
 
 def _print_report(name: str, payload) -> None:
@@ -509,6 +491,7 @@ def _run_campaign_command(args) -> int:
 
         print("\n## detection")
         print(render_scorecard(result.detection))
+    # The campaign only collects; its observability files are written here.
     if result.metrics is not None:
         from repro.obs import render_report, write_metrics
 
@@ -518,8 +501,11 @@ def _run_campaign_command(args) -> int:
         print("\n## metrics")
         print(render_report(result.metrics))
     if result.trace is not None:
-        if result.trace_path:
-            print(f"\ntrace: {len(result.trace)} records -> {result.trace_path}")
+        if args.trace_out:
+            from repro.obs import write_trace
+
+            write_trace(result.trace, args.trace_out)
+            print(f"\ntrace: {len(result.trace)} records -> {args.trace_out}")
         else:
             print(f"\ntrace: {len(result.trace)} records (use --trace-out to persist)")
     if result.sketches is not None:
@@ -527,8 +513,9 @@ def _run_campaign_command(args) -> int:
 
         if result.stopped_early:
             print("\ncampaign stopped early via /stop", file=sys.stderr)
-        if result.sketches_path:
-            print(f"\nsketches -> {result.sketches_path}")
+        if args.sketches_out:
+            _write_sketches(result.sketches, args.sketches_out)
+            print(f"\nsketches -> {args.sketches_out}")
         print("\n## streaming sketches")
         print(render_stream_report(result.sketches))
     return 0
@@ -573,8 +560,6 @@ def _run_sweep_command(args) -> int:
     for error in outcome.errors:
         print(f"error: {error}", file=sys.stderr)
     if args.json:
-        import json
-
         with open(args.json, "w") as handle:
             json.dump(outcome.summaries, handle, default=str, indent=2)
         print(f"summaries written to {args.json}")
@@ -639,12 +624,10 @@ def _run_obs_command(args) -> int:
 
         report = audit_trace(read_trace(args.path))
         if args.format == "json":
-            import json
-            from dataclasses import asdict
-
             # ``ok`` is a property, so asdict() alone would drop the one
             # field scripts branch on.
-            print(json.dumps({"ok": report.ok, **asdict(report)}, indent=2, sort_keys=True))
+            payload = {"ok": report.ok, **dataclasses.asdict(report)}
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             print(report.render())
         return 0 if report.ok else 1
@@ -677,8 +660,6 @@ def _render_obs_snapshot(args, snapshot) -> None:
 
     if snapshot.get("schema") == SKETCHES_SCHEMA:
         if args.format == "json":
-            import json
-
             print(json.dumps(snapshot, indent=2, sort_keys=True))
         else:
             print(render_stream_report(snapshot))
@@ -686,8 +667,6 @@ def _render_obs_snapshot(args, snapshot) -> None:
     from repro.obs import render_report
 
     if args.format == "json":
-        import json
-
         print(json.dumps(_top_snapshot(snapshot, args.top), indent=2, sort_keys=True))
     else:
         print(render_report(snapshot, top=args.top))
@@ -722,19 +701,11 @@ def _run_obs_report(args) -> int:
 
 
 def _run_obs_serve(args) -> int:
-    import dataclasses
     import time
 
     from repro.scenario.run import MeasurementCampaign
 
-    config = _config_from_args(args)
-    config = dataclasses.replace(
-        config,
-        live=args.addr,
-        sketches_out=args.sketches_out,
-        stream=True,
-    )
-    campaign = MeasurementCampaign(config)
+    campaign = MeasurementCampaign(_config_from_args(args))
     campaign.build()
     url = campaign.control_server.url
     if args.announce:
@@ -743,6 +714,8 @@ def _run_obs_serve(args) -> int:
         announce.write_text(url + "\n")
     try:
         result = campaign.run()
+        if args.sketches_out:
+            _write_sketches(result.sketches, args.sketches_out)
         if args.hold and not result.stopped_early:
             print("campaign done; holding until /stop ...", file=sys.stderr)
             while not campaign.control_server.publisher.stop_requested:
@@ -752,8 +725,8 @@ def _run_obs_serve(args) -> int:
             f"campaign {state}: {result.sketches['events']:,} monitor events, "
             f"{len(result.crawls)} crawls"
         )
-        if result.sketches_path:
-            print(f"sketches -> {result.sketches_path}")
+        if args.sketches_out:
+            print(f"sketches -> {args.sketches_out}")
         return 0
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
@@ -837,8 +810,6 @@ def _sniff_campaign_logs(directory: Path):
 
 def _run_detect_command(args) -> int:
     if args.detect_command == "attacks":
-        import dataclasses
-
         from repro.attack import ATTACK_TYPES
 
         print("attack scenarios (use with 'repro campaign --attack NAME[:k=v,...]'):")
@@ -897,8 +868,6 @@ def _run_detect_command(args) -> int:
         kwargs["grace"] = args.grace
     card = run_detection(hydra, bitswap, ground_truth=ground_truth, **kwargs)
     if args.format == "json":
-        import json
-
         print(json.dumps(card.to_dict(), indent=2, sort_keys=True))
     else:
         print(card.render())
@@ -925,8 +894,6 @@ def _run_workload_command(args) -> int:
             return 2
         payload = sample_workload(spec, seed=args.seed, hours=args.hours)
     if args.format == "json":
-        import json
-
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"workload {spec.to_string()}")

@@ -258,17 +258,23 @@ class Overlay:
             self._persistent_peer[spec.index] = PeerID.generate(self.rng)
         node.peer = self._persistent_peer[spec.index]
         if rotate_ip or spec.index not in self._persistent_ips:
-            allocator = self.world.allocator
-            ips = []
-            for position in range(spec.num_addrs):
-                block = spec.blocks[position % len(spec.blocks)]
-                try:
-                    ips.append(allocator.next_address(block))
-                except RuntimeError:
-                    ips.append(allocator.random_address(block, self.rng))
-            self._persistent_ips[spec.index] = ips
+            self._lease_addresses(spec)
         node.ips = list(self._persistent_ips[spec.index])
         node.invalidate_addr_cache()
+
+    def _lease_addresses(self, spec: NodeSpec) -> None:
+        """Draw a fresh address per slot of ``spec`` (its blocks in
+        turn; a random one once a block is exhausted) and keep them as
+        its persistent addresses."""
+        allocator = self.world.allocator
+        ips = []
+        for position in range(spec.num_addrs):
+            block = spec.blocks[position % len(spec.blocks)]
+            try:
+                ips.append(allocator.next_address(block))
+            except RuntimeError:
+                ips.append(allocator.random_address(block, self.rng))
+        self._persistent_ips[spec.index] = ips
 
     def _register_server(self, node: Node) -> None:
         """Index an online DHT server (registration order) and join the
@@ -340,17 +346,8 @@ class Overlay:
         stays online with the same peer ID."""
         if not node.online or node.peer is None:
             return
-        allocator = self.world.allocator
-        spec = node.spec
-        ips = []
-        for position in range(spec.num_addrs):
-            block = spec.blocks[position % len(spec.blocks)]
-            try:
-                ips.append(allocator.next_address(block))
-            except RuntimeError:
-                ips.append(allocator.random_address(block, self.rng))
-        self._persistent_ips[spec.index] = ips
-        node.ips = list(ips)
+        self._lease_addresses(node.spec)
+        node.ips = list(self._persistent_ips[node.spec.index])
         node.invalidate_addr_cache()
         self._last_infos[node.peer] = node.peer_info()
 

@@ -42,8 +42,8 @@ collects into private sinks (:func:`repro.core.crawler.collect_crawl`)
 and :meth:`Observer.merge` folds them in crawl order, so
 :func:`deterministic_view`, :func:`deterministic_trace_view` and
 :func:`deterministic_sketches_view` are bit-identical at any worker
-count.  :class:`ProgressReporter` renders the ``--progress`` heartbeat
-from the same observer.
+count.  :class:`Heartbeat` carries the campaign status to the ``--progress``
+line (:class:`ProgressReporter`) and the live control plane.
 """
 
 from repro.obs.export import (
@@ -101,7 +101,7 @@ from repro.obs.observer import (
 )
 from repro.obs.audit import AuditReport, audit_trace
 from repro.obs.perfetto import chrome_trace, write_chrome_trace
-from repro.obs.progress import ProgressReporter
+from repro.obs.progress import Heartbeat, ProgressReporter
 from repro.obs.serve import ControlServer, StreamPublisher
 
 __all__ = [
@@ -112,6 +112,7 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "DEFAULT_WINDOW_SECONDS",
     "Gauge",
+    "Heartbeat",
     "Histogram",
     "MetricsRegistry",
     "NONDETERMINISTIC_COUNTERS",

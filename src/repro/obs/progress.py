@@ -1,11 +1,17 @@
-"""Live campaign progress: a single-line heartbeat on stderr.
+"""Live campaign progress: one status, one wall-clock throttle, two readers.
 
 Paper-scale campaigns run for hours with no output until the figures
-land.  :class:`ProgressReporter` gives the operator a pulse without
-touching determinism: it writes a one-line, carriage-return-overwritten
-status to *stderr* (stdout stays clean for piped results), throttled on
-the wall clock so the tick loop pays one ``time.monotonic()`` call per
-update in the common (suppressed) case::
+land.  A :class:`Heartbeat` holds the campaign's status — ``state``,
+``phase`` and ``(done, total)`` pairs for ``day``, ``tick`` and
+``crawls`` — and hands it to its readers at most once per ``interval``
+wall-clock seconds, so the tick loop pays one ``time.monotonic()`` call
+per beat in the common (suppressed) case.  A phase change beats with
+``force``: every reader sees it, and it does not delay the next regular
+beat.
+
+:class:`ProgressReporter` is the ``--progress`` reader: a one-line,
+carriage-return-overwritten status on *stderr* (stdout stays clean for
+piped results)::
 
     [simulate] day 3/8 · tick 98/288 · crawl 29/81 | 12,410 ev/s · buf 37% · eta 1m42s
 
@@ -16,21 +22,25 @@ stream headline fields (running cloud share and top provider)::
 
     [simulate] day 3/8 · tick 98/288 | 61,021 ev · cloud 62% · top aws · eta 1m42s
 
-With both off the heartbeat shows phase and progress only.  Nothing
-here feeds back into the simulation — the stream is only *read* — no
-RNG draws, no sim-clock reads — so ``--progress`` never perturbs
-outputs.
+With both off the line shows phase and progress only.  The live control
+plane (``--live``, :mod:`repro.obs.serve`) is the other reader: the
+campaign publishes the same status on ``/status``.  Nothing here feeds
+back into the simulation — the sinks are only *read* — no RNG draws, no
+sim-clock reads — so a heartbeat never perturbs outputs.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.obs.observer import NULL_OBSERVER, Observer
 
-__all__ = ["ProgressReporter", "format_duration"]
+__all__ = ["Heartbeat", "ProgressReporter", "format_duration"]
+
+#: A heartbeat reader: called with the status and the wall-clock time.
+Reader = Callable[[Dict[str, object], float], None]
 
 
 def format_duration(seconds: float) -> str:
@@ -43,27 +53,57 @@ def format_duration(seconds: float) -> str:
     return f"{seconds}s"
 
 
-class ProgressReporter:
-    """Render campaign progress as one overwritten stderr line.
+class Heartbeat:
+    """The campaign status and the one throttle its readers share.
 
-    ``observer`` supplies the tracer and streaming sinks the line reads
-    (see module docs); ``interval`` is the minimum wall-clock gap between
-    renders; ``clock`` and ``stream`` are injectable for tests.
+    ``interval`` is the minimum wall-clock gap between regular beats;
+    ``clock`` is injectable for tests.
     """
 
     def __init__(
         self,
-        stream=None,
-        interval: float = 0.5,
-        clock=time.monotonic,
-        observer: Observer = NULL_OBSERVER,
+        readers: Iterable[Reader] = (),
+        interval: float = 1.0,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self._observer = observer
-        self._stream = stream if stream is not None else sys.stderr
+        self.readers = list(readers)
+        self.status: Dict[str, object] = {
+            "state": "running",
+            "phase": None,
+            "day": None,
+            "tick": None,
+            "crawls": None,
+        }
         self._interval = interval
         self._clock = clock
+        self._last: Optional[float] = None
+
+    def beat(self, force: bool = False, **changes: object) -> None:
+        """Update the status, then hand it to every reader unless a
+        regular beat ran less than ``interval`` seconds ago."""
+        self.status.update(changes)
+        if not self.readers:
+            return
+        now = self._clock()
+        if not force:
+            if self._last is not None and now - self._last < self._interval:
+                return
+            self._last = now
+        for reader in self.readers:
+            reader(self.status, now)
+
+
+class ProgressReporter:
+    """Render the heartbeat status as one overwritten stderr line.
+
+    ``observer`` supplies the tracer and streaming sinks the line reads
+    (see module docs); ``stream`` is injectable for tests.
+    """
+
+    def __init__(self, stream=None, observer: Observer = NULL_OBSERVER) -> None:
+        self._observer = observer
+        self._stream = stream if stream is not None else sys.stderr
         self._started: Optional[float] = None
-        self._last_render: Optional[float] = None
         self._last_emitted = 0
         self._last_emitted_at: Optional[float] = None
         self._rate: Optional[float] = None
@@ -117,41 +157,24 @@ class ProgressReporter:
 
     # -- public API --------------------------------------------------------
 
-    def update(
-        self,
-        phase: str,
-        step: int,
-        total: int,
-        day: Optional[Tuple[int, int]] = None,
-        crawls: Optional[Tuple[int, int]] = None,
-        force: bool = False,
-    ) -> None:
-        """Report progress; renders at most once per ``interval`` seconds.
+    def __call__(self, status: Dict[str, object], now: float) -> None:
+        """Render ``status`` (a :class:`Heartbeat` reader).
 
-        ``step``/``total`` drive the ETA (elapsed time scaled by the
-        remaining fraction); ``day`` and ``crawls`` are optional
-        ``(current, total)`` pairs for the phase-specific detail.  With
-        streaming enabled the stream's headline fields (event count,
-        running cloud share, top provider) are appended.
+        The tick pair drives the ETA (elapsed time scaled by the
+        remaining fraction).  With streaming enabled the stream's
+        headline fields (event count, running cloud share, top provider)
+        are appended.
         """
-        now = self._clock()
         if self._started is None:
             self._started = now
-        if (
-            not force
-            and self._last_render is not None
-            and now - self._last_render < self._interval
-        ):
-            return
-        self._last_render = now
-        parts = [f"[{phase}]"]
-        if day is not None:
-            parts.append(f"day {day[0]}/{day[1]}")
-        parts.append(f"tick {step}/{total}")
-        if crawls is not None:
-            parts.append(f"crawl {crawls[0]}/{crawls[1]}")
-        detail = " · ".join(parts[1:])
-        line = f"{parts[0]} {detail}" if detail else parts[0]
+        line = f"[{status['phase']}]"
+        fields = [
+            f"{label} {pair[0]}/{pair[1]}"
+            for label, key in (("day", "day"), ("tick", "tick"), ("crawl", "crawls"))
+            if (pair := status[key]) is not None
+        ]
+        if fields:
+            line = f"{line} {' · '.join(fields)}"
         tracer = self._observer.tracer
         rate = self._events_per_second(tracer, now)
         extras = []
@@ -160,6 +183,7 @@ class ProgressReporter:
             if tracer.capacity:
                 extras.append(f"buf {len(tracer) / tracer.capacity:3.0%}")
         extras.extend(self._stream_extras(self._observer.stream))
+        step, total = status["tick"] or (0, 0)
         if step and total > step:
             eta = (now - self._started) * (total - step) / step
             extras.append(f"eta {format_duration(eta)}")

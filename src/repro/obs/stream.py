@@ -28,8 +28,10 @@ The monitors reach the engine through the ``observe_hydra`` /
 observer without an engine holds :data:`NULL_STREAM`, whose operations
 are bare no-op calls — streaming-off campaigns stay bit-identical and
 inside the perf gate.  Campaigns build a real engine when
-:attr:`ScenarioConfig.stream` (or ``--sketches-out`` / ``--live``) asks
-for one.
+:attr:`ScenarioConfig.stream` or ``live`` asks for one (``--stream``,
+``--sketches-out`` or ``--live`` on the command line).  The final
+snapshot lands on ``CampaignResult.sketches``; the caller writes it
+(``repro campaign --sketches-out``).
 
 Only the two quantile blocks are approximate (rank error within the
 declared ``epsilon``); ``tests/test_stream.py`` pins every other number

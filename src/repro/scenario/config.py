@@ -58,6 +58,10 @@ class ScenarioConfig:
     #: logs are written by the campaign process alone, one file per log
     #: at any worker count.
     workers: int = 1
+    # The observability sinks only collect: a campaign writes no file of
+    # its own.  Its caller persists ``CampaignResult.metrics``, ``trace``
+    # and ``sketches`` (``repro campaign --metrics-out/--trace-out/
+    # --sketches-out``).
     #: collect observability metrics (see :mod:`repro.obs`) during the
     #: campaign; the snapshot lands in ``CampaignResult.metrics``.  Off by
     #: default: the disabled path is a no-op null registry and campaign
@@ -77,12 +81,9 @@ class ScenarioConfig:
     #: events are evicted (and counted, so ``repro obs audit`` knows the
     #: stream is incomplete).
     trace_buffer: int = 65536
-    #: optional path the merged trace records are written to at the end
-    #: of the run (``.trace``/``.jsonl`` → JSONL, ``.sqlite`` → SQLite);
-    #: the path lands in ``CampaignResult.trace_path``.  Implies ``trace``.
-    trace_out: Optional[str] = None
-    #: render a live single-line progress heartbeat to stderr (wall-clock
-    #: throttled; never feeds back into the simulation).
+    #: render the campaign heartbeat as a single stderr line (wall-clock
+    #: throttled; never feeds back into the simulation; see
+    #: :mod:`repro.obs.progress`).
     progress: bool = False
     #: maintain streaming analytics (see :mod:`repro.obs.stream`) over
     #: the monitor event stream: live headline shares, top peers/IPs/CIDs
@@ -93,15 +94,11 @@ class ScenarioConfig:
     #: lands in ``CampaignResult.sketches``.  Its per-peer request-rate
     #: windows are one campaign tick long (21,600 s at 4 ticks/day).
     stream: bool = False
-    #: optional path the final sketch snapshot JSON is written to; the
-    #: path lands in ``CampaignResult.sketches_path``.  Implies
-    #: ``stream``.
-    sketches_out: Optional[str] = None
     #: optional ``host:port`` to serve the live control plane on (see
-    #: :mod:`repro.obs.serve`): ``/status``, ``/metrics``, ``/sketches``,
-    #: ``/stop`` and a single-page dashboard.  ``"127.0.0.1:0"`` picks a
-    #: free port; the bound URL lands in ``CampaignResult.live_url``.
-    #: Implies ``stream``.
+    #: :mod:`repro.obs.serve`): ``/status`` (the heartbeat), ``/metrics``,
+    #: ``/sketches``, ``/stop`` and a single-page dashboard.
+    #: ``"127.0.0.1:0"`` picks a free port; the bound URL lands in
+    #: ``CampaignResult.live_url``.  Implies ``stream``.
     live: Optional[str] = None
     #: adversarial scenarios to inject (see :mod:`repro.attack`).  Empty
     #: by default: with no attacks the campaign allocates no attack
@@ -124,8 +121,8 @@ class ScenarioConfig:
 
     @property
     def stream_enabled(self) -> bool:
-        """Streaming analytics are on (directly or implied by an output)."""
-        return self.stream or self.sketches_out is not None or self.live is not None
+        """Streaming analytics are on (directly or implied by ``live``)."""
+        return self.stream or self.live is not None
 
     def scaled(self, online_servers: int) -> "ScenarioConfig":
         return replace(self, profile=self.profile.scaled(online_servers))

@@ -9,15 +9,12 @@ object carries every dataset the §4-§7 analyses need.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
-import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Union
 
 from repro.attack.orchestrator import AttackOrchestrator
 from repro.content.catalog import ContentCatalog
@@ -47,10 +44,10 @@ from repro.netsim.node import Node
 from repro.obs import observer as obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer, use_observer
-from repro.obs.progress import ProgressReporter
+from repro.obs.progress import Heartbeat, ProgressReporter
 from repro.obs.serve import ControlServer
 from repro.obs.stream import StreamAnalytics
-from repro.obs.trace import Tracer, write_trace
+from repro.obs.trace import Tracer
 from repro.scenario.config import ScenarioConfig
 from repro.store import campaign_stores
 from repro.world.population import NodeClass, NodeSpec, PopulationBuilder, World
@@ -84,13 +81,10 @@ class CampaignResult:
     #: with ``ScenarioConfig.metrics`` enabled, else ``None``.
     metrics: Optional[Dict[str, object]] = None
     #: merged trace record stream (see :mod:`repro.obs.trace`) when the
-    #: campaign ran with ``ScenarioConfig.trace`` or ``trace_out`` set,
-    #: else ``None``: the campaign tracer's records followed by each crawl
-    #: task's, in crawl order.
+    #: campaign ran with ``ScenarioConfig.trace`` set, else ``None``: the
+    #: campaign tracer's records followed by each crawl task's, in crawl
+    #: order.
     trace: Optional[List[Dict[str, object]]] = None
-    #: where the trace was persisted when ``ScenarioConfig.trace_out``
-    #: was set, else ``None``.
-    trace_path: Optional[str] = None
     #: per-attack effect metrics (see :class:`repro.attack.AttackOrchestrator`)
     #: when the campaign ran with attacks configured, else ``None``.
     attack_summary: Optional[Dict[str, Dict[str, float]]] = None
@@ -101,11 +95,8 @@ class CampaignResult:
     detection: Optional[Dict[str, object]] = None
     #: final streaming-analytics sketch snapshot (see
     #: :mod:`repro.obs.stream`) when the campaign ran with streaming
-    #: enabled (``stream`` / ``sketches_out`` / ``live``), else ``None``.
+    #: enabled (``stream`` / ``live``), else ``None``.
     sketches: Optional[Dict[str, object]] = None
-    #: where the sketch snapshot JSON was written when
-    #: ``ScenarioConfig.sketches_out`` was set, else ``None``.
-    sketches_path: Optional[str] = None
     #: the bound control-plane URL when the campaign served ``--live``.
     live_url: Optional[str] = None
     #: True when a live ``/stop`` request ended the measurement period
@@ -149,21 +140,28 @@ class MeasurementCampaign:
         #: ``config.live`` is set; bound during :meth:`build` so the URL
         #: is known before the run starts.
         self.control_server: Optional[ControlServer] = None
-        self._last_publish: Optional[float] = None
+        #: the ``--progress`` line, when ``config.progress`` is set.
+        self._progress = (
+            ProgressReporter(observer=self.observer) if self.config.progress else None
+        )
+        readers = [] if self._progress is None else [self._progress]
+        if self.config.live is not None:
+            readers.append(self._publish_live)
+        #: the campaign status both readers share (see
+        #: :class:`repro.obs.progress.Heartbeat`).
+        self.heartbeat = Heartbeat(readers)
         self._built = False
 
     def _make_observer(self) -> Observer:
-        """The campaign's sinks; every "implies" rule is decided here.
-
-        ``metrics`` collects metrics, ``trace`` or ``trace_out`` traces,
-        and ``stream``, ``sketches_out`` or ``live`` streams.  Crawl tasks
-        collect into their own private sinks (see
+        """The campaign's sinks: ``metrics`` collects metrics, ``trace``
+        traces and ``stream_enabled`` streams.  Crawl tasks collect into
+        their own private sinks (see
         :func:`repro.core.crawler.collect_crawl`).
         """
         config = self.config
         metrics = MetricsRegistry() if config.metrics else None
         tracer = None
-        if config.trace or config.trace_out:
+        if config.trace:
             tracer = Tracer(
                 origin="main",
                 seed=derive_seed(config.seed, "trace", "main"),
@@ -200,62 +198,50 @@ class MeasurementCampaign:
         return use_observer(self.observer) if self.observer.enabled else nullcontext()
 
     @contextmanager
-    def _phase(self, name: str):
-        """Mark a campaign phase in the trace with paired instant events.
+    def _phase(self, name: str, **status: object):
+        """Run a campaign phase: its metrics span, paired trace instants
+        and a forced heartbeat (with any further ``status`` fields).
 
-        Instants, not spans, on purpose: a root span would make the whole
-        phase one causal tree, and ``trace_sample`` would then mute every
-        lookup inside it wholesale.  With markers, each lookup/crawl/fetch
-        stays its own tree — the granularity the sampler keys on — while
-        the phase boundaries (and the ETA heartbeat) remain visible.
+        Instants, not trace spans, on purpose: a root span would make the
+        whole phase one causal tree, and ``trace_sample`` would then mute
+        every lookup inside it wholesale.  With markers, each
+        lookup/crawl/fetch stays its own tree — the granularity the
+        sampler keys on — while the phase boundaries remain visible.
         """
-        self.observer.trace_event("phase.begin", phase=name)
-        try:
-            yield
-        finally:
-            self.observer.trace_event("phase.end", phase=name)
+        with obs.span(name):
+            self.observer.trace_event("phase.begin", phase=name)
+            self.heartbeat.beat(force=True, phase=name, **status)
+            try:
+                yield
+            finally:
+                self.observer.trace_event("phase.end", phase=name)
 
     # ------------------------------------------------------------------
     # the live control plane
     # ------------------------------------------------------------------
 
-    def _publish_live(
-        self,
-        state: str,
-        phase: str,
-        *,
-        day: Optional[Tuple[int, int]] = None,
-        tick: Optional[Tuple[int, int]] = None,
-        crawls: Optional[Tuple[int, int]] = None,
-        force: bool = False,
-    ) -> None:
-        """Push the current status/sketch snapshots to the control plane.
+    def _publish_live(self, heartbeat: Dict[str, object], now: float) -> None:
+        """Push the heartbeat status and the sketch (and metrics)
+        snapshots to the control plane (a heartbeat reader).
 
-        Wall-clock throttled (≈1 Hz) and strictly read-only against the
-        simulation — the server thread never touches sim state, the
-        campaign thread only *reads* the sketches — so ``--live`` cannot
-        perturb outputs.
+        Strictly read-only against the simulation — the server thread
+        never touches sim state, the campaign thread only *reads* the
+        sketches — so ``--live`` cannot perturb outputs.
         """
         server = self.control_server
         if server is None:
             return
-        now = time.monotonic()
-        if not force and self._last_publish is not None and now - self._last_publish < 1.0:
-            return
-        self._last_publish = now
         stream = self.observer.stream
         status: Dict[str, object] = {
-            "state": state,
-            "phase": phase,
+            "state": heartbeat["state"],
+            "phase": heartbeat["phase"],
             "events": stream.events,
             "runtime": dict(sorted(stream.notes.items())),
         }
-        if day is not None:
-            status["day"] = f"{day[0]}/{day[1]}"
-        if tick is not None:
-            status["tick"] = f"{tick[0]}/{tick[1]}"
-        if crawls is not None:
-            status["crawls"] = f"{crawls[0]}/{crawls[1]}"
+        for key in ("day", "tick", "crawls"):
+            pair = heartbeat[key]
+            if pair is not None:
+                status[key] = f"{pair[0]}/{pair[1]}"
         # Status goes last: a client that has seen a status can then read
         # the snapshots published with it.
         server.publisher.publish("sketches", stream.snapshot())
@@ -285,7 +271,7 @@ class MeasurementCampaign:
     # ------------------------------------------------------------------
 
     def build(self) -> None:
-        with self._observed(), obs.span("campaign"), obs.span("build"), self._phase("build"):
+        with self._observed(), obs.span("campaign"), self._phase("build"):
             self._build()
 
     def _build(self) -> None:
@@ -406,8 +392,8 @@ class MeasurementCampaign:
         return result
 
     def _export(self, result: CampaignResult) -> None:
-        """Hand every sink's output to ``result``, its files and the
-        control plane."""
+        """Hand every sink's output to ``result`` and close the heartbeat
+        with the final status."""
         config = self.config
         observer = self.observer
         if observer.metrics.enabled:
@@ -431,18 +417,15 @@ class MeasurementCampaign:
                 for name, value in driver.headline_shares().items():
                     set_gauge(f"workload.{name}", value)
         result.metrics, result.trace, result.sketches = observer.collected()
-        if config.trace_out:
-            write_trace(result.trace, config.trace_out)
-            result.trace_path = str(config.trace_out)
-        if config.sketches_out:
-            path = Path(config.sketches_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(result.sketches, indent=2, sort_keys=True) + "\n")
-            result.sketches_path = str(path)
         if self.control_server is not None:
             result.live_url = self.control_server.url
-            self._publish_live(
-                "stopped" if result.stopped_early else "done", "done", force=True
+        self.heartbeat.beat(
+            force=True, state="stopped" if result.stopped_early else "done", phase="done"
+        )
+        if self._progress is not None:
+            self._progress.finish(
+                f"campaign done: {len(result.crawls)} crawls, "
+                f"{len(self.hydra.log)} hydra entries"
             )
 
     def _run(self) -> CampaignResult:
@@ -491,12 +474,16 @@ class MeasurementCampaign:
             trace_capacity=config.trace_buffer,
         )
 
-        progress = ProgressReporter(observer=observer) if config.progress else None
         total_ticks = total_days * config.ticks_per_day
         done_ticks = 0
         stopped_early = False
 
-        with obs.span("simulate"), self._phase("simulate"):
+        with self._phase(
+            "simulate",
+            day=(1, total_days),
+            tick=(0, total_ticks),
+            crawls=(0, config.num_crawls),
+        ):
             for day in range(total_days):
                 obs.inc("campaign.days")
                 self.catalog.build_day_index(day)
@@ -534,17 +521,7 @@ class MeasurementCampaign:
                         day * SECONDS_PER_DAY + (tick + 1) * tick_seconds
                     )
                     done_ticks += 1
-                    if progress is not None:
-                        progress.update(
-                            "simulate",
-                            done_ticks,
-                            total_ticks,
-                            day=(day + 1, total_days),
-                            crawls=(crawl_id, config.num_crawls),
-                        )
-                    self._publish_live(
-                        "running",
-                        "simulate",
+                    self.heartbeat.beat(
                         day=(day + 1, total_days),
                         tick=(done_ticks, total_ticks),
                         crawls=(crawl_id, config.num_crawls),
@@ -563,19 +540,7 @@ class MeasurementCampaign:
         if self.attack_orchestrator is not None:
             self.attack_orchestrator.finish()
 
-        if progress is not None:
-            progress.update(
-                "crawl-drain",
-                total_ticks,
-                total_ticks,
-                crawls=(crawl_id, config.num_crawls),
-                force=True,
-            )
-        with obs.span("crawl-drain"), self._phase("crawl-drain"):
-            self._publish_live(
-                "running", "crawl-drain",
-                crawls=(crawl_id, config.num_crawls), force=True,
-            )
+        with self._phase("crawl-drain"):
             crawl_results, exec_errors = crawl_engine.drain()
             crawl_engine.close()
             snapshots = []
@@ -599,17 +564,17 @@ class MeasurementCampaign:
         if not monitor_node.online:
             overlay.bring_online(monitor_node)
         prober = GatewayProber(overlay, self.monitor, monitor_node)
-        with obs.span("gateway-probe"), self._phase("gateway-probe"):
+        with self._phase("gateway-probe"):
             probe_reports = prober.run_campaign(
                 self.services, config.gateway_probes_per_endpoint
             )
         scanner = ActiveScanner(self.dns_world.resolver)
-        with obs.span("dns-scan"), self._phase("dns-scan"):
+        with self._phase("dns-scan"):
             dns_scan = scanner.scan(self.dns_world.scan_input)
         scraper = ENSContenthashScraper(
             ens_world.chain, [resolver.address for resolver in ens_world.resolvers]
         )
-        with obs.span("ens-scrape"), self._phase("ens-scrape"):
+        with self._phase("ens-scrape"):
             ens_scrape = scraper.scrape()
             ens_fetcher = ProviderRecordFetcher(overlay)
             ens_observations = ens_fetcher.fetch_many(ens_scrape.cids())
@@ -628,7 +593,7 @@ class MeasurementCampaign:
         if config.detect:
             from repro.detect import run_detection
 
-            with obs.span("detect"), self._phase("detect"):
+            with self._phase("detect"):
                 scorecard = run_detection(
                     self.hydra.log,
                     self.monitor.log,
@@ -636,12 +601,6 @@ class MeasurementCampaign:
                     window_seconds=config.detect_window,
                 )
             detection = scorecard.to_dict()
-
-        if progress is not None:
-            progress.finish(
-                f"campaign done: {len(crawl_dataset)} crawls, "
-                f"{len(self.hydra.log)} hydra entries"
-            )
 
         return CampaignResult(
             config=config,

@@ -4,7 +4,7 @@ Mirrors the storage backend pattern (``repro.store``): one frozen
 dataclass, one parser, one builder.  A workload is selected with a
 compact spec string —
 
-* ``closed`` (alias ``legacy``) — the calibrated closed-loop model
+* ``closed`` — the calibrated closed-loop model
   behind the golden figures; no driver is built and campaigns stay
   bit-identical to previous releases.
 * ``zipf:key=value,...`` — the open-loop session engine
@@ -172,8 +172,6 @@ def parse_workload_spec(text: str) -> WorkloadSpec:
         raise ValueError("workload spec must be a non-empty string")
     head, _, tail = text.strip().partition(":")
     model = head.strip().lower()
-    if model == "legacy":
-        model = "closed"
     if model == "closed":
         if tail.strip():
             raise ValueError("the closed workload model takes no parameters")

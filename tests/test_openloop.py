@@ -283,7 +283,7 @@ class TestClosedDefaultRegression:
     def test_default_matches_explicit_closed(self):
         default = run_campaign(openloop_config(workload_spec="closed"))
         explicit = run_campaign(
-            openloop_config(workload_spec="legacy")  # alias normalizes to closed
+            openloop_config(workload_spec=" Closed ")  # the parser normalizes it
         )
         assert log_fingerprint(default) == log_fingerprint(explicit)
 

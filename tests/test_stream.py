@@ -30,7 +30,7 @@ from repro.monitors.bitswap_monitor import BitswapMonitor
 from repro.monitors.hydra import HydraBooster
 from repro.obs import deterministic_trace_view, deterministic_view
 from repro.obs.observer import Observer, get_observer, use_observer
-from repro.obs.progress import ProgressReporter
+from repro.obs.progress import Heartbeat, ProgressReporter
 from repro.obs.sketch import QuantileSketch
 from repro.obs.stream import (
     NULL_STREAM,
@@ -81,8 +81,24 @@ class TestConfig:
     def test_stream_enabled_property(self):
         assert not ScenarioConfig().stream_enabled
         assert ScenarioConfig(stream=True).stream_enabled
-        assert ScenarioConfig(sketches_out="out/s.json").stream_enabled
         assert ScenarioConfig(live="127.0.0.1:0").stream_enabled
+
+    def test_sketches_out_alone_streams(self, tmp_path, capsys):
+        """``--sketches-out`` turns streaming on, and the file holds the
+        snapshot a library run of the same seed and config collects,
+        byte for byte."""
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "sketches.json"
+        argv = ["campaign", "--servers", "120", "--days", "1", "--figures"]
+        assert main(argv + ["--sketches-out", str(path)]) == 0
+        assert f"sketches -> {path}" in capsys.readouterr().out
+        config = replace(ScenarioConfig.smoke().scaled(120), days=1, stream=True)
+        sketches = run_campaign(config).sketches
+        assert sketches["schema"] == SKETCHES_SCHEMA and sketches["events"] > 0
+        assert path.read_text() == json.dumps(sketches, indent=2, sort_keys=True) + "\n"
 
 
 class TestNullDispatch:
@@ -106,7 +122,6 @@ class TestNullDispatch:
 
     def test_null_result_has_no_sketches(self, plain_result):
         assert plain_result.sketches is None
-        assert plain_result.sketches_path is None
         assert plain_result.live_url is None
         assert plain_result.stopped_early is False
 
@@ -432,13 +447,8 @@ class TestHeartbeat:
             provider_of=streamed_result.world.cloud_db.lookup,
         )
         out = FakeStream()
-        reporter = ProgressReporter(
-            stream=out,
-            interval=0.0,
-            clock=lambda: 0.0,
-            observer=Observer(stream=analytics),
-        )
-        reporter.update("simulate", 1, 10)
+        reporter = ProgressReporter(stream=out, observer=Observer(stream=analytics))
+        reporter(dict(Heartbeat().status, phase="simulate", tick=(1, 10)), 0.0)
         line = out.lines[-1]
         assert "300 ev" in line
         assert "cloud" in line

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.obs import (
     AuditReport,
+    Heartbeat,
     NULL_TRACER,
     NullTracer,
     Observer,
@@ -400,40 +401,56 @@ class TestProgressReporter:
     def test_throttles_by_wall_clock(self):
         stream = self._FakeStream()
         now = [0.0]
-        reporter = ProgressReporter(stream=stream, interval=1.0, clock=lambda: now[0])
-        reporter.update("simulate", 1, 10)
-        reporter.update("simulate", 2, 10)  # inside the interval: skipped
+        reporter = ProgressReporter(stream=stream)
+        heartbeat = Heartbeat([reporter], interval=1.0, clock=lambda: now[0])
+        heartbeat.beat(phase="simulate", tick=(1, 10))
+        heartbeat.beat(tick=(2, 10))  # inside the interval: skipped
         now[0] = 2.0
-        reporter.update("simulate", 3, 10)
+        heartbeat.beat(tick=(3, 10))
         assert reporter.renders == 2
+        assert "".join(stream.chunks).endswith("[simulate] tick 3/10 | eta 5s")
 
     def test_force_and_finish(self):
         stream = self._FakeStream()
-        reporter = ProgressReporter(stream=stream, interval=3600.0, clock=lambda: 0.0)
-        reporter.update("simulate", 1, 4)
-        reporter.update("crawl-drain", 4, 4, force=True)
+        reporter = ProgressReporter(stream=stream)
+        heartbeat = Heartbeat([reporter], interval=3600.0, clock=lambda: 0.0)
+        heartbeat.beat(phase="simulate", day=(1, 1), tick=(1, 4), crawls=(0, 2))
+        heartbeat.beat(force=True, phase="crawl-drain", tick=(4, 4))
         reporter.finish("done")
         text = "".join(stream.chunks)
-        assert "simulate" in text and "crawl-drain" in text
+        assert "[simulate] day 1/1 · tick 1/4 · crawl 0/2" in text
+        # a forced beat keeps the rest of the status
+        assert "[crawl-drain] day 1/1 · tick 4/4 · crawl 0/2" in text
         # the final message overwrites the heartbeat line (padded) and
         # releases the terminal with a newline
         assert "done" in text and text.endswith("\n")
+
+    def test_forced_beat_does_not_delay_the_next(self):
+        now = [0.0]
+        seen = []
+        heartbeat = Heartbeat(
+            [lambda status, at: seen.append(status["phase"])],
+            interval=1.0,
+            clock=lambda: now[0],
+        )
+        heartbeat.beat(force=True, phase="build")
+        heartbeat.beat(force=True, phase="simulate")
+        heartbeat.beat(tick=(1, 4))  # the first regular beat always runs
+        now[0] = 0.5
+        heartbeat.beat(tick=(2, 4))
+        assert seen == ["build", "simulate", "simulate"]
 
     def test_shows_tracer_occupancy(self):
         stream = self._FakeStream()
         now = [0.0]
         tracer = Tracer(capacity=10)
-        reporter = ProgressReporter(
-            stream=stream,
-            interval=0.5,
-            clock=lambda: now[0],
-            observer=Observer(tracer=tracer),
-        )
+        reporter = ProgressReporter(stream=stream, observer=Observer(tracer=tracer))
+        heartbeat = Heartbeat([reporter], interval=0.5, clock=lambda: now[0])
         for _ in range(5):
             tracer.event("e")
-        reporter.update("simulate", 1, 2)
+        heartbeat.beat(phase="simulate", tick=(1, 2))
         now[0] = 1.0
-        reporter.update("simulate", 2, 2)
+        heartbeat.beat(tick=(2, 2))
         text = "".join(stream.chunks)
         assert "buf 50%" in text
 
@@ -452,6 +469,25 @@ def _traced_config(workers: int) -> ScenarioConfig:
         # is only defined for whole streams (meta dropped == 0)
         trace_buffer=1 << 20,
     )
+
+
+#: a small ``repro campaign`` run that prints no figure.
+CLI_CAMPAIGN = ["campaign", "--servers", "120", "--days", "1", "--figures"]
+
+
+def without_wall(records):
+    """Trace records without their wall-clock stamps, which differ
+    between any two runs."""
+    return [{key: value for key, value in record.items() if key != "wall"} for record in records]
+
+
+@pytest.fixture(scope="module")
+def cli_traced_campaign():
+    """The library run of ``CLI_CAMPAIGN --trace``."""
+    import dataclasses
+
+    config = dataclasses.replace(ScenarioConfig.smoke().scaled(120), days=1, trace=True)
+    return run_campaign(config)
 
 
 @pytest.fixture(scope="module")
@@ -513,32 +549,39 @@ class TestCampaignTracing:
     def test_campaign_does_not_install_global_tracer(self, traced_campaigns):
         assert get_tracer() is NULL_TRACER
 
-    def test_trace_out_writes_file(self, tmp_path):
-        import dataclasses
+    def test_trace_out_writes_file(self, tmp_path, cli_traced_campaign):
+        """The CLI writes the records a library run of the same seed and
+        config collects (wall-clock stamps aside)."""
+        from repro.cli import main
 
-        config = dataclasses.replace(
-            _traced_config(workers=1),
-            days=1,
-            trace_sample=4,
-            trace_out=str(tmp_path / "run.trace"),
-        )
-        result = run_campaign(config)
-        assert result.trace_path == str(tmp_path / "run.trace")
-        records = read_trace(result.trace_path)
-        assert records == result.trace
+        path = tmp_path / "run.trace"
+        assert main(CLI_CAMPAIGN + ["--trace", "--trace-out", str(path)]) == 0
+        records = read_trace(path)
+        assert records
+        assert without_wall(records) == without_wall(cli_traced_campaign.trace)
+
+    def test_trace_out_alone_implies_tracing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "sampled.trace"
+        assert main(CLI_CAMPAIGN + ["--trace-out", str(path), "--trace-sample", "4"]) == 0
+        records = read_trace(path)
+        assert f"trace: {len(records)} records -> {path}" in capsys.readouterr().out
         metas = [record for record in records if record.get("type") == "meta"]
         assert any(meta["muted"] > 0 for meta in metas)  # sampling engaged
 
-    def test_trace_out_alone_implies_tracing(self, tmp_path):
-        import dataclasses
-
-        path = str(tmp_path / "smoke.trace")
-        config = dataclasses.replace(ScenarioConfig.smoke(), trace_out=path)
-        assert not config.trace
-        result = run_campaign(config)
-        assert result.trace
-        assert result.trace_path == path
-        assert read_trace(path) == result.trace
+    def test_phase_markers(self, traced_campaigns):
+        """Every phase opens and closes once, in campaign order."""
+        serial, _ = traced_campaigns
+        markers = [
+            (record["name"], record["attrs"]["phase"])
+            for record in serial.trace
+            if record.get("name") in ("phase.begin", "phase.end")
+        ]
+        phases = ["build", "simulate", "crawl-drain", "gateway-probe", "dns-scan", "ens-scrape"]
+        assert markers == [
+            (marker, phase) for phase in phases for marker in ("phase.begin", "phase.end")
+        ]
 
     def test_trace_sample_parity(self):
         """Sampling keys on (seed, tree index), so workers=1 and

@@ -30,9 +30,6 @@ class TestParser:
         assert spec.model == "closed"
         assert spec.to_string() == "closed"
 
-    def test_legacy_alias(self):
-        assert parse_workload_spec("legacy").model == "closed"
-
     def test_bare_zipf_uses_defaults(self):
         spec = parse_workload_spec("zipf")
         assert spec == WorkloadSpec(model="zipf")
@@ -69,6 +66,7 @@ class TestParser:
         [
             "",
             "poisson",
+            "legacy",
             "closed:users=10",
             "zipf:users",
             "zipf:unknown_key=1",
