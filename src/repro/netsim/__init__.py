@@ -6,9 +6,8 @@
 * :mod:`repro.netsim.node` — a live IPFS node (routing table, provider
   store, address set, DHT request handlers),
 * :mod:`repro.netsim.network` — the overlay: registration, dialing,
-  queries, provider registry,
-* :mod:`repro.netsim.nat` — relay selection and circuit addressing for
-  NAT-ed peers,
+  queries, provider registry, and relay selection and circuit
+  addressing for NAT-ed peers,
 * :mod:`repro.netsim.churn` — session/gap processes, IP rotation and
   peer-ID regeneration,
 * :mod:`repro.netsim.sampling` — the Poisson count sampler shared by the

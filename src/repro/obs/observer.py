@@ -64,12 +64,38 @@ def _ignore_bitswap(timestamp, node, cid, logged) -> None:
     pass
 
 
+def _monitor_hooks(metrics, stream):
+    """The per-monitor-event hooks of an observer whose sinks collect.
+
+    Closures over the sinks, not bound methods stored on the observer: a
+    bound method would point back at it, and every enabled observer (one
+    per crawl task among them) would become cyclic garbage.
+    """
+    inc = metrics.inc
+    stream_hydra = stream.observe_hydra
+    stream_bitswap = stream.observe_bitswap
+
+    def observe_hydra(envelope) -> None:
+        inc("hydra.messages_logged")
+        stream_hydra(envelope)
+
+    def observe_bitswap(timestamp, node, cid, logged) -> None:
+        inc("bitswap.broadcasts_seen")
+        if logged:
+            inc("bitswap.broadcasts_logged")
+            stream_bitswap(cid)
+
+    return observe_hydra, observe_bitswap
+
+
 class Observer:
     """Optional ``metrics``, ``tracer`` and ``stream`` sinks behind one bus.
 
     The hot-path hooks are bound onto the instance at construction, so a
     module-level hook costs one global read plus one call into the sink;
-    the sinks are fixed for the observer's lifetime.
+    the sinks are fixed for the observer's lifetime.  Nothing the
+    observer holds refers back to it, so it is freed by reference
+    counting alone.
     """
 
     def __init__(self, metrics=None, tracer=None, stream=None) -> None:
@@ -89,32 +115,12 @@ class Observer:
         self.note = self.stream.note
         # One call per monitor event, whatever the sinks.
         if self.enabled:
-            self.observe_hydra = self._observe_hydra
-            self.observe_bitswap = self._observe_bitswap
+            self.observe_hydra, self.observe_bitswap = _monitor_hooks(
+                self.metrics, self.stream
+            )
         else:
             self.observe_hydra = _ignore_hydra
             self.observe_bitswap = _ignore_bitswap
-
-    def _observe_hydra(self, envelope) -> None:
-        self.metrics.inc("hydra.messages_logged")
-        self.stream.observe_hydra(envelope)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.event(
-                "hydra.request",
-                mtype=envelope.message_type.value,
-                relayed=envelope.via_relay is not None,
-            )
-
-    def _observe_bitswap(self, timestamp: float, node, cid, logged: bool) -> None:
-        metrics = self.metrics
-        metrics.inc("bitswap.broadcasts_seen")
-        if logged:
-            metrics.inc("bitswap.broadcasts_logged")
-            self.stream.observe_bitswap(cid)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.event("bitswap.request", logged=logged)
 
     def merge(self, outcome) -> None:
         """Fold one task's privately collected sinks in (call in task order).

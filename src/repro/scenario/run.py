@@ -9,6 +9,7 @@ object carries every dataset the §4-§7 analyses need.
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 from contextlib import contextmanager, nullcontext
@@ -126,6 +127,32 @@ def _log_summary(monitor: Union[HydraBooster, BitswapMonitor]) -> LogSummary:
     if monitor.summary.total == len(monitor.log):
         return monitor.summary
     return summarize(monitor.log)
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off.
+
+    A campaign's build and run allocate millions of long-lived objects
+    and no cyclic garbage (``tests/test_gc_pause.py`` holds that), so
+    every automatic pass over them is wasted.  On exit the survivors are
+    moved into the oldest generation (a freeze/unfreeze pair: a few list
+    splices), so the young-generation passes after the block do not walk
+    them, yet they stay collectable.  Objects the caller froze stay
+    frozen: with any, the pair is skipped.  Nests, and decorates
+    (``contextmanager`` objects re-create themselves per call).
+    """
+    enabled = gc.isenabled()
+    caller_froze = gc.get_freeze_count()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if not caller_froze:
+            gc.freeze()
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
 
 
 class MeasurementCampaign:
@@ -270,6 +297,7 @@ class MeasurementCampaign:
     # construction
     # ------------------------------------------------------------------
 
+    @_collector_paused()
     def build(self) -> None:
         with self._observed(), obs.span("campaign"), self._phase("build"):
             self._build()
@@ -383,6 +411,7 @@ class MeasurementCampaign:
     # the measurement period
     # ------------------------------------------------------------------
 
+    @_collector_paused()
     def run(self) -> CampaignResult:
         if not self._built:
             self.build()
