@@ -5,9 +5,11 @@ the reproduction the same property.  Crawl datasets, monitor logs and
 provider observations serialize to line-oriented formats (CSV for the
 tabular crawl rows — the Table 1 shape — and JSONL for the richer
 records) and round-trip back into the analysis-facing types.  Every
-JSONL file is written and read through :func:`repro.store.write_records`
-/ :func:`repro.store.read_records`; this module only encodes and
-decodes the records.  Each reader parses through one
+JSONL file is written through :func:`repro.store.write_records` (monitor
+logs through :func:`repro.store.write_events`, in the rows a
+disk-backed campaign log holds) and read through
+:func:`repro.store.read_records`; this module only encodes and decodes
+the records.  Each reader parses through one
 :class:`~repro.store.IdTable`, so a file's distinct peer ID and CID
 strings are parsed once each.
 """
@@ -26,7 +28,14 @@ from repro.kademlia.messages import MessageEnvelope
 from repro.kademlia.providers import ProviderRecord
 from repro.monitors.bitswap_monitor import BitswapLogEntry
 from repro.monitors.provider_fetcher import ProviderObservation
-from repro.store import BITSWAP_CODEC, HYDRA_CODEC, IdTable, read_records, write_records
+from repro.store import (
+    BITSWAP_CODEC,
+    HYDRA_CODEC,
+    IdTable,
+    read_records,
+    write_events,
+    write_records,
+)
 
 # ---------------------------------------------------------------------------
 # Crawl datasets (CSV rows + JSONL edges)
@@ -126,7 +135,7 @@ def read_crawl_jsonl(path) -> CrawlDataset:
 
 
 def write_hydra_jsonl(log: Iterable[MessageEnvelope], path) -> int:
-    return write_records(map(HYDRA_CODEC.encode, log), path)
+    return write_events(log, HYDRA_CODEC, path)
 
 
 def read_hydra_jsonl(path) -> List[MessageEnvelope]:
@@ -134,7 +143,7 @@ def read_hydra_jsonl(path) -> List[MessageEnvelope]:
 
 
 def write_bitswap_jsonl(log: Iterable[BitswapLogEntry], path) -> int:
-    return write_records(map(BITSWAP_CODEC.encode, log), path)
+    return write_events(log, BITSWAP_CODEC, path)
 
 
 def read_bitswap_jsonl(path) -> List[BitswapLogEntry]:

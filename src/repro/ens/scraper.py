@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.ens.chain import Chain
 from repro.ens.contracts import Contenthash
 from repro.ids.cid import CID
-from repro.ids.encoding import base32_decode
 
 
 @dataclass
@@ -76,14 +75,9 @@ class ENSContenthashScraper:
 
 
 def _decode_cid(text: str) -> Optional[CID]:
-    """Decode a CIDv1 base32 string back into a :class:`CID`."""
-    if not text.startswith("b"):
-        return None
+    """The :class:`CID` a contenthash names, or ``None`` when
+    :meth:`CID.from_base32` rejects the text (e.g. a non-raw codec)."""
     try:
-        binary = base32_decode(text[1:])
+        return CID.from_base32(text)
     except ValueError:
         return None
-    # version (0x01) + codec + 34-byte multihash
-    if len(binary) != 36 or binary[0] != 0x01 or binary[2:4] != b"\x12\x20":
-        return None
-    return CID(binary[4:])

@@ -14,7 +14,7 @@ monitor; the churning fringe less so.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
@@ -74,6 +74,11 @@ class BitswapMonitor:
         #: it covers the whole log only when the store started out empty.
         self.summary: "LogSummary" = LogSummary()
         self._connected_specs: Dict[int, bool] = {}
+        #: CID digest -> (CID, timestamp it was last logged at) for every
+        #: CID logged since :meth:`forget_before` last pruned: the live
+        #: sample's source, so taking it reads nothing back from the log.
+        self._recent: Dict[bytes, Tuple[CID, float]] = {}
+        self._since = float("-inf")
 
     def is_connected(self, node: Node) -> bool:
         """Whether the monitor holds a Bitswap connection to this peer.
@@ -94,6 +99,7 @@ class BitswapMonitor:
             sender, sender_ip = node.peer, node.primary_ip_str
             # All fields given: skip the keyword-capable constructor.
             self.log.append(tuple.__new__(BitswapLogEntry, (timestamp, sender, sender_ip, cid)))
+            self._recent[cid.digest] = (cid, timestamp)
             self.summary.add(None, sender, sender_ip, cid, timestamp)
         obs.observe_bitswap(timestamp, node, cid, logged)
         return logged
@@ -112,15 +118,35 @@ class BitswapMonitor:
         """Distinct CIDs requested in a time window (newest log suffix)."""
         return {entry.cid for entry in self.log.window(start, end)}
 
-    def sampled_cids_in_window(
-        self, start: float, end: float, sample_size: int, rng: Optional[random.Random] = None
+    def forget_before(self, since: float) -> None:
+        """Drop the CIDs last logged before ``since`` from the recent index.
+
+        ``since`` never moves back (the log is time-ordered); an earlier
+        value than the previous call's raises ``ValueError``.
+        """
+        if since < self._since:
+            raise ValueError(f"since moved back: {since} < {self._since}")
+        self._since = since
+        self._recent = {
+            digest: entry for digest, entry in self._recent.items() if entry[1] >= since
+        }
+
+    def sampled_cids_since(
+        self, since: float, sample_size: int, rng: Optional[random.Random] = None
     ) -> List[CID]:
-        """Deduplicated random sample of a window's requested CIDs."""
-        rng = rng or self.rng
-        cids = sorted(self.cids_in_window(start, end), key=lambda cid: cid.digest)
-        if len(cids) <= sample_size:
-            return cids
-        return rng.sample(cids, sample_size)
+        """Deduplicated random sample of the CIDs logged at or after ``since``.
+
+        Read from the recent index after :meth:`forget_before`: the
+        digest-sorted list, or ``rng.sample`` of it, that sampling the
+        log's window ``[since, end)`` gives for any ``end`` past the
+        newest logged timestamp.
+        """
+        self.forget_before(since)
+        recent = self._recent
+        digests = sorted(recent)
+        if len(digests) > sample_size:
+            digests = (rng or self.rng).sample(digests, sample_size)
+        return [recent[digest][0] for digest in digests]
 
     def daily_sampled_cids(
         self, day: int, sample_size: int, rng: Optional[random.Random] = None

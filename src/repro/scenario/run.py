@@ -539,13 +539,15 @@ class MeasurementCampaign:
                     if config.traffic_enabled and day >= fetch_from_day:
                         # The paper fetches each day's sampled CIDs the same
                         # day; fetching per tick keeps the same freshness.
-                        sampled = self.monitor.sampled_cids_in_window(
-                            tick_start,
-                            overlay.now + tick_seconds,
-                            config.daily_cid_sample // config.ticks_per_day,
+                        # Nothing is logged at or after this tick's end yet,
+                        # so the CIDs logged since its start are its window's.
+                        sampled = self.monitor.sampled_cids_since(
+                            tick_start, config.daily_cid_sample // config.ticks_per_day
                         )
                         with obs.span("provider-fetch"):
                             provider_observations.extend(self.fetcher.fetch_many(sampled))
+                    else:
+                        self.monitor.forget_before(tick_start)
                     overlay.scheduler.run_until(
                         day * SECONDS_PER_DAY + (tick + 1) * tick_seconds
                     )

@@ -16,20 +16,24 @@ measurement campaign needs (treating the spec's path as a directory).
 Whole record files go through one write path and one read path:
 :func:`write_records` *replaces* a file's (or backend's) contents with a
 record stream, and :func:`read_records` streams them back in append
-order.  A path picks its backend by suffix (:func:`open_file_backend`:
-``.jsonl``/``.trace`` are JSON lines, ``.sqlite``/``.db`` SQLite).
-JSONL files hold one ``json.dumps(record)`` per line; blank lines are
-skipped, and a corrupt line (e.g. a truncated last line left by a crash
-mid-flush) raises ``ValueError`` naming the file and its 1-based line
-number.  The published datasets, trace files, metric streams and
-``repro store convert`` all use these two functions.
+order.  :func:`write_events` is the write path for typed events: it
+renders them through a codec exactly as a live
+:class:`~repro.store.eventlog.EventLog` does, so an exported monitor log
+holds the bytes a disk-backed campaign wrote.  A path picks its backend
+by suffix (:func:`open_file_backend`: ``.jsonl``/``.trace`` are JSON
+lines, ``.sqlite``/``.db`` SQLite).  JSONL files hold one
+``json.dumps(record)`` per line (the codecs render that same text);
+blank lines are skipped, and a corrupt line (e.g. a truncated last line
+left by a crash mid-flush) raises ``ValueError`` naming the file and its
+1-based line number.  The published datasets, trace files, metric
+streams and ``repro store convert`` all use these functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.store.backend import (
     JsonlBackend,
@@ -70,6 +74,7 @@ __all__ = [
     "parse_spec",
     "read_records",
     "task_storage_spec",
+    "write_events",
     "write_records",
 ]
 
@@ -219,13 +224,28 @@ def write_records(
     suffix).  A backend opened here is closed again; one passed in is
     flushed and left open.
     """
+    return _rewrite(destination, lambda backend: backend.extend(records))
+
+
+def write_events(
+    events: Iterable, codec, destination: Union[StorageBackend, str, Path]
+) -> int:
+    """Like :func:`write_records`, for typed ``events`` that ``codec``
+    renders: the rows are the ones an :class:`EventLog` over the same
+    codec appends."""
+    return _rewrite(destination, lambda backend: EventLog(codec, backend).extend(events))
+
+
+def _rewrite(
+    destination: Union[StorageBackend, str, Path], fill: Callable[[StorageBackend], None]
+) -> int:
     if isinstance(destination, StorageBackend):
         backend = destination
     else:
         backend = open_file_backend(destination)
     try:
         backend.clear()
-        backend.extend(records)
+        fill(backend)
         backend.flush()
         return len(backend)
     finally:

@@ -13,9 +13,13 @@ kept them as Python lists, which caps campaigns at RAM.  A
 * in a SQLite database (stdlib ``sqlite3``, WAL, batched inserts,
   indexed timestamps for time-window pushdown).
 
-Backends store flat JSON-compatible dict records; object encoding and
-decoding lives in :mod:`repro.store.codecs`.  All backends preserve
-append order, which the analyses rely on (logs are time-ordered).
+Backends store flat JSON-compatible dict records, appended either as
+dicts or, by :class:`~repro.store.eventlog.EventLog`, as
+``(timestamp, JSON text)`` rows its codec rendered, so a disk log's
+write path neither builds a dict nor calls ``json.dumps``.  Object
+encoding and decoding lives in :mod:`repro.store.codecs`.  All backends
+preserve append order, which the analyses rely on (logs are
+time-ordered).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import sqlite3
 from abc import ABC, abstractmethod
 from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 Record = Dict[str, object]
 
@@ -47,6 +51,16 @@ class StorageBackend(ABC):
     def extend(self, records: Iterable[Record]) -> None:
         for record in records:
             self.append(record)
+
+    def append_text(self, ts: Optional[float], text: str) -> None:
+        """Append the record whose ``json.dumps`` is ``text``; ``ts`` is its
+        ``"ts"`` field (``None`` when it has no numeric one)."""
+        self.append(json.loads(text))
+
+    def extend_text(self, rows: Iterable[Tuple[Optional[float], str]]) -> None:
+        """:meth:`append_text` each ``(ts, text)`` row in order."""
+        for ts, text in rows:
+            self.append_text(ts, text)
 
     @abstractmethod
     def scan(self) -> Iterator[Record]:
@@ -115,7 +129,8 @@ class MemoryBackend(StorageBackend):
 
 
 class _BufferedBackend(StorageBackend):
-    """A disk backend's write buffer: rows wait there for a batched write.
+    """A disk backend's write buffer: ``(ts, JSON text)`` rows wait there
+    for a batched write.
 
     ``_count`` counts stored plus buffered records.  A slice that starts
     at or after the stored count is read from the buffer alone: no
@@ -125,19 +140,15 @@ class _BufferedBackend(StorageBackend):
 
     def __init__(self, batch_size: int, count: int) -> None:
         self.batch_size = max(1, batch_size)
-        self._buffer: List = []
+        self._buffer: List[Tuple[Optional[float], str]] = []
         self._count = count
 
-    @abstractmethod
-    def _row(self, record: Record):
-        """The buffered form of ``record`` (it holds the JSON payload)."""
-
-    @abstractmethod
-    def _payload(self, row) -> str:
-        """The JSON text of a buffered row."""
-
     def append(self, record: Record) -> None:
-        self._buffer.append(self._row(record))
+        ts = record.get("ts")
+        self.append_text(ts if isinstance(ts, (int, float)) else None, json.dumps(record))
+
+    def append_text(self, ts: Optional[float], text: str) -> None:
+        self._buffer.append((ts, text))
         self._count += 1
         if len(self._buffer) >= self.batch_size:
             self.flush()
@@ -148,7 +159,7 @@ class _BufferedBackend(StorageBackend):
             self.flush()
             return self._slice_stored(start, stop)
         end = None if stop is None else max(0, stop - stored)
-        return [json.loads(self._payload(row)) for row in self._buffer[start - stored:end]]
+        return [json.loads(text) for _, text in self._buffer[start - stored:end]]
 
     def _slice_stored(self, start: int, stop: Optional[int]) -> List[Record]:
         return super().slice(start, stop)
@@ -176,17 +187,11 @@ class JsonlBackend(_BufferedBackend):
                 count = sum(1 for line in handle if line.strip())
         super().__init__(batch_size, count)
 
-    def _row(self, record: Record) -> str:
-        return json.dumps(record)
-
-    def _payload(self, row: str) -> str:
-        return row
-
     def flush(self) -> None:
         if not self._buffer:
             return
         with open(self.path, "a") as handle:
-            handle.write("\n".join(self._buffer) + "\n")
+            handle.write("\n".join([text for _, text in self._buffer]) + "\n")
         self._buffer.clear()
 
     def _decode(self, line, number: int) -> Record:
@@ -257,13 +262,6 @@ class SqliteBackend(_BufferedBackend):
         )
         count = self._conn.execute(f"SELECT COUNT(*) FROM {self.table}").fetchone()[0]
         super().__init__(batch_size, count)
-
-    def _row(self, record: Record) -> tuple:
-        ts = record.get("ts")
-        return (ts if isinstance(ts, (int, float)) else None, json.dumps(record))
-
-    def _payload(self, row: tuple) -> str:
-        return row[1]
 
     def flush(self) -> None:
         if not self._buffer:

@@ -1,15 +1,23 @@
 """Event ↔ record codecs for the monitor logs.
 
-One codec per log type maps the analysis-facing dataclass onto the flat
+One codec per log type maps the analysis-facing event onto the flat
 JSON record the storage backends (and the published datasets of
-:mod:`repro.core.datasets`) use.  The record shapes extend the seed's
-JSONL formats backwards-compatibly: decoders tolerate missing optional
-fields, so files written by older code still load.
+:mod:`repro.core.datasets`) use.  ``encode`` renders the record's JSON
+text directly: the bytes ``json.dumps`` gives for the record dict, built
+without the dict or the ``json.dumps`` call.  ID fields are base58 or
+base32 text and need no escaping; free-form strings are quoted by the
+C quoting function ``json.dumps`` itself uses.  Timestamps are finite
+``int`` or ``float`` values and render by ``repr`` (as ``json.dumps``
+renders them).  The record shapes extend the seed's JSONL formats
+backwards-compatibly: decoders tolerate missing optional fields, so
+files written by older code still load.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Iterable, Iterator, Optional
 
 from repro.ids.cid import CID
@@ -49,31 +57,28 @@ class IdTable:
 
 
 class _RecordCodec:
-    """What every codec shares: batch decoding and the event timestamp."""
+    """What every codec shares: batch decoding."""
 
     def decode_all(self, records: Iterable[Record]) -> Iterator:
         """Decode ``records`` lazily, in order, sharing one :class:`IdTable`."""
         return map(self.decode, records, repeat(IdTable()))
 
-    def timestamp(self, event) -> float:
-        return event.timestamp
-
 
 class HydraMessageCodec(_RecordCodec):
     """:class:`MessageEnvelope` ↔ the ``hydra.jsonl`` record shape."""
 
-    def encode(self, event: MessageEnvelope) -> Record:
-        return {
-            "ts": event.timestamp,
-            "sender": event.sender.to_base58(),
-            "ip": event.sender_ip,
-            "type": event.message_type.value,
-            "cid": event.target_cid.to_base32() if event.target_cid else None,
-            # FIND_NODE targets are raw keys with no CID; keep them as hex
-            # so the disk round trip preserves the full envelope.
-            "key": format(event.target_key, "x") if event.target_key is not None else None,
-            "via_relay": event.via_relay.to_base58() if event.via_relay else None,
-        }
+    def encode(self, event: MessageEnvelope) -> str:
+        timestamp, sender, sender_ip, message_type, target_key, target_cid, via_relay = event
+        cid = "null" if target_cid is None else f'"{target_cid.to_base32()}"'
+        # FIND_NODE targets are raw keys with no CID; keep them as hex
+        # so the disk round trip preserves the full envelope.
+        key = "null" if target_key is None else f'"{target_key:x}"'
+        relay = "null" if via_relay is None else f'"{via_relay.to_base58()}"'
+        return (
+            f'{{"ts": {timestamp!r}, "sender": "{sender.to_base58()}", '
+            f'"ip": {_quote(sender_ip)}, "type": "{message_type._value_}", '
+            f'"cid": {cid}, "key": {key}, "via_relay": {relay}}}'
+        )
 
     def decode(self, record: Record, ids: IdTable) -> MessageEnvelope:
         cid = ids.cids[text] if (text := record.get("cid")) else None
@@ -96,13 +101,12 @@ class HydraMessageCodec(_RecordCodec):
 class BitswapEntryCodec(_RecordCodec):
     """:class:`BitswapLogEntry` ↔ the ``bitswap.jsonl`` record shape."""
 
-    def encode(self, event: BitswapLogEntry) -> Record:
-        return {
-            "ts": event.timestamp,
-            "sender": event.sender.to_base58(),
-            "ip": event.sender_ip,
-            "cid": event.cid.to_base32(),
-        }
+    def encode(self, event: BitswapLogEntry) -> str:
+        timestamp, sender, sender_ip, cid = event
+        return (
+            f'{{"ts": {timestamp!r}, "sender": "{sender.to_base58()}", '
+            f'"ip": {_quote(sender_ip)}, "cid": "{cid.to_base32()}"}}'
+        )
 
     def decode(self, record: Record, ids: IdTable) -> BitswapLogEntry:
         return BitswapLogEntry(
@@ -116,15 +120,18 @@ class BitswapEntryCodec(_RecordCodec):
 class GroundTruthCodec(_RecordCodec):
     """:class:`~repro.attack.ground_truth.GroundTruthEntry` ↔ ``attack.jsonl``."""
 
-    def encode(self, event) -> Record:
-        return {
-            "ts": event.timestamp,
-            "attack": event.attack,
-            "event": event.event,
-            "peer": event.peer.to_base58() if event.peer else None,
-            "cid": event.cid.to_base32() if event.cid else None,
-            "end": event.end,
-        }
+    def encode(self, event) -> str:
+        # A few records per attack: the dict and json.dumps cost nothing here.
+        return json.dumps(
+            {
+                "ts": event.timestamp,
+                "attack": event.attack,
+                "event": event.event,
+                "peer": event.peer.to_base58() if event.peer else None,
+                "cid": event.cid.to_base32() if event.cid else None,
+                "end": event.end,
+            }
+        )
 
     def decode(self, record: Record, ids: IdTable):
         from repro.attack.ground_truth import GroundTruthEntry

@@ -6,9 +6,11 @@ ordered sequences: ``len(log)``, ``log[pos:]``, ``for e in log``,
 that contract while delegating storage to any
 :class:`~repro.store.backend.StorageBackend` — in memory the objects are
 stored verbatim (zero overhead versus the seed's plain list); on disk
-they round-trip through the log's codec.  Every disk read decodes
-through ``codec.decode_all``, so one read parses each distinct peer ID
-and CID string once.
+they round-trip through the log's codec.  A disk write hands the backend
+one ``(event.timestamp, codec.encode(event))`` row: the record's JSON
+text, rendered in one step.  Every disk read decodes through
+``codec.decode_all``, so one read parses each distinct peer ID and CID
+string once.  Events carry a ``timestamp`` attribute.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ class EventLog:
         if self._native:
             self.backend.append(event)
         else:
-            self.backend.append(self.codec.encode(event))
+            self.backend.append_text(event.timestamp, self.codec.encode(event))
 
     def extend(self, events) -> None:
         if self._native:
             self.backend.extend(events)
         else:
-            self.backend.extend(self.codec.encode(event) for event in events)
+            encode = self.codec.encode
+            self.backend.extend_text((event.timestamp, encode(event)) for event in events)
 
     # -- reads --------------------------------------------------------------
 
@@ -86,7 +89,7 @@ class EventLog:
         def backwards() -> Iterator:
             collected: List = []
             for event in self.backend.scan_reversed():
-                ts = self.codec.timestamp(event)
+                ts = event.timestamp
                 if ts < start:
                     break
                 if ts < end:

@@ -174,13 +174,13 @@ class TestFormatPin:
     """``export_campaign`` writes exactly the bytes of the original writers."""
 
     def test_export_bytes_match_original_writers(self, smoke_campaign, tmp_path):
-        from repro.store import BITSWAP_CODEC, HYDRA_CODEC
+        from row_oracles import bitswap_record, hydra_record
 
         out = tmp_path / "out"
         datasets.export_campaign(smoke_campaign, out)
         expected = {
-            "hydra.jsonl": map(HYDRA_CODEC.encode, smoke_campaign.hydra.log),
-            "bitswap.jsonl": map(BITSWAP_CODEC.encode, smoke_campaign.bitswap_monitor.log),
+            "hydra.jsonl": map(hydra_record, smoke_campaign.hydra.log),
+            "bitswap.jsonl": map(bitswap_record, smoke_campaign.bitswap_monitor.log),
             "crawls.jsonl": _oracle_crawl_payloads(smoke_campaign.crawls),
             "providers.jsonl": _oracle_provider_payloads(
                 smoke_campaign.provider_observations

@@ -16,6 +16,7 @@ from repro.ens.contracts import (
 from repro.ens.scraper import ENSContenthashScraper, _decode_cid
 from repro.ens.seeding import ENSSeedConfig, seed_ens_world
 from repro.ids.cid import CID
+from repro.ids.encoding import base32_encode
 
 
 class TestNamehash:
@@ -124,6 +125,25 @@ class TestScraper:
         assert _decode_cid("not-a-cid") is None
         assert _decode_cid("bZZZZ") is None
         assert _decode_cid("qmfoo") is None
+
+    def test_dag_pb_contenthash_is_not_read_as_a_raw_cid(self):
+        # A dag-pb CIDv1 (codec 0x70, ``bafybei…``) with a sha2-256
+        # multihash: its digest would make a valid raw CID, but the text
+        # names a different CID, so the scrape must not resolve it.
+        digest = CID.generate(random.Random(6)).digest
+        dag_pb = "b" + base32_encode(b"\x01\x70\x12\x20" + digest)
+        assert dag_pb.startswith("bafybei")
+        assert _decode_cid(dag_pb) is None
+        chain = Chain()
+        registry = ENSRegistry(chain)
+        registrar = EthRegistrar(registry, chain)
+        resolver = PublicResolver(chain, registry, "0xr")
+        node = registrar.register("site", "0xowner")
+        registry.set_resolver(node, resolver.address, caller="0xowner")
+        resolver.set_contenthash(node, Contenthash("ipfs-ns", dag_pb), "0xowner")
+        (record,) = ENSContenthashScraper(chain, ["0xr"]).scrape().records
+        assert record.cid_string == dag_pb
+        assert record.cid is None
 
     def test_scrape_filters_and_keeps_latest(self):
         chain = Chain()
