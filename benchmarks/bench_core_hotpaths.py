@@ -126,8 +126,9 @@ class ReferenceWalk:
 
 def reference_find_node_query(overlay: Overlay, timeout: float = 180.0):
     """The pre-index FIND_NODE handler: full XOR sort of the whole
-    routing table per query (today's handler answers via the sorted key
-    index; see ``RoutingTable.closest_keys``)."""
+    routing table per query (today's handler reads the answer off the
+    k-buckets, cutting only the band that overflows; see
+    ``RoutingTable.closest_keys_unsorted``)."""
     by_key = {node.peer.dht_key: node.peer for node in overlay.online_servers()}
 
     def query(key, target_key):

@@ -69,86 +69,127 @@ class ProviderLookupResult(LookupResult):
     resolvers_queried: List[int] = field(default_factory=list)
 
 
-class _Walk:
-    """Shared machinery of the iterative walks.
+def _walk(
+    span_name: str,
+    target,
+    target_key: int,
+    start: Sequence[int],
+    query: Callable,
+    k: int,
+    alpha: int,
+    max_queries: int,
+    providers: Optional[Dict[int, ProviderRecord]] = None,
+    max_providers: Optional[int] = None,
+) -> Tuple[List[int], List[int], Set[int], int]:
+    """The iterative walk behind both lookups, in one loop.
 
-    The frontier is the ascending list of XOR distances to the target of
-    every known, live-so-far peer.  XOR with the target is a bijection,
-    so a distance names its peer (``distance ^ target`` is the key) and
-    the list needs no payload or tie-breaker; each absorbed key is
-    XOR-ed once and bisected in, instead of re-sorting every known peer
-    on every round.
+    Each round queries up to ``alpha`` unqueried peers among the ``k``
+    closest known live ones; the walk ends when there are none (or after
+    ``max_queries`` requests).  The frontier is the ascending list of XOR
+    distances to ``target_key`` of every known, live-so-far peer.  XOR
+    with the target is a bijection, so a distance names its peer
+    (``distance ^ target_key`` is the key) and the list needs no payload
+    or tie-breaker; each new key is XOR-ed once and bisected in.  The
+    order of a response's keys is therefore irrelevant.  The queried set
+    holds distances too, so a round's scan of the frontier XORs nothing.
+
+    ``query(key, target)`` answers with closer peer keys or, when
+    ``providers`` is given (GET_PROVIDERS), with ``(records, closer
+    keys)``; the first record per provider key lands in ``providers`` and
+    the walk stops once it holds ``max_providers`` (``None``: never).
+
+    :returns: ``(closest live keys, contacted, failed, messages)``.
     """
-
-    def __init__(self, target_key: int, start: Sequence[int], k: int, alpha: int) -> None:
-        self.target_key = target_key
-        self.k = k
-        self.alpha = alpha
-        self.known: Set[int] = set()
-        self.queried: Set[int] = set()
-        self.failed: Set[int] = set()
-        self.contacted: List[int] = []
-        self.messages = 0
-        self._frontier: List[int] = []
-        #: Smallest XOR distance over every peer *ever* absorbed — unlike
-        #: the frontier head it never moves away from the target when the
-        #: closest peer fails, making it the monotone progress measure
-        #: the trace auditor checks per round.
-        self.best_distance: Optional[int] = None
-        self.absorb(start)
-
-    def next_batch(self) -> List[int]:
-        """Up to ``alpha`` unqueried peers among the ``k`` closest known.
-
-        Empty when the ``k`` closest known live peers have all been
-        queried — the walk's termination condition.
-        """
-        queried = self.queried
-        target_key = self.target_key
-        batch = []
-        for distance in self._frontier[: self.k]:
-            key = distance ^ target_key
-            if key not in queried:
-                batch.append(key)
-                if len(batch) >= self.alpha:
+    known = set(start)
+    frontier = sorted(key ^ target_key for key in known)
+    #: Smallest XOR distance over every peer *ever* absorbed — unlike the
+    #: frontier head it never moves away from the target when the closest
+    #: peer fails, making it the monotone progress measure the trace
+    #: auditor checks per round.
+    best = frontier[0] if frontier else None
+    queried: Set[int] = set()
+    failed: Set[int] = set()
+    contacted: List[int] = []
+    messages = 0
+    rounds = 0
+    tracer = obs.get_tracer()
+    traced = tracer.enabled
+    with tracer.span(span_name) as lookup_span:
+        while messages < max_queries:
+            if max_providers is not None and len(providers) >= max_providers:
+                break
+            batch = []
+            for distance in frontier[:k]:
+                if distance not in queried:
+                    batch.append(distance)
+                    if len(batch) >= alpha:
+                        break
+            if not batch:
+                break
+            if traced:
+                tracer.event(
+                    "lookup.round",
+                    round=rounds,
+                    batch=len(batch),
+                    frontier=len(frontier),
+                    failed=len(failed),
+                    best=best,
+                )
+            rounds += 1
+            for distance in batch:
+                if messages >= max_queries:
                     break
-        return batch
-
-    def absorb(self, closer_peers: Sequence[int]) -> None:
-        known = self.known
-        frontier = self._frontier
-        target_key = self.target_key
-        best = self.best_distance
-        for key in closer_peers:
-            if key in known:
-                continue
-            known.add(key)
-            distance = key ^ target_key
-            insort(frontier, distance)
-            if best is None or distance < best:
-                best = distance
-        self.best_distance = best
-
-    def mark_failed(self, key: int) -> None:
-        """Record a non-responding peer and drop it from the frontier."""
-        self.failed.add(key)
-        distance = key ^ self.target_key
-        position = bisect_left(self._frontier, distance)
-        if position < len(self._frontier) and self._frontier[position] == distance:
-            del self._frontier[position]
-
-    def closest_live(self) -> List[int]:
-        """The ``k`` closest peers that answered a query."""
-        queried = self.queried
-        target_key = self.target_key
-        live = []
-        for distance in self._frontier:
-            key = distance ^ target_key
-            if key in queried:
-                live.append(key)
-                if len(live) >= self.k:
+                queried.add(distance)
+                messages += 1
+                key = distance ^ target_key
+                response = query(key, target)
+                if response is None:
+                    failed.add(key)
+                    del frontier[bisect_left(frontier, distance)]
+                    continue
+                contacted.append(key)
+                if providers is not None:
+                    records, response = response
+                    for record in records:
+                        providers.setdefault(record.provider.dht_key, record)
+                # Most answers late in a walk name only known peers; the
+                # C-level superset test skips those without a Python loop.
+                if not known.issuperset(response):
+                    for closer in response:
+                        if closer not in known:
+                            known.add(closer)
+                            distance = closer ^ target_key
+                            insort(frontier, distance)
+                            if best is None or distance < best:
+                                best = distance
+                if max_providers is not None and len(providers) >= max_providers:
                     break
-        return live
+        if traced:
+            if max_providers is not None and len(providers) >= max_providers:
+                reason = "providers_found"
+            elif messages >= max_queries:
+                reason = "max_queries"
+            else:
+                reason = "frontier_exhausted"
+            if providers is None:
+                lookup_span.note(
+                    reason=reason, rounds=rounds, messages=messages, failed=len(failed)
+                )
+            else:
+                lookup_span.note(
+                    reason=reason,
+                    rounds=rounds,
+                    messages=messages,
+                    failed=len(failed),
+                    providers=len(providers),
+                )
+    closest = []
+    for distance in frontier:
+        if distance in queried:
+            closest.append(distance ^ target_key)
+            if len(closest) >= k:
+                break
+    return closest, contacted, failed, messages
 
 
 def iterative_find_node(
@@ -167,52 +208,14 @@ def iterative_find_node(
     :param query: ``(peer key, target_key) -> closer peer keys or None``.
     :param max_queries: safety valve against pathological topologies.
     """
-    walk = _Walk(target_key, start, k, alpha)
-    tracer = obs.get_tracer()
-    rounds = 0
-    with tracer.span("lookup.find_node") as lookup_span:
-        while walk.messages < max_queries:
-            batch = walk.next_batch()
-            if not batch:
-                break
-            if tracer.enabled:
-                tracer.event(
-                    "lookup.round",
-                    round=rounds,
-                    batch=len(batch),
-                    frontier=len(walk._frontier),
-                    failed=len(walk.failed),
-                    best=walk.best_distance,
-                )
-            rounds += 1
-            for key in batch:
-                if walk.messages >= max_queries:
-                    break
-                walk.queried.add(key)
-                walk.messages += 1
-                response = query(key, target_key)
-                if response is None:
-                    walk.mark_failed(key)
-                    continue
-                walk.contacted.append(key)
-                walk.absorb(response)
-        if tracer.enabled:
-            lookup_span.note(
-                reason="max_queries" if walk.messages >= max_queries else "frontier_exhausted",
-                rounds=rounds,
-                messages=walk.messages,
-                failed=len(walk.failed),
-            )
-    obs.inc("lookup.find_node_walks")
-    obs.inc("lookup.messages", walk.messages)
-    obs.inc("lookup.failed_peers", len(walk.failed))
-    obs.observe("lookup.walk_messages", walk.messages)
-    return LookupResult(
-        closest=walk.closest_live(),
-        contacted=walk.contacted,
-        failed=walk.failed,
-        messages=walk.messages,
+    closest, contacted, failed, messages = _walk(
+        "lookup.find_node", target_key, target_key, start, query, k, alpha, max_queries
     )
+    obs.inc("lookup.find_node_walks")
+    obs.inc("lookup.messages", messages)
+    obs.inc("lookup.failed_peers", len(failed))
+    obs.observe("lookup.walk_messages", messages)
+    return LookupResult(closest=closest, contacted=contacted, failed=failed, messages=messages)
 
 
 def iterative_find_providers(
@@ -233,70 +236,30 @@ def iterative_find_providers(
     resolvers (the ``k`` closest peers to the CID) have been queried —
     the paper's §3 modification for complete provider-record collection.
     """
-    target_key = cid.dht_key
-    walk = _Walk(target_key, start, k, alpha)
     #: first record per provider, keyed by the provider's DHT key.
     providers: Dict[int, ProviderRecord] = {}
-    tracer = obs.get_tracer()
-    rounds = 0
-    with tracer.span("lookup.find_providers") as lookup_span:
-        while walk.messages < max_queries:
-            if not exhaustive and len(providers) >= max_providers:
-                break
-            batch = walk.next_batch()
-            if not batch:
-                break
-            if tracer.enabled:
-                tracer.event(
-                    "lookup.round",
-                    round=rounds,
-                    batch=len(batch),
-                    frontier=len(walk._frontier),
-                    failed=len(walk.failed),
-                    best=walk.best_distance,
-                )
-            rounds += 1
-            for key in batch:
-                if walk.messages >= max_queries:
-                    break
-                walk.queried.add(key)
-                walk.messages += 1
-                response = query(key, cid)
-                if response is None:
-                    walk.mark_failed(key)
-                    continue
-                walk.contacted.append(key)
-                records, closer_peers = response
-                for record in records:
-                    providers.setdefault(record.provider.dht_key, record)
-                walk.absorb(closer_peers)
-                if not exhaustive and len(providers) >= max_providers:
-                    break
-        if tracer.enabled:
-            if not exhaustive and len(providers) >= max_providers:
-                reason = "providers_found"
-            elif walk.messages >= max_queries:
-                reason = "max_queries"
-            else:
-                reason = "frontier_exhausted"
-            lookup_span.note(
-                reason=reason,
-                rounds=rounds,
-                messages=walk.messages,
-                failed=len(walk.failed),
-                providers=len(providers),
-            )
+    closest, contacted, failed, messages = _walk(
+        "lookup.find_providers",
+        cid,
+        cid.dht_key,
+        start,
+        query,
+        k,
+        alpha,
+        max_queries,
+        providers,
+        None if exhaustive else max_providers,
+    )
     obs.inc("lookup.find_providers_walks")
-    obs.inc("lookup.messages", walk.messages)
-    obs.inc("lookup.failed_peers", len(walk.failed))
+    obs.inc("lookup.messages", messages)
+    obs.inc("lookup.failed_peers", len(failed))
     obs.inc("lookup.provider_records", len(providers))
-    obs.observe("lookup.walk_messages", walk.messages)
-    closest = walk.closest_live()
+    obs.observe("lookup.walk_messages", messages)
     return ProviderLookupResult(
         closest=closest,
-        contacted=walk.contacted,
-        failed=walk.failed,
-        messages=walk.messages,
+        contacted=contacted,
+        failed=failed,
+        messages=messages,
         providers=list(providers.values()),
         resolvers_queried=list(closest),
     )

@@ -15,10 +15,9 @@ observer sees peer IDs (crawl snapshots, in-degrees).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import Dict, Iterable, List, Optional
 
-from repro.ids.keys import KEY_BITS, select_closest
+from repro.ids.keys import KEY_BITS
 
 DEFAULT_BUCKET_SIZE = 20
 
@@ -74,23 +73,20 @@ class RoutingTable:
 
     Bucket ``i`` holds keys sharing exactly ``i`` leading bits with the
     owner's key.  go-libp2p-kad-dht unfolds buckets lazily; we keep a
-    sparse dict of buckets keyed by prefix length, which is equivalent for
-    every operation the paper's measurements exercise (in particular the
-    crawler's bucket-sweep enumeration).
+    list of buckets indexed by prefix length, grown to the deepest one
+    touched, which is equivalent for every operation the paper's
+    measurements exercise (in particular the crawler's bucket-sweep
+    enumeration).
     """
 
-    __slots__ = ("owner_key", "bucket_size", "_buckets", "_bucket_of", "_sorted")
+    __slots__ = ("owner_key", "bucket_size", "_buckets", "_bucket_of")
 
     def __init__(self, owner_key: int, bucket_size: int = DEFAULT_BUCKET_SIZE) -> None:
         self.owner_key = owner_key
         self.bucket_size = bucket_size
-        self._buckets: Dict[int, KBucket] = {}
+        self._buckets: List[KBucket] = []
         #: stored key -> its bucket index, in first-stored order.
         self._bucket_of: Dict[int, int] = {}
-        #: the stored keys in ascending order: built by the first
-        #: :meth:`closest_keys`, then kept in step with every change (a
-        #: table no FIND_NODE ever reaches never pays for it).
-        self._sorted: Optional[List[int]] = None
 
     def __len__(self) -> int:
         return len(self._bucket_of)
@@ -99,11 +95,12 @@ class RoutingTable:
         return key in self._bucket_of
 
     def bucket(self, index: int) -> KBucket:
-        """The bucket at ``index``, created on first touch."""
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = KBucket(self.bucket_size)
-        return bucket
+        """The bucket at ``index``, created (with any shallower ones
+        missing) on first touch."""
+        buckets = self._buckets
+        while len(buckets) <= index:
+            buckets.append(KBucket(self.bucket_size))
+        return buckets[index]
 
     def add(self, key: int) -> bool:
         """Try to insert ``key``; returns whether it is stored.
@@ -135,13 +132,10 @@ class RoutingTable:
         if room <= 0:
             return stored
         bucket_of = self._bucket_of
-        ordered = self._sorted
         for key in keys:
             if key not in bucket:
                 bucket[key] = None
                 bucket_of[key] = index
-                if ordered is not None:
-                    insort(ordered, key)
                 stored.append(key)
                 room -= 1
                 if not room:
@@ -154,9 +148,6 @@ class RoutingTable:
         if index is None:
             return False
         del self._buckets[index][key]
-        ordered = self._sorted
-        if ordered is not None:
-            del ordered[bisect_left(ordered, key)]
         return True
 
     def keys(self) -> List[int]:
@@ -166,25 +157,70 @@ class RoutingTable:
 
     def nonempty_buckets(self) -> List[int]:
         """Indices of buckets currently holding at least one key."""
-        return sorted(index for index, bucket in self._buckets.items() if bucket)
+        return [index for index, bucket in enumerate(self._buckets) if bucket]
 
     def closest_keys(self, key: int, count: int) -> List[int]:
-        """The ``count`` stored keys closest (XOR) to ``key``.
+        """The ``count`` stored keys closest (XOR) to ``key``, closest
+        first: :meth:`closest_keys_unsorted`, sorted."""
+        closest = self.closest_keys_unsorted(key, count)
+        closest.sort(key=key.__xor__)
+        return closest
 
-        This is what a FIND_NODE handler returns: an aligned-prefix-range
-        scan over the sorted keys, identical to a full XOR sort.
+    def closest_keys_unsorted(self, key: int, count: int) -> List[int]:
+        """The ``count`` stored keys closest (XOR) to ``key``, in no set
+        order — what a FIND_NODE handler returns, read off the buckets.
+
+        Let ``b`` (``depth`` below) be the common-prefix length of the
+        owner and ``key``.
+        Every key in bucket ``b`` shares at least ``b + 1`` bits with
+        ``key``, so it is closer than any other stored key.  The keys of
+        all deeper buckets come next: each shares exactly ``b`` bits with
+        ``key``.  Then buckets ``b - 1``, ``b - 2``, … follow, one band
+        further out each.  Bands are taken whole while they fit; the band
+        that overflows is cut by XOR distance.
         """
-        ordered = self._sorted
-        if ordered is None:
-            ordered = self._sorted = sorted(self._bucket_of)
-        return select_closest(ordered, key, count)
+        if len(self._bucket_of) <= count:
+            return list(self._bucket_of)
+        if count <= 0:
+            return []
+        buckets = self._buckets
+        depth = KEY_BITS - (self.owner_key ^ key).bit_length()
+        closest: List[int] = []
+        need = count
+        if depth < len(buckets):
+            band = buckets[depth]
+            if len(band) >= need:
+                return _nearest(band, key, need)
+            closest += band
+            need -= len(band)
+            band = [stored for bucket in buckets[depth + 1 :] for stored in bucket]
+            if len(band) >= need:
+                return closest + _nearest(band, key, need)
+            closest += band
+            need -= len(band)
+        for band in reversed(buckets[:depth]):
+            if len(band) >= need:
+                return closest + _nearest(band, key, need)
+            closest += band
+            need -= len(band)
+        return closest
 
     def fullness(self) -> Dict[int, int]:
         """Occupancy per bucket index — useful to verify the trie shape."""
-        return {index: len(bucket) for index, bucket in self._buckets.items() if bucket}
+        return {index: len(bucket) for index, bucket in enumerate(self._buckets) if bucket}
 
     @property
     def max_bucket_index(self) -> int:
         """Deepest non-empty bucket (0 when the table is empty)."""
         indices = self.nonempty_buckets()
         return indices[-1] if indices else 0
+
+
+def _nearest(band: Iterable[int], key: int, count: int) -> List[int]:
+    """The ``count`` keys of ``band`` closest (XOR) to ``key``; ``band``
+    holds at least ``count`` keys."""
+    keys = list(band)
+    if len(keys) > count:
+        keys.sort(key=key.__xor__)
+        del keys[count:]
+    return keys

@@ -704,8 +704,14 @@ class Overlay:
         return self._last_infos.get(peer)
 
     def dial(self, peer: PeerID, timeout: float = 180.0) -> Optional[Node]:
-        """Attempt to connect to a peer; None models a failed/timed-out dial."""
-        return self._dial_key(peer.dht_key, timeout)
+        """Attempt to connect to a peer; None models a failed/timed-out dial.
+
+        Only the online DHT server holding the peer's key answers, and
+        only within ``timeout`` (stale keys dial nobody)."""
+        node = self._online_servers.get(peer.dht_key)
+        if node is None or not node.reachable or node.response_latency > timeout:
+            return None
+        return node
 
     def _trace_message(self, kind: str, node: Optional[Node]) -> None:
         """Emit the per-message trace event (caller guards on ``enabled``).
@@ -722,30 +728,24 @@ class Overlay:
                 "msg.query", kind=kind, ok=True, sent=now, recv=now + node.response_latency
             )
 
-    def _dial_key(self, key: int, timeout: float) -> Optional[Node]:
-        """:meth:`dial` by DHT key: the online DHT server holding ``key``,
-        if it answers within ``timeout`` (stale keys dial nobody)."""
-        node = self._online_servers.get(key)
-        if node is None or not node.reachable or node.response_latency > timeout:
-            return None
-        return node
-
     def find_node_query(self, timeout: float = 180.0):
         """A :func:`repro.kademlia.lookup` FIND_NODE callable over this
-        overlay: dials by key and answers from the responder's sorted
-        routing-table keys (stale entries included — they are what the
-        DHT still hands out)."""
-        dial = self._dial_key
+        overlay: dials by key (as :meth:`dial` does) and answers with the
+        responder's ``k`` closest routing-table keys, unsorted (stale
+        entries included — they are what the DHT still hands out)."""
+        online = self._online_servers
         k = self.k
 
         def query(key: int, target_key: int):
-            node = dial(key, timeout)
+            node = online.get(key)
+            if node is not None and (not node.reachable or node.response_latency > timeout):
+                node = None
             if obs.get_tracer().enabled:
                 self._trace_message("find_node", node)
             if node is None:
                 return None
             table = node.routing_table
-            return table.closest_keys(target_key, k) if table is not None else []
+            return table.closest_keys_unsorted(target_key, k) if table is not None else []
 
         return query
 
@@ -755,27 +755,30 @@ class Overlay:
         the responder is one of its resolvers (the ``k`` closest online
         servers).  The resolver key set is built on a walk's first answer
         and kept while the CID and the oracle membership stay the same."""
-        dial = self._dial_key
+        online = self._online_servers
         k = self.k
         oracle = self.oracle
-        #: (cid, oracle generation, resolver keys) of the walk in progress.
-        resolvers = (None, -1, frozenset())
+        #: (cid, oracle generation, the CID's DHT key, resolver keys) of
+        #: the walk in progress.
+        resolvers = (None, -1, 0, frozenset())
 
         def query(key: int, cid: CID):
             nonlocal resolvers
-            node = dial(key, timeout)
+            node = online.get(key)
+            if node is not None and (not node.reachable or node.response_latency > timeout):
+                node = None
             if obs.get_tracer().enabled:
                 self._trace_message("get_providers", node)
             if node is None:
                 return None
-            target_key = cid.dht_key
-            resolver_cid, generation, members = resolvers
+            resolver_cid, generation, target_key, members = resolvers
             if resolver_cid is not cid or generation != oracle.generation:
+                target_key = cid.dht_key
                 members = frozenset(oracle.closest_keys(target_key, k))
-                resolvers = (cid, oracle.generation, members)
+                resolvers = (cid, oracle.generation, target_key, members)
             records = self.providers.get(cid, self.now) if key in members else []
             table = node.routing_table
-            closer = table.closest_keys(target_key, k) if table is not None else []
+            closer = table.closest_keys_unsorted(target_key, k) if table is not None else []
             return records, closer
 
         return query

@@ -9,6 +9,7 @@ paper's counting-methodology analysis (§3) hinges on.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.ids.multiaddr import Multiaddr
@@ -71,11 +72,24 @@ class OrderedCIDSet:
     def discard(self, cid) -> None:
         self._items.pop(cid, None)
 
-    def pop_oldest(self):
-        """Remove and return the least recently added CID."""
-        cid = next(iter(self._items))
-        del self._items[cid]
-        return cid
+    def trim(self, keep: int) -> None:
+        """Drop the oldest CIDs until at most ``keep`` remain, in one pass
+        over the front (the survivors keep their order).
+
+        Deleting from the front one CID at a time would make every
+        ``next(iter(...))`` skip the slots already freed there: quadratic
+        in the number dropped.  When most CIDs go, the survivors are
+        copied into a fresh, compact dict instead.
+        """
+        items = self._items
+        excess = len(items) - keep
+        if excess <= 0:
+            return
+        if excess >= len(items) - excess:
+            self._items = dict.fromkeys(islice(items, excess, None))
+        else:
+            for cid in list(islice(items, excess)):
+                del items[cid]
 
     def __contains__(self, cid) -> bool:
         return cid in self._items

@@ -20,7 +20,7 @@ from repro.core.entrypoints import (
     gateway_sides_report,
 )
 from repro.kademlia.messages import TrafficClass
-from repro.scenario.run import CampaignResult
+from repro.scenario.run import CampaignResult, collector_paused
 from repro.world.profiles import PAPER
 
 
@@ -323,8 +323,10 @@ def fig20_report(result: CampaignResult) -> Dict[str, object]:
     }
 
 
+@collector_paused()
 def full_report(result: CampaignResult, resilience_reps: int = 5) -> Dict[str, object]:
-    """Every figure's statistics in one bundle."""
+    """Every figure's statistics in one bundle (with the cyclic collector
+    paused, as for the campaign that made ``result``)."""
     return {
         "crawl_stats": crawl_stats_report(result),
         "fig3": fig3_report(result),

@@ -130,12 +130,13 @@ def _log_summary(monitor: Union[HydraBooster, BitswapMonitor]) -> LogSummary:
 
 
 @contextmanager
-def _collector_paused():
+def collector_paused():
     """Run the block with the cyclic garbage collector off.
 
-    A campaign's build and run allocate millions of long-lived objects
-    and no cyclic garbage (``tests/test_gc_pause.py`` holds that), so
-    every automatic pass over them is wasted.  On exit the survivors are
+    A campaign's build and run allocate millions of long-lived objects,
+    and they and :func:`repro.scenario.report.full_report` leave no
+    cyclic garbage (``tests/test_gc_pause.py`` holds that), so every
+    automatic pass over them is wasted.  On exit the survivors are
     moved into the oldest generation (a freeze/unfreeze pair: a few list
     splices), so the young-generation passes after the block do not walk
     them, yet they stay collectable.  Objects the caller froze stay
@@ -297,7 +298,7 @@ class MeasurementCampaign:
     # construction
     # ------------------------------------------------------------------
 
-    @_collector_paused()
+    @collector_paused()
     def build(self) -> None:
         with self._observed(), obs.span("campaign"), self._phase("build"):
             self._build()
@@ -411,7 +412,7 @@ class MeasurementCampaign:
     # the measurement period
     # ------------------------------------------------------------------
 
-    @_collector_paused()
+    @collector_paused()
     def run(self) -> CampaignResult:
         if not self._built:
             self.build()

@@ -234,7 +234,11 @@ class SqliteBackend(_BufferedBackend):
 
     The payload is the JSON record; the timestamp is mirrored into an
     indexed column so time-window scans are pushed down to the engine.
-    Inserts are buffered and written with ``executemany``.
+    Inserts are buffered and written with ``executemany``.  ``seq`` is
+    the rowid: the table is append-only, so each row gets one past the
+    largest (no ``AUTOINCREMENT`` bookkeeping), and ``ORDER BY seq`` is
+    append order.  Files made with the earlier ``AUTOINCREMENT`` schema
+    open and append unchanged.
     """
 
     def __init__(
@@ -255,7 +259,7 @@ class SqliteBackend(_BufferedBackend):
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(
             f"CREATE TABLE IF NOT EXISTS {self.table} "
-            "(seq INTEGER PRIMARY KEY AUTOINCREMENT, ts REAL, payload TEXT NOT NULL)"
+            "(seq INTEGER PRIMARY KEY, ts REAL, payload TEXT NOT NULL)"
         )
         self._conn.execute(
             f"CREATE INDEX IF NOT EXISTS {self.table}_ts ON {self.table} (ts)"

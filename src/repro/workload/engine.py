@@ -388,8 +388,7 @@ class TrafficEngine:
         record = self.overlay.publish_provider_record(node, cid)
         if record is None:
             return
-        while len(node.provided_cids) > self.config.max_provided_cids:
-            node.provided_cids.pop_oldest()
+        node.provided_cids.trim(self.config.max_provided_cids)
         self.stats["publishes"] += 1
         via_relay = None
         if not node.is_dht_server and node.relay is not None:

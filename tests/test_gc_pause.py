@@ -1,7 +1,8 @@
 """The cyclic collector is paused while a campaign builds and runs.
 
-``MeasurementCampaign.build()`` and ``.run()`` switch the collector off
-and, on exit, move their survivors into the oldest generation.  That is
+``MeasurementCampaign.build()``, ``.run()`` and ``full_report`` switch
+the collector off and, on exit, move their survivors into the oldest
+generation.  That is
 only free while a campaign leaves no cyclic garbage behind, so the matrix
 below runs small campaigns with the collector off throughout and asserts
 that an explicit collection finds nothing after each phase.  The other
@@ -146,7 +147,8 @@ def test_no_automatic_collection_inside_a_campaign(collector_state):
     gc.callbacks.append(count)
     try:
         campaign.build()
-        campaign.run()
+        result = campaign.run()
+        full_report(result)
         young = gc.get_count()[0]
     finally:
         gc.callbacks.remove(count)

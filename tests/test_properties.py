@@ -16,6 +16,7 @@ from repro.kademlia.lookup import iterative_find_node
 from repro.kademlia.providers import ProviderRecord
 from repro.kademlia.routing_table import RoutingTable
 from repro.netsim.network import ProviderRegistry
+from repro.netsim.node import OrderedCIDSet
 from repro.netsim.oracle import KeyspaceOracle
 from repro.core.pareto import pareto_curve, top_share
 
@@ -64,8 +65,8 @@ class TestRoutingTableProperties:
                               st.integers(min_value=1, max_value=40)), max_size=150),
            st.integers(min_value=0, max_value=2**256 - 1))
     def test_closest_keys_track_adds_and_removes(self, operations, target):
-        """The sorted index behind ``closest_keys`` stays exact across
-        changes made before and after its first query."""
+        """``closest_keys`` stays exact across adds and removes made
+        before and after its first query."""
         owner = peer_from_tag(123_456).dht_key
         table = RoutingTable(owner, bucket_size=3)  # full buckets reject too
 
@@ -122,7 +123,7 @@ class TestOracleProperties:
 
 class TestSelectClosestProperties:
     """``keys.select_closest`` must be bit-identical to a brute-force XOR
-    sort — it backs both the oracle and ``RoutingTable.closest_keys``."""
+    sort — it backs the oracle and the crawler's bucket sweeps."""
 
     @settings(max_examples=60)
     @given(st.lists(st.integers(min_value=0, max_value=2**256 - 1),
@@ -365,6 +366,47 @@ class TestProviderRegistryProperties:
                 (record.provider, record.published_at) for record in registry.get(cid, now)
             ]
             assert survivors == reference[cid]
+
+
+class TestOrderedCIDSetTrimProperties:
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("add"), st.integers(0, 300)),
+                st.tuples(st.just("add_many"), st.integers(0, 300)),
+                st.tuples(st.just("discard"), st.integers(0, 300)),
+                st.tuples(st.just("trim"), st.integers(0, 60)),
+            ),
+            max_size=80,
+        )
+    )
+    def test_trim_matches_the_pop_loop(self, operations):
+        """``trim(cap)`` leaves the same members in the same order as
+        popping the oldest CID while more than ``cap`` remain, whether it
+        drops one, most or none of them."""
+        cids = OrderedCIDSet()
+        reference = {}  # insertion-ordered
+        fresh = 1000
+        for operation, value in operations:
+            if operation == "add":
+                cids.add(value)
+                reference[value] = None
+            elif operation == "add_many":
+                for _ in range(value):
+                    cids.add(fresh)
+                    reference[fresh] = None
+                    fresh += 1
+            elif operation == "discard":
+                cids.discard(value)
+                reference.pop(value, None)
+            else:
+                cids.trim(value)
+                while len(reference) > value:
+                    del reference[next(iter(reference))]
+            assert list(cids) == list(reference)
+            assert len(cids) == len(reference)
+        assert all(cid in cids for cid in reference)
 
 
 class TestIPNSProperties:

@@ -1,7 +1,9 @@
 """The storage subsystem: backends, the EventLog facade, spec parsing."""
 
+import json
 import random
 import re
+import sqlite3
 
 import pytest
 
@@ -151,6 +153,34 @@ class TestPersistence:
         reopened.close()
         final = EventLog(HYDRA_CODEC, SqliteBackend(path))
         assert [e.timestamp for e in final] == [1.0, 2.0]
+
+
+    def test_sqlite_opens_the_autoincrement_schema(self, tmp_path):
+        """A file written before ``seq`` dropped ``AUTOINCREMENT`` still
+        opens, appends after its rows and scans in append order."""
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "CREATE TABLE events "
+            "(seq INTEGER PRIMARY KEY AUTOINCREMENT, ts REAL, payload TEXT NOT NULL)"
+        )
+        conn.execute("CREATE INDEX events_ts ON events (ts)")
+        conn.executemany(
+            "INSERT INTO events (ts, payload) VALUES (?, ?)",
+            [(ts, json.dumps({"ts": ts, "n": n})) for n, ts in enumerate([3.0, 1.0, 2.0])],
+        )
+        conn.commit()
+        conn.close()
+        backend = SqliteBackend(path, batch_size=2)
+        assert len(backend) == 3
+        for n, ts in enumerate([0.5, 4.0, 1.5], start=3):
+            backend.append({"ts": ts, "n": n})
+        backend.close()
+        reopened = SqliteBackend(path)
+        assert [record["n"] for record in reopened.scan()] == [0, 1, 2, 3, 4, 5]
+        assert [record["n"] for record in reopened.scan_reversed()] == [5, 4, 3, 2, 1, 0]
+        assert [record["n"] for record in reopened.scan_range(1.0, 3.0)] == [1, 2, 5]
+        reopened.close()
 
 
 class TestStorageSpec:

@@ -225,7 +225,7 @@ def _peer_infos(overlay: Overlay, peers: List[PeerID]) -> List[PeerInfo]:
 def _handle_find_node(overlay: Overlay, node, target_key: int) -> List[PeerInfo]:
     if node.routing_table is None:
         return []
-    keys = node.routing_table.closest_keys(target_key, overlay.k)
+    keys = sorted(node.routing_table.keys(), key=lambda key: key ^ target_key)[: overlay.k]
     return _peer_infos(overlay, [overlay.peer_of(key) for key in keys])
 
 
@@ -398,6 +398,31 @@ class TestOverlayShape:
         assert _stale_entries(overlay) > 0
         assert any(not node.reachable for node in servers)
         assert any(node.reachable and node.response_latency > TIMEOUT for node in servers)
+
+
+class TestBucketAnswer:
+    def test_tables_with_stale_entries_answer_the_full_sort(self, overlay_and_cids):
+        """Every server's bucket answer, stale entries included, is a full
+        XOR sort of its table: for random targets and for targets sharing
+        0…depth+2 bits with the owner."""
+        overlay, cids = overlay_and_cids
+        rng = random.Random(17)
+        stale = 0
+        for node in overlay.online_servers():
+            table = node.routing_table
+            keys = table.keys()
+            stale += sum(overlay.peer_of(key) not in overlay.online_by_peer for key in keys)
+            owner = table.owner_key
+            targets = [rng.getrandbits(KEY_BITS), cids[0].dht_key]
+            targets += [
+                random_key_in_bucket(owner, shared, rng)
+                for shared in range(table.max_bucket_index + 3)
+            ]
+            for target in targets:
+                expected = sorted(keys, key=lambda key: key ^ target)[: overlay.k]
+                assert table.closest_keys(target, overlay.k) == expected
+                assert sorted(table.closest_keys_unsorted(target, overlay.k)) == sorted(expected)
+        assert stale > 0
 
 
 class TestFetchParity:
